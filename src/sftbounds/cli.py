@@ -1,7 +1,8 @@
 """Batch CLI: one subcommand per verification pipeline, JSON summaries plus CSV
 detail tables, reproducible under a fixed seed.
 
-Exit status: 0 success, 1 a verified inequality failed, 2 input error.
+Exit status: 0 success, 1 a verified inequality failed, 2 input error,
+3 a numerical solver failed to converge.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import io
 from .bounds import gap_identity_check, pinsker_verify, ratio_scan
-from .errors import InputError, VerificationError
+from .errors import ConvergenceError, InputError, VerificationError
 from .holes import describe_hole, hole_family_scan
 from .measures import (
     cylinder_measure,
@@ -345,6 +346,9 @@ def main(argv=None) -> int:
     except (InputError, FileNotFoundError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    except ConvergenceError as exc:
+        print(f"numerical error: {exc} (residual {exc.residual})", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -3,10 +3,18 @@ radius, and dimension upper bounds for the set of orbits avoiding the hole.
 
 A cylinder of a depth-k word is exactly the theta-metric ball of radius
 theta**-k about any of its points, so symbolic holes are cylinders.
+
+The pruned k-block graph is stored as a successor table (each state has at
+most one successor per symbol), never as a dense float matrix. Its spectral
+radius comes from a power iteration on each strongly connected component that
+stops on the width of the Collatz-Wielandt bracket, a proven enclosure of the
+Perron root (Lind-Marcus, Symbolic Dynamics and Coding, Ch. 4).
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -46,51 +54,69 @@ def hole_spec(A: TransitionMatrix, eig: PerronData, word, params: MetricParams =
 
 @dataclass(frozen=True)
 class PrunedSystem:
-    """Higher-block presentation on k-words with the forbidden states removed."""
+    """Higher-block presentation on k-words with the forbidden states removed.
+
+    `states` are the surviving k-words in lexicographic order. The read-only
+    `(len(states), size)` table `successors` is the whole graph: entry [i, c] is
+    the index of state `states[i][1:] + (c,)`, or -1 when there is none.
+    `matrix` is the dense read-only int8 adjacency, built on first use.
+    """
 
     block_length: int
     states: tuple[Word, ...]
-    matrix: np.ndarray
+    successors: np.ndarray
     survivor_lambda: float
     empty: bool
 
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        n = len(self.states)
+        mat = np.zeros((n, n), dtype=np.int8)
+        rows, cols = np.nonzero(self.successors >= 0)
+        mat[rows, self.successors[rows, cols]] = 1
+        mat.setflags(write=False)
+        return mat
 
-def _scc_spectral_radius(mat: np.ndarray, tol: float = 1e-15, max_iter: int = 1_000_000) -> float:
-    """Spectral radius of a possibly reducible nonnegative matrix: the max of
-    power-iteration radii over strongly connected components.
 
-    Each component submatrix is irreducible, so iterating M + I (primitive)
-    and subtracting 1 converges regardless of periodicity.
+def _scc_spectral_radius(succ: np.ndarray, tol: float = 1e-13, max_iter: int = 100_000) -> float:
+    """Spectral radius of the possibly reducible graph of a successor table:
+    the max of the Perron roots of its strongly connected components.
+
+    On a component with adjacency M, y = (M + I) x is one gather per step, and
+    M + I is primitive there whatever the period of M. For positive x the
+    Collatz-Wielandt bracket min(y/x) <= lambda + 1 <= max(y/x) holds and
+    shrinks to a point; iteration stops once its width is at most
+    tol * max(y/x) and returns the midpoint minus 1.
     """
-    n = mat.shape[0]
+    n = succ.shape[0]
     if n == 0:
         return 0.0
-    n_comp, labels = connected_components(csr_matrix(mat), directed=True, connection="strong")
+    src, col = np.nonzero(succ >= 0)
+    graph = csr_matrix((np.ones(len(src)), (src, succ[src, col])), shape=(n, n))
+    _, labels = connected_components(graph, directed=True, connection="strong")
+    local = np.empty(n, dtype=np.int64)
     radius = 0.0
-    for comp in range(n_comp):
-        idx = np.flatnonzero(labels == comp)
-        sub = mat[np.ix_(idx, idx)]
-        if len(idx) == 1:
-            radius = max(radius, float(sub[0, 0]))
-            continue
-        shifted = sub.astype(float) + np.eye(len(idx))
-        x = np.full(len(idx), 1.0 / len(idx))
-        lam_prev = np.inf
-        converged = False
+    for idx in np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1]):
+        # Number the component's states from 0. Edges that leave it, like the
+        # -1 padding, gather the zero kept at the end of the iterate.
+        local[idx] = np.arange(len(idx))
+        nxt = succ[idx]
+        sub = np.where((nxt >= 0) & (labels[nxt] == labels[idx[0]]), local[nxt], -1)
+        x = np.ones(len(sub) + 1)
+        x[-1] = 0.0
         for _ in range(max_iter):
-            y = shifted @ x
-            lam = float(x @ y) / float(x @ x)
-            if abs(lam - lam_prev) < tol:
-                radius = max(radius, lam - 1.0)
-                converged = True
+            y = x[sub].sum(axis=1) + x[:-1]
+            ratio = y / x[:-1]
+            lo, hi = float(ratio.min()), float(ratio.max())
+            if hi - lo <= tol * hi:
                 break
-            lam_prev = lam
-            x = y / y.sum()
-        if not converged:
+            x[:-1] = y / hi
+        else:
             raise ConvergenceError(
                 f"spectral radius iteration stalled on a {len(idx)}-state component",
-                residual=abs(lam - lam_prev),
+                residual=hi - lo,
             )
+        radius = max(radius, 0.5 * (lo + hi) - 1.0)
     return radius
 
 
@@ -119,30 +145,26 @@ def prune_words(
         raise InputError(f"block length must be at least 1, got {k}")
     if any(len(w) > k for w in forb):
         raise InputError("forbidden words longer than the block length")
+    s = A.size
+    if s**k > np.iinfo(np.int64).max:
+        raise CeilingError(f"{k}-words over {s} symbols overflow 64-bit word codes")
     all_states = enumerate_words(A, k, ceiling=ceiling)
-    states = tuple(
-        s for s in all_states if not any(s[: len(w)] == w for w in forb)
-    )
-    n = len(states)
-    if n > ceiling:
-        raise CeilingError(f"{n} pruned states exceed the ceiling {ceiling}")
-    index = {s: i for i, s in enumerate(states)}
-    mat = np.zeros((n, n), dtype=np.int8)
-    for a, i in index.items():
-        if k == 1:
-            for b, j in index.items():
-                if A.rows[a[0]][b[0]]:
-                    mat[i, j] = 1
-        else:
-            suffix = a[1:]
-            for c in A.successor_sets[a[-1]]:
-                b = suffix + (c,)
-                j = index.get(b)
-                if j is not None:
-                    mat[i, j] = 1
-    radius = _scc_spectral_radius(mat.astype(float)) if n else 0.0
-    mat.setflags(write=False)
-    return PrunedSystem(k, states, mat, radius, empty=(radius == 0.0))
+    # Base-s codes of the k-words; lexicographic order makes them ascending.
+    weights = s ** np.arange(k - 1, -1, -1)
+    codes = np.array(all_states, dtype=np.int64).reshape(-1, k) @ weights
+    keep = np.ones(len(codes), dtype=bool)
+    for w in forb:
+        keep &= codes // weights[len(w) - 1] != np.dot(w, weights[k - len(w):])
+    states = tuple(itertools.compress(all_states, keep))
+    codes = codes[keep]
+    # Successor of a by c is a[1:] + c; a -1 sentinel marks codes not found.
+    targets = (codes % s ** (k - 1) * s)[:, None] + np.arange(s)
+    pos = np.searchsorted(codes, targets)
+    found = (np.append(codes, -1)[pos] == targets) & (A.array[codes % s] == 1)
+    succ = np.where(found, pos, -1)
+    succ.setflags(write=False)
+    radius = _scc_spectral_radius(succ)
+    return PrunedSystem(k, states, succ, radius, empty=(radius == 0.0))
 
 
 def higher_block_prune(A: TransitionMatrix, w) -> PrunedSystem:
@@ -166,11 +188,13 @@ def pruned_word_count(ps: PrunedSystem, n: int) -> int:
     k = ps.block_length
     if n < k:
         raise InputError(f"need n >= block length {k}, got {n}")
-    counts = [1] * len(ps.states)
-    rows = [list(np.flatnonzero(ps.matrix[i])) for i in range(len(ps.states))]
+    # Python-int counts in an object array; the -1 padding gathers the zero
+    # kept at the end.
+    counts = np.ones(len(ps.states) + 1, dtype=object)
+    counts[-1] = 0
     for _ in range(n - k):
-        counts = [sum(counts[j] for j in rows[i]) for i in range(len(counts))]
-    return sum(counts)
+        counts[:-1] = counts[ps.successors].sum(axis=1)
+    return int(counts.sum())
 
 
 def dim_upper_bound(h: float, log_lambda: float, dim_m: float, log_theta_cap: float) -> float:

@@ -4,7 +4,9 @@ import math
 import pytest
 
 from helpers import PHI
+from sftbounds import cli
 from sftbounds.cli import main
+from sftbounds.errors import ConvergenceError
 
 
 @pytest.fixture()
@@ -70,6 +72,15 @@ def test_hole_command(capsys, full2_path):
     assert abs(row["dim"] - math.log(PHI) / math.log(2)) <= 1e-7
 
 
+def test_hole_golden_depth7_exits_zero(capsys, golden_path):
+    # Golden hole 100101 once got radius 1.6 and a false monotonicity violation.
+    code, report = run(capsys, "hole", "--matrix", str(golden_path), "--max-hole-depth", "7")
+    assert code == 0
+    assert report["monotonicity_violations"] == []
+    row = next(h for h in report["holes"] if h["word"] == "100101")
+    assert abs(row["survivor_lambda"] - 1.5754491412403955) <= 1e-12
+
+
 def test_model_dim_command(capsys):
     code, report = run(
         capsys, "model-dim", "--model", "doubling", "--x0", "0.125", "--delta", "0.125",
@@ -130,3 +141,13 @@ def test_ceiling_violation_exits_two(capsys, golden_path):
     code = main(["transfer-decay", "--matrix", str(golden_path), "--depth", "12"])
     assert code == 2
     assert "ceiling" in capsys.readouterr().err
+
+
+def test_convergence_error_exits_three(capsys, monkeypatch, golden_path):
+    def stall(config):
+        raise ConvergenceError("iteration stalled", residual=0.5)
+
+    monkeypatch.setitem(cli._COMMANDS, "analyze", stall)
+    code = main(["analyze", "--matrix", str(golden_path)])
+    assert code == 3
+    assert "numerical error: iteration stalled" in capsys.readouterr().err

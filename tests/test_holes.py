@@ -2,23 +2,35 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.linalg
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
-from helpers import PHI, brute_avoid_count, dp_avoid_count, random_primitive_matrices
+from helpers import PHI, brute_avoid_count, brute_words, dp_avoid_count, random_primitive_matrices
 from sftbounds import (
+    CeilingError,
+    ConvergenceError,
     InputError,
     MetricParams,
     cover_count,
     dim_upper_bound,
     enumerate_words,
+    exceptional_dimension_bound,
     full_shift,
+    golden_mean_shift,
     higher_block_prune,
     hole_family_scan,
     hole_spec,
+    model_preset,
     perron_eigendata,
     prune_words,
     pruned_word_count,
     survivor_entropy,
+    transition_matrix,
 )
+from sftbounds.holes import _scc_spectral_radius
 
 
 def test_prune_11_gives_golden_survivor(full2):
@@ -171,3 +183,95 @@ def test_pruned_word_count_needs_full_window(full2):
     ps = higher_block_prune(full2, (1, 1))
     with pytest.raises(InputError):
         pruned_word_count(ps, 1)
+
+
+def block_radius(mat):
+    """Largest |eigenvalue| of a 0/1 matrix, by dense eigvals on each
+    irreducible diagonal block. The blocks' spectra make up the whole
+    spectrum, and each block's Perron root is simple. On the whole matrix, a
+    radius shared by two chained blocks is a defective eigenvalue that eigvals
+    only resolves to about sqrt(machine epsilon)."""
+    _, labels = connected_components(mat, directed=True, connection="strong")
+    radius = 0.0
+    for comp in np.unique(labels):
+        idx = np.flatnonzero(labels == comp)
+        block = mat[np.ix_(idx, idx)].astype(float)
+        radius = max(radius, float(np.abs(np.linalg.eigvals(block)).max()))
+    return radius
+
+
+def test_golden_100101_radius(golden):
+    # The defect this pins: a Rayleigh-quotient stopping rule reported 1.6.
+    ps = higher_block_prune(golden, (1, 0, 0, 1, 0, 1))
+    truth = float(np.abs(np.linalg.eigvals(ps.matrix.astype(float))).max())
+    assert abs(truth - 1.5754491412403955) <= 1e-12
+    assert abs(ps.survivor_lambda - 1.5754491412403955) <= 1e-12
+    assert not hole_family_scan(golden, 7).monotonicity_violations
+
+
+def test_radius_stall_reports_bracket_width(full2):
+    succ = higher_block_prune(full2, (1, 1)).successors
+    with pytest.raises(ConvergenceError) as info:
+        _scc_spectral_radius(succ, max_iter=2)
+    assert info.value.residual > 1e-13
+
+
+def test_successor_table_is_read_only(full2):
+    ps = higher_block_prune(full2, (0, 1, 1))
+    assert ps.successors.shape == (len(ps.states), 2)
+    assert not ps.successors.flags.writeable
+    assert ps.matrix.dtype == np.int8 and not ps.matrix.flags.writeable
+
+
+def test_word_code_overflow_is_refused():
+    # Few admissible 32-words, but base-4 codes of 32 symbols overflow int64.
+    A = transition_matrix([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 1, 0, 0]])
+    assert len(enumerate_words(A, 32)) < 2000
+    with pytest.raises(CeilingError, match="overflow"):
+        prune_words(A, [], block_length=32)
+
+
+@st.composite
+def pruning_cases(draw):
+    A = random_primitive_matrices(1, (2, 3, 4), seed=draw(st.integers(0, 10_000)))[0]
+    k = draw(st.integers(1, 5))
+    assume(A.size**k <= 256)
+    pool = [w for length in range(1, k + 1) for w in brute_words(A, length)]
+    return A, k, draw(st.lists(st.sampled_from(pool), max_size=4))
+
+
+@given(pruning_cases())
+@example((golden_mean_shift(), 1, [(0,)]))  # empty survivor set
+@example((full_shift(2), 2, [(0,), (1,)]))  # no states at all
+@example((full_shift(2), 2, [(0, 1)]))  # reducible: three one-state components
+def test_pruning_matches_brute_force(case):
+    A, k, forb = case
+    ps = prune_words(A, forb, block_length=k)
+    states = [w for w in brute_words(A, k) if not any(w[: len(f)] == f for f in forb)]
+    assert ps.states == tuple(states)
+    expected = np.array(
+        [[a[1:] == b[:-1] and A.rows[a[-1]][b[-1]] == 1 for b in states] for a in states],
+        dtype=np.int8,
+    ).reshape(len(states), len(states))
+    np.testing.assert_array_equal(ps.matrix, expected)
+    assert abs(ps.survivor_lambda - block_radius(expected)) <= 1e-9
+    assert ps.empty == (ps.survivor_lambda == 0.0)
+    for f in forb:
+        single = higher_block_prune(A, f)
+        for n in range(len(f), 6):
+            assert pruned_word_count(single, n) == brute_avoid_count(A, f, n)
+
+
+def test_doubling_delta_1e4_completes():
+    # 32768 block states: the dense graph once asked for 8 GiB here.
+    rep = exceptional_dimension_bound(model_preset("doubling"), 0.125, 1e-4)
+    assert rep.depth == 15
+    k = rep.depth
+    inner = {int("".join(map(str, w)), 2) for w in rep.inner}
+    alive = np.array([c not in inner for c in range(2**k)])
+    src = np.repeat(np.arange(2**k), 2)
+    dst = (src * 2 + np.tile([0, 1], 2**k)) % 2**k
+    ok = alive[src] & alive[dst]
+    graph = scipy.sparse.csr_matrix((np.ones(ok.sum()), (src[ok], dst[ok])), shape=(2**k, 2**k))
+    truth = float(np.abs(scipy.sparse.linalg.eigs(graph, k=1, which="LM", return_eigenvectors=False)).max())
+    assert abs(rep.survivor_lambda - truth) <= 1e-9
