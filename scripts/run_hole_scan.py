@@ -10,6 +10,7 @@ import argparse
 from pathlib import Path
 
 from sftbounds import MetricParams, full_shift, golden_mean_shift, hole_family_scan
+from sftbounds.cli import hole_table
 from sftbounds.io import write_csv, write_json
 from sftbounds.sft import word_str
 
@@ -33,14 +34,7 @@ def main() -> None:
     params = MetricParams(args.theta)
     for name, A in SYSTEMS.items():
         scan = hole_family_scan(A, args.max_depth, params=params)
-        rows = [
-            [word_str(r.word, A.size), r.depth, r.delta, r.measure,
-             r.survivor_lambda, r.gap, r.per_hole_c]
-            for r in scan.rows
-        ]
-        write_csv(out / f"holes_{name}.csv",
-                  ["word", "depth", "delta", "hole_measure", "survivor_lambda",
-                   "gap", "per_hole_c"], rows)
+        write_csv(out / f"holes_{name}.csv", *hole_table(A, scan))
         summary[name] = {
             "fitted_c": scan.fitted_c,
             "argmin_word": word_str(scan.argmin_word, A.size),

@@ -7,10 +7,10 @@ Example:
 """
 
 import argparse
-import math
 from pathlib import Path
 
 from sftbounds import full_shift, golden_mean_shift, ratio_scan, transition_matrix
+from sftbounds.cli import verify_table
 from sftbounds.io import write_csv, write_json
 
 SYSTEMS = {
@@ -34,9 +34,7 @@ def main() -> None:
     summary = {}
     for name, A in SYSTEMS.items():
         scan = ratio_scan(A, samples=args.samples, seed=args.seed, depth=args.depth)
-        rows = [[r.sample_id, r.gap, r.lhs, r.seminorm, r.ratio, r.holds] for r in scan.rows]
-        write_csv(out / f"verify_{name}.csv",
-                  ["sample_id", "gap", "lhs", "seminorm", "ratio", "holds"], rows)
+        write_csv(out / f"verify_{name}.csv", *verify_table(scan))
         summary[name] = {
             "max_ratio": scan.max_ratio,
             "slope": scan.slope,

@@ -1,6 +1,10 @@
 """Batch CLI: one subcommand per verification pipeline, JSON summaries plus CSV
 detail tables, reproducible under a fixed seed.
 
+Each subcommand accepts only the flags its handler reads (`_FLAGS_OF`); any
+other flag is a usage error. Non-finite floats in a JSON summary are written
+as null.
+
 Exit status: 0 success, 1 a verified inequality failed, 2 input error,
 3 a numerical solver failed to converge.
 """
@@ -10,16 +14,16 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import io
-from .bounds import gap_identity_check, pinsker_verify, ratio_scan
+from .bounds import ScanSummary, gap_identity_check, pinsker_verify, ratio_scan
 from .errors import ConvergenceError, InputError, VerificationError
-from .holes import describe_hole, hole_family_scan
+from .holes import HoleFamilyScan, hole_family_scan
 from .measures import (
     cylinder_measure,
     entropy,
@@ -28,64 +32,77 @@ from .measures import (
     sample_markov,
 )
 from .models import cylinder_interval, exceptional_dimension_bound
-from .sft import MetricParams, enumerate_words, word_str
+from .sft import MetricParams, TransitionMatrix, enumerate_words, word_str
 from .spectral import perron_eigendata
 from .transfer import decay_estimate, lip_seminorm, mean_zero_probes, supnorm
 
 PINSKER_DIMS = range(2, 9)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    matrix_path: str | None = None
-    model_path: str | None = None
-    theta: float = 2.0
-    depth: int = 2
-    samples: int = 1000
-    seed: int = 0
-    tolerance: float = 1e-9
-    output_path: str | None = None
-    max_hole_depth: int = 3
-    x0: float = 0.0
-    delta: float = 0.125
-
-    def __post_init__(self):
-        if self.theta <= 1.0:
-            raise InputError(f"theta must exceed 1, got {self.theta}")
-        if self.samples < 1:
-            raise InputError(f"samples must be at least 1, got {self.samples}")
-        if self.depth < 1:
-            raise InputError(f"depth must be at least 1, got {self.depth}")
+# Every flag, declared once: its add_argument keywords.
+_FLAGS = {
+    "--matrix": {"required": True, "help": "path to a transition-matrix JSON file"},
+    "--model": {"required": True, "help": "model preset name or path to a model JSON file"},
+    "--theta": {"type": float, "default": 2.0},
+    "--depth": {"type": int, "default": 2},
+    "--samples": {"type": int, "default": 1000},
+    "--seed": {"type": int, "default": 0},
+    "--tol": {"type": float, "default": 1e-9},
+    "--max-hole-depth": {"type": int, "default": 3},
+    "--x0": {"type": float, "default": 0.0},
+    "--delta": {"type": float, "default": 0.125},
+    "--out": {"help": "summary JSON path; detail CSV lands beside it"},
+}
 
 
-def _require(value, flag: str):
-    if value is None:
-        raise InputError(f"this command requires {flag}")
-    return value
+def _finite(x):
+    """x with every non-finite float, at any nesting depth, replaced by None."""
+    if isinstance(x, float):
+        return x if math.isfinite(x) else None
+    if isinstance(x, dict):
+        return {k: _finite(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_finite(v) for v in x]
+    return x
 
 
-def _emit(config: RunConfig, summary: dict, header=None, rows=None) -> None:
-    payload = dict(summary)
+def _emit(args: argparse.Namespace, summary: dict, header: list[str], rows: list[list]) -> None:
+    payload = _finite(summary)
     payload["meta"] = {
-        "command": config.command,
-        "seed": config.seed,
+        "command": args.command,
+        "seed": getattr(args, "seed", None),
         "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    print(text)
-    if config.output_path:
-        out = Path(config.output_path)
+    print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
+    if args.out:
+        out = Path(args.out)
         io.write_json(out, payload)
-        if header is not None:
-            io.write_csv(out.with_suffix(".csv"), header, rows or [])
+        io.write_csv(out.with_suffix(".csv"), header, rows)
 
 
-def _cmd_analyze(config: RunConfig) -> int:
-    A = io.load_matrix(_require(config.matrix_path, "--matrix"))
+def verify_table(scan: ScanSummary) -> tuple[list[str], list[list]]:
+    """Header and rows of the `verify` detail CSV."""
+    header = ["sample_id", "gap", "lhs", "seminorm", "ratio", "holds"]
+    return header, [[r.sample_id, r.gap, r.lhs, r.seminorm, r.ratio, r.holds] for r in scan.rows]
+
+
+def hole_table(A: TransitionMatrix, scan: HoleFamilyScan) -> tuple[list[str], list[list]]:
+    """Header and rows of the `hole` detail CSV; the JSON `holes` entries share its keys."""
+    header = ["word", "depth", "delta", "hole_measure", "survivor_lambda", "gap", "per_hole_c"]
+    rows = [
+        [word_str(r.word, A.size), r.depth, r.delta, r.measure,
+         r.survivor_lambda, r.gap, r.per_hole_c]
+        for r in scan.rows
+    ]
+    return header, rows
+
+
+def _cmd_analyze(args: argparse.Namespace) -> int:
+    """Perron data, Parry measure, and cylinder measures of a matrix"""
+    A = io.load_matrix(args.matrix)
     eig = perron_eigendata(A)
     m = parry_measure(A, eig)
-    words = enumerate_words(A, config.depth)
+    words = enumerate_words(A, args.depth)
     rows = [[word_str(w, A.size), cylinder_measure(m, w)] for w in words]
     summary = {
         "size": A.size,
@@ -99,22 +116,23 @@ def _cmd_analyze(config: RunConfig) -> int:
         "v": [float(x) for x in eig.v],
         "stationary": [float(x) for x in m.stationary],
         "transition": [[float(x) for x in row] for row in m.transition],
-        "word_counts": {str(k): len(enumerate_words(A, k)) for k in range(1, config.depth + 1)},
+        "word_counts": {str(k): len(enumerate_words(A, k)) for k in range(1, args.depth + 1)},
     }
-    _emit(config, summary, ["word", "parry_measure"], rows)
+    _emit(args, summary, ["word", "parry_measure"], rows)
     return 0
 
 
-def _cmd_entropy(config: RunConfig) -> int:
-    A = io.load_matrix(_require(config.matrix_path, "--matrix"))
+def _cmd_entropy(args: argparse.Namespace) -> int:
+    """entropy and information-function identities on sampled measures"""
+    A = io.load_matrix(args.matrix)
     eig = perron_eigendata(A)
     log_lam = float(np.log(eig.lam))
-    master = np.random.default_rng(config.seed)
-    seeds = master.integers(0, 2**63 - 1, size=config.samples)
+    master = np.random.default_rng(args.seed)
+    seeds = master.integers(0, 2**63 - 1, size=args.samples)
     rows = []
     worst_info = 0.0
     worst_gap = 0.0
-    for i in range(config.samples):
+    for i in range(args.samples):
         mu = sample_markov(A, int(seeds[i]))
         h = entropy(mu)
         info = information_mean(mu, eig)
@@ -126,24 +144,25 @@ def _cmd_entropy(config: RunConfig) -> int:
         "lambda": eig.lam,
         "log_lambda": log_lam,
         "h_parry": entropy(parry_measure(A, eig)),
-        "samples": config.samples,
+        "samples": args.samples,
         "max_information_discrepancy": worst_info,
         "max_gap_identity_discrepancy": worst_gap,
-        "tolerance": config.tolerance,
+        "tolerance": args.tol,
     }
     header = ["sample_id", "entropy", "gap", "information_mean",
               "information_discrepancy", "gap_identity_discrepancy"]
-    _emit(config, summary, header, rows)
-    return 0 if max(worst_info, worst_gap) <= config.tolerance else 1
+    _emit(args, summary, header, rows)
+    return 0 if max(worst_info, worst_gap) <= args.tol else 1
 
 
-def _cmd_pinsker(config: RunConfig) -> int:
-    rng = np.random.default_rng(config.seed)
+def _cmd_pinsker(args: argparse.Namespace) -> int:
+    """total-variation versus divergence inequality on sampled pairs"""
+    rng = np.random.default_rng(args.seed)
     rows = []
     total_violations = 0
     for dim in PINSKER_DIMS:
-        p = rng.dirichlet(np.ones(dim), size=config.samples)
-        q = rng.dirichlet(np.ones(dim), size=config.samples)
+        p = rng.dirichlet(np.ones(dim), size=args.samples)
+        q = rng.dirichlet(np.ones(dim), size=args.samples)
         violations = 0
         max_l1 = 0.0
         min_slack = np.inf
@@ -154,24 +173,25 @@ def _cmd_pinsker(config: RunConfig) -> int:
             max_l1 = max(max_l1, res.l1)
             min_slack = min(min_slack, res.bound - res.l1)
         total_violations += violations
-        rows.append([dim, config.samples, violations, max_l1, float(min_slack)])
+        rows.append([dim, args.samples, violations, max_l1, float(min_slack)])
     summary = {
         "dimensions": list(PINSKER_DIMS),
-        "samples_per_dimension": config.samples,
+        "samples_per_dimension": args.samples,
         "violations": total_violations,
     }
-    _emit(config, summary, ["dimension", "samples", "violations", "max_l1", "min_slack"], rows)
+    _emit(args, summary, ["dimension", "samples", "violations", "max_l1", "min_slack"], rows)
     return 0 if total_violations == 0 else 1
 
 
-def _cmd_transfer_decay(config: RunConfig) -> int:
-    A = io.load_matrix(_require(config.matrix_path, "--matrix"))
+def _cmd_transfer_decay(args: argparse.Namespace) -> int:
+    """decay certificate (C, rho) for the transfer operator"""
+    A = io.load_matrix(args.matrix)
     eig = perron_eigendata(A)
-    params = MetricParams(config.theta)
-    est = decay_estimate(A, eig, config.depth, mode="spectral", params=params)
+    params = MetricParams(args.theta)
+    est = decay_estimate(A, eig, args.depth, mode="spectral", params=params)
     rows = []
-    for g, w in zip(mean_zero_probes(A, eig, config.depth),
-                    enumerate_words(A, config.depth)):
+    for g, w in zip(mean_zero_probes(A, eig, args.depth),
+                    enumerate_words(A, args.depth)):
         rows.append([word_str(w, A.size), lip_seminorm(g, params), supnorm(g)])
     summary = {
         "C": est.C,
@@ -181,15 +201,15 @@ def _cmd_transfer_decay(config: RunConfig) -> int:
         "theta": est.theta,
         "c_hat": float(np.sqrt(2.0)) * est.C / (1.0 - est.rho),
     }
-    _emit(config, summary, ["probe_word", "seminorm", "supnorm"], rows)
+    _emit(args, summary, ["probe_word", "seminorm", "supnorm"], rows)
     return 0
 
 
-def _cmd_verify(config: RunConfig) -> int:
-    A = io.load_matrix(_require(config.matrix_path, "--matrix"))
-    params = MetricParams(config.theta)
-    scan = ratio_scan(A, config.samples, config.seed, depth=config.depth, params=params)
-    rows = [[r.sample_id, r.gap, r.lhs, r.seminorm, r.ratio, r.holds] for r in scan.rows]
+def _cmd_verify(args: argparse.Namespace) -> int:
+    """integral-discrepancy bound on sampled (measure, function) pairs"""
+    A = io.load_matrix(args.matrix)
+    params = MetricParams(args.theta)
+    scan = ratio_scan(A, args.samples, args.seed, depth=args.depth, params=params)
     summary = {
         "max_ratio": scan.max_ratio,
         "argmax_id": scan.argmax_id,
@@ -197,27 +217,25 @@ def _cmd_verify(config: RunConfig) -> int:
         "c_hat": scan.c_hat,
         "C": scan.C,
         "rho": scan.rho,
-        "samples": config.samples,
+        "samples": args.samples,
         "all_hold": scan.all_hold,
     }
-    _emit(config, summary, ["sample_id", "gap", "lhs", "seminorm", "ratio", "holds"], rows)
+    _emit(args, summary, *verify_table(scan))
     return 0 if scan.all_hold else 1
 
 
-def _cmd_hole(config: RunConfig) -> int:
-    A = io.load_matrix(_require(config.matrix_path, "--matrix"))
-    params = MetricParams(config.theta)
-    scan = hole_family_scan(A, config.max_hole_depth, params=params)
-    rows = [
-        [word_str(r.word, A.size), r.depth, r.delta, r.measure,
-         r.survivor_lambda, r.gap, r.per_hole_c]
-        for r in scan.rows
-    ]
+def _cmd_hole(args: argparse.Namespace) -> int:
+    """survivor entropy and dimension data for every hole up to a depth"""
+    A = io.load_matrix(args.matrix)
+    params = MetricParams(args.theta)
+    scan = hole_family_scan(A, args.max_hole_depth, params=params)
+    header, rows = hole_table(A, scan)
     log_theta = float(np.log(params.theta))
     holes = []
-    for r in scan.rows:
-        entry = describe_hole(A, r)
-        entry["dim"] = float(np.log(r.survivor_lambda) / log_theta) if r.survivor_lambda > 0 else 0.0
+    for row in rows:
+        entry = dict(zip(header, row))
+        lam = entry["survivor_lambda"]
+        entry["dim"] = float(np.log(lam) / log_theta) if lam > 0 else 0.0
         holes.append(entry)
     summary = {
         "fitted_c": scan.fitted_c,
@@ -230,16 +248,16 @@ def _cmd_hole(config: RunConfig) -> int:
         ],
         "holes": holes,
     }
-    header = ["word", "depth", "delta", "hole_measure", "survivor_lambda", "gap", "per_hole_c"]
-    _emit(config, summary, header, rows)
+    _emit(args, summary, header, rows)
     ok = scan.fitted_c > 0 and not scan.monotonicity_violations
     return 0 if ok else 1
 
 
-def _cmd_model_dim(config: RunConfig) -> int:
-    model = io.load_model(_require(config.model_path, "--model"))
+def _cmd_model_dim(args: argparse.Namespace) -> int:
+    """dimension bound for a metric hole in an expanding interval map"""
+    model = io.load_model(args.model)
     eig = perron_eigendata(model.transition)
-    report = exceptional_dimension_bound(model, config.x0, config.delta, eig=eig)
+    report = exceptional_dimension_bound(model, args.x0, args.delta, eig=eig)
     m = parry_measure(model.transition, eig)
     s = model.transition.size
     rows = []
@@ -255,16 +273,16 @@ def _cmd_model_dim(config: RunConfig) -> int:
         "outer_count": len(report.outer),
         "outer_measure": report.outer_measure,
         "survivor_lambda": report.survivor_lambda,
-        "h_plus": report.h_plus if np.isfinite(report.h_plus) else None,
+        "h_plus": report.h_plus,
         "bound": report.bound,
-        "implied_c": report.implied_c if np.isfinite(report.implied_c) else None,
+        "implied_c": report.implied_c,
         "shape_bound": report.shape_bound,
         "trivial": report.trivial,
         "theta0": model.theta0,
         "Theta": model.cap_theta,
         "log_lambda": float(np.log(eig.lam)),
     }
-    _emit(config, summary, ["word", "role", "interval_lo", "interval_hi", "parry_measure"], rows)
+    _emit(args, summary, ["word", "role", "interval_lo", "interval_hi", "parry_measure"], rows)
     return 0 if report.h_plus <= float(np.log(eig.lam)) + 1e-12 else 1
 
 
@@ -278,6 +296,17 @@ _COMMANDS = {
     "model-dim": _cmd_model_dim,
 }
 
+# The flags each subcommand reads, besides --out.
+_FLAGS_OF = {
+    "analyze": ("--matrix", "--depth"),
+    "entropy": ("--matrix", "--samples", "--seed", "--tol"),
+    "pinsker": ("--samples", "--seed"),
+    "transfer-decay": ("--matrix", "--theta", "--depth"),
+    "verify": ("--matrix", "--theta", "--depth", "--samples", "--seed"),
+    "hole": ("--matrix", "--theta", "--max-hole-depth"),
+    "model-dim": ("--model", "--x0", "--delta"),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -286,60 +315,24 @@ def build_parser() -> argparse.ArgumentParser:
         "for subshifts of finite type.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("analyze", "Perron data, Parry measure, and cylinder measures of a matrix"),
-        ("entropy", "entropy and information-function identities on sampled measures"),
-        ("pinsker", "total-variation versus divergence inequality on sampled pairs"),
-        ("transfer-decay", "decay certificate (C, rho) for the transfer operator"),
-        ("verify", "integral-discrepancy bound on sampled (measure, function) pairs"),
-        ("hole", "survivor entropy and dimension data for every hole up to a depth"),
-        ("model-dim", "dimension bound for a metric hole in an expanding interval map"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--matrix", help="path to a transition-matrix JSON file")
-        p.add_argument("--model", help="model preset name or path to a model JSON file")
-        p.add_argument("--theta", type=float, default=2.0)
-        p.add_argument("--depth", type=int, default=2)
-        p.add_argument("--samples", type=int, default=1000)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=1e-9)
-        p.add_argument("--out", help="summary JSON path; detail CSV lands beside it")
-        p.add_argument("--max-hole-depth", type=int, default=3)
-        p.add_argument("--x0", type=float, default=0.0)
-        p.add_argument("--delta", type=float, default=0.125)
+    for name, flags in _FLAGS_OF.items():
+        p = sub.add_parser(name, help=_COMMANDS[name].__doc__)
+        for flag in flags + ("--out",):
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        matrix_path=args.matrix,
-        model_path=args.model,
-        theta=args.theta,
-        depth=args.depth,
-        samples=args.samples,
-        seed=args.seed,
-        tolerance=args.tol,
-        output_path=args.out,
-        max_hole_depth=args.max_hole_depth,
-        x0=args.x0,
-        delta=args.delta,
-    )
-
-
-def execute(config: RunConfig) -> int:
-    """Dispatch a RunConfig; returns the process exit status."""
-    handler = _COMMANDS.get(config.command)
-    if handler is None:
-        raise InputError(f"unknown command {config.command!r}")
-    return handler(config)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    given = vars(args)  # a flag the subcommand lacks passes its check
     try:
-        config = config_from_args(args)
-        return execute(config)
+        if given.get("theta", math.inf) <= 1.0:
+            raise InputError(f"theta must exceed 1, got {args.theta}")
+        if given.get("samples", 1) < 1:
+            raise InputError(f"samples must be at least 1, got {args.samples}")
+        if given.get("depth", 1) < 1:
+            raise InputError(f"depth must be at least 1, got {args.depth}")
+        return _COMMANDS[args.command](args)
     except VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1

@@ -24,7 +24,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import CeilingError, ConvergenceError, InputError
 from .measures import cylinder_measure, parry_measure
-from .sft import MetricParams, TransitionMatrix, Word, enumerate_words, is_admissible, word_str
+from .sft import MetricParams, TransitionMatrix, Word, enumerate_words, is_admissible
 from .spectral import PerronData, perron_eigendata
 
 PRUNE_STATE_CEILING = 50_000
@@ -280,16 +280,3 @@ def hole_family_scan(
     argmin = min(rows, key=lambda r: r.per_hole_c).word
     return HoleFamilyScan(tuple(rows), fitted_c, argmin, tuple(violations),
                           log_lam, params.theta)
-
-
-def describe_hole(A: TransitionMatrix, row: HoleRow) -> dict:
-    """Flat dict view of one family-scan row (words rendered as strings)."""
-    return {
-        "word": word_str(row.word, A.size),
-        "depth": row.depth,
-        "delta": row.delta,
-        "hole_measure": row.measure,
-        "survivor_lambda": row.survivor_lambda,
-        "gap": row.gap,
-        "per_hole_c": row.per_hole_c,
-    }

@@ -10,11 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .errors import CeilingError, DegenerateSpectrumError, InputError
 from .measures import (
     LocallyConstantFunction,
-    cylinder_measure,
+    cylinder_measure_vector,
     parry_measure,
     random_function,
     integrate,
@@ -60,38 +61,39 @@ def lip_seminorm(f: LocallyConstantFunction, params: MetricParams = MetricParams
     return float(best)
 
 
+def _kernel(A: TransitionMatrix, eig: PerronData, depth: int) -> csr_matrix:
+    """The operator from depth-`depth` words to depth-max(depth-1, 1) words, as a
+    sparse matrix with entries u_i/(lam u_j): row w sums over i -> w0 the value at
+    i.w[:depth-1], its columns in ascending i."""
+    out_words = enumerate_words(A, max(depth - 1, 1))
+    index = word_index(A, depth)
+    u, lam = eig.u, eig.lam
+    indptr = [0]
+    cols: list[int] = []
+    vals: list[float] = []
+    for w in out_words:
+        j = w[0]
+        for i in predecessors(A, j):
+            cols.append(index[(i,) + w[: depth - 1]])
+            vals.append(u[i] / (lam * u[j]))
+        indptr.append(len(cols))
+    return csr_matrix((vals, cols, indptr), shape=(len(out_words), len(index)))
+
+
 def transfer_apply(f: LocallyConstantFunction, eig: PerronData) -> LocallyConstantFunction:
     """Apply the operator once: (Lf)(w) = sum over i -> w0 of u_i/(lam u_w0) f(i.w)."""
-    A = f.matrix
-    d = f.depth
-    out_depth = max(d - 1, 1)
-    u, lam = eig.u, eig.lam
-    out_words = enumerate_words(A, out_depth)
-    out_vals = np.empty(len(out_words))
-    for k, w in enumerate(out_words):
-        j = w[0]
-        prefix = w[: d - 1]
-        acc = 0.0
-        for i in predecessors(A, j):
-            acc += u[i] / (lam * u[j]) * f.value((i,) + prefix)
-        out_vals[k] = acc
-    return LocallyConstantFunction(A, out_depth, out_vals)
+    K = _kernel(f.matrix, eig, f.depth)
+    return LocallyConstantFunction(f.matrix, max(f.depth - 1, 1), K @ f.values)
 
 
 def transfer_matrix(A: TransitionMatrix, eig: PerronData, depth: int):
     """Matrix of the operator on the depth-`depth` word space (with the image
     depth-(d-1) space embedded back into depth d). Returns (matrix, words)."""
     words = enumerate_words(A, depth)
-    index = word_index(A, depth)
-    n = len(words)
-    u, lam = eig.u, eig.lam
-    M = np.zeros((n, n))
-    for row, w in enumerate(words):
-        j = w[0]
-        prefix = w[: depth - 1]
-        for i in predecessors(A, j):
-            M[row, index[(i,) + prefix]] += u[i] / (lam * u[j])
-    return M, words
+    out_depth = max(depth - 1, 1)
+    image = word_index(A, out_depth)
+    rows = [image[w[:out_depth]] for w in words]
+    return _kernel(A, eig, depth).toarray()[rows], words
 
 
 def conditional_expectation_check(f: LocallyConstantFunction, eig: PerronData) -> float:
@@ -125,11 +127,10 @@ class DecayEstimate:
 
 def mean_zero_probes(A: TransitionMatrix, eig: PerronData, depth: int) -> list[LocallyConstantFunction]:
     """Calibration basis: the indicator of each depth cylinder minus its Parry measure."""
-    m = parry_measure(A, eig)
-    words = enumerate_words(A, depth)
+    mass = cylinder_measure_vector(parry_measure(A, eig), depth)
     probes = []
-    for k, w in enumerate(words):
-        vals = np.full(len(words), -cylinder_measure(m, w))
+    for k, mass_k in enumerate(mass):
+        vals = np.full(len(mass), -mass_k)
         vals[k] += 1.0
         probes.append(LocallyConstantFunction(A, depth, vals))
     return probes

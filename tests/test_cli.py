@@ -151,3 +151,31 @@ def test_convergence_error_exits_three(capsys, monkeypatch, golden_path):
     code = main(["analyze", "--matrix", str(golden_path)])
     assert code == 3
     assert "numerical error: iteration stalled" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--matrix", "m.json", "--theta", "3"],
+    ["entropy", "--matrix", "m.json", "--depth", "2"],
+    ["pinsker", "--theta", "3"],
+    ["transfer-decay", "--matrix", "m.json", "--samples", "5"],
+    ["verify", "--matrix", "m.json", "--x0", "0.3"],
+    ["hole", "--matrix", "m.json", "--seed", "1"],
+    ["model-dim", "--model", "doubling", "--matrix", "m.json"],
+])
+def test_unread_flag_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert argv[-2] in capsys.readouterr().err
+
+
+def test_hole_json_is_strict_with_null_gap(capsys, golden_path):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    code = main(["hole", "--matrix", str(golden_path), "--max-hole-depth", "1"])
+    report = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert code == 0
+    # forbidding 0 in the golden mean shift leaves no orbit: the gap is infinite
+    assert next(h for h in report["holes"] if h["word"] == "0")["gap"] is None
+    assert report["meta"]["seed"] is None

@@ -47,6 +47,13 @@ def test_operator_fixes_constants(full2, eig_full2, golden, eig_golden):
         assert np.allclose(out.values, 1.0, atol=1e-12)
 
 
+def test_operator_fixes_constants_on_65536_words(full2, eig_full2):
+    # a dense operator matrix here would hold 32768 x 65536 entries
+    out = transfer_apply(constant_function(full2, 1.0, depth=16), eig_full2)
+    assert out.depth == 15
+    assert np.allclose(out.values, 1.0, atol=1e-12)
+
+
 def test_operator_kills_mean_zero_depth1_full_shift(full2, eig_full2):
     f = LocallyConstantFunction(full2, 1, np.array([0.5, -0.5]))
     assert np.allclose(transfer_apply(f, eig_full2).values, 0.0, atol=1e-15)
