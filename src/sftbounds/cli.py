@@ -6,7 +6,7 @@ other flag is a usage error. Non-finite floats in a JSON summary are written
 as null.
 
 Exit status: 0 success, 1 a verified inequality failed, 2 input error,
-3 a numerical solver failed to converge.
+3 a numerical solver failed to converge, 4 out of memory.
 """
 
 from __future__ import annotations
@@ -342,6 +342,9 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"numerical error: {exc} (residual {exc.residual})", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"resource error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -6,9 +6,17 @@ theta**-k about any of its points, so symbolic holes are cylinders.
 
 The pruned k-block graph is stored as a successor table (each state has at
 most one successor per symbol), never as a dense float matrix. Its spectral
-radius comes from a power iteration on each strongly connected component that
-stops on the width of the Collatz-Wielandt bracket, a proven enclosure of the
-Perron root (Lind-Marcus, Symbolic Dynamics and Coding, Ch. 4).
+radius comes from a power iteration over all strongly connected components at
+once; each component stops on the width of its own Collatz-Wielandt bracket,
+a proven enclosure of the Perron root (Lind-Marcus, Symbolic Dynamics and
+Coding, Ch. 4).
+
+A hole scan builds the k-block table once per depth k. Every hole word of
+depth k is one state of it, so the graph for that hole is the table minus one
+state. The scan stacks these graphs, up to HOLE_CHUNK_STATES states at a time,
+into one block-diagonal table and solves it in a single batched iteration; a
+word's radius is the max over its block, the same bits a separate
+`higher_block_prune` gives.
 """
 
 from __future__ import annotations
@@ -28,6 +36,9 @@ from .sft import MetricParams, TransitionMatrix, Word, enumerate_words, is_admis
 from .spectral import PerronData, perron_eigendata
 
 PRUNE_STATE_CEILING = 50_000
+# Most block-table states one batched solve in hole_family_scan stacks; it
+# bounds that solve's working set.
+HOLE_CHUNK_STATES = 4096
 
 
 @dataclass(frozen=True)
@@ -78,46 +89,67 @@ class PrunedSystem:
         return mat
 
 
-def _scc_spectral_radius(succ: np.ndarray, tol: float = 1e-13, max_iter: int = 100_000) -> float:
-    """Spectral radius of the possibly reducible graph of a successor table:
-    the max of the Perron roots of its strongly connected components.
+def _component_radii(succ: np.ndarray, tol: float = 1e-13, max_iter: int = 100_000) -> np.ndarray:
+    """Perron root of the strongly connected component of each state of a
+    successor table's graph (0 for a state on no cycle).
 
-    On a component with adjacency M, y = (M + I) x is one gather per step, and
-    M + I is primitive there whatever the period of M. For positive x the
-    Collatz-Wielandt bracket min(y/x) <= lambda + 1 <= max(y/x) holds and
-    shrinks to a point; iteration stops once its width is at most
-    tol * max(y/x) and returns the midpoint minus 1.
+    Every component is iterated at once. On a component with adjacency M,
+    y = (M + I) x is one gather per symbol, and M + I is primitive there
+    whatever the period of M. For positive x the Collatz-Wielandt bracket
+    min(y/x) <= lambda + 1 <= max(y/x) over the component holds and shrinks
+    to a point. A component stops at the first step its bracket width is at
+    most tol * max(y/x), with the midpoint minus 1, and leaves the iteration;
+    the others go on with x = y / max(y/x). Each component thus takes the
+    same steps, and ends on the same bits, as when iterated alone.
     """
     n = succ.shape[0]
     if n == 0:
-        return 0.0
+        return np.zeros(0)
     src, col = np.nonzero(succ >= 0)
     graph = csr_matrix((np.ones(len(src)), (src, succ[src, col])), shape=(n, n))
-    _, labels = connected_components(graph, directed=True, connection="strong")
-    local = np.empty(n, dtype=np.int64)
-    radius = 0.0
-    for idx in np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1]):
-        # Number the component's states from 0. Edges that leave it, like the
-        # -1 padding, gather the zero kept at the end of the iterate.
-        local[idx] = np.arange(len(idx))
-        nxt = succ[idx]
-        sub = np.where((nxt >= 0) & (labels[nxt] == labels[idx[0]]), local[nxt], -1)
-        x = np.ones(len(sub) + 1)
-        x[-1] = 0.0
-        for _ in range(max_iter):
-            y = x[sub].sum(axis=1) + x[:-1]
-            ratio = y / x[:-1]
-            lo, hi = float(ratio.min()), float(ratio.max())
-            if hi - lo <= tol * hi:
-                break
-            x[:-1] = y / hi
-        else:
-            raise ConvergenceError(
-                f"spectral radius iteration stalled on a {len(idx)}-state component",
-                residual=hi - lo,
-            )
-        radius = max(radius, 0.5 * (lo + hi) - 1.0)
-    return radius
+    ncomp, labels = connected_components(graph, directed=True, connection="strong")
+    # Sorted by component, the active states form one run per component.
+    # Edges that leave a component, like the -1 padding, gather the zero kept
+    # at the end of the iterate.
+    order = np.argsort(labels, kind="stable")
+    pos = np.empty(n, dtype=np.int64)
+    pos[order] = np.arange(n)
+    nxt = succ[order]
+    sub = np.where((nxt >= 0) & (labels[nxt] == labels[order, None]), pos[nxt], -1)
+    comp = np.arange(ncomp)  # the active components, in run order
+    sizes = np.bincount(labels, minlength=ncomp)
+    starts = np.cumsum(sizes) - sizes
+    radii = np.empty(ncomp)
+    x = np.ones(n + 1)
+    x[-1] = 0.0
+    for _ in range(max_iter):
+        y = x[sub[:, 0]]
+        for c in range(1, sub.shape[1]):
+            y += x[sub[:, c]]
+        y += x[:-1]
+        ratio = y / x[:-1]
+        lo = np.minimum.reduceat(ratio, starts)
+        hi = np.maximum.reduceat(ratio, starts)
+        done = hi - lo <= tol * hi
+        radii[comp[done]] = 0.5 * (lo[done] + hi[done]) - 1.0
+        if done.all():
+            return radii[labels]
+        y /= np.repeat(hi, sizes)
+        if done.any():
+            alive = np.repeat(~done, sizes)
+            renumber = np.cumsum(alive) - 1
+            sub = sub[alive]
+            sub = np.where(sub >= 0, renumber[sub], -1)
+            y = y[alive]
+            comp, sizes = comp[~done], sizes[~done]
+            starts = np.cumsum(sizes) - sizes
+            x = np.empty(len(y) + 1)
+            x[-1] = 0.0
+        x[:-1] = y
+    raise ConvergenceError(
+        f"spectral radius iteration stalled on {len(comp)} of {ncomp} components",
+        residual=float((hi - lo)[~done].max()),
+    )
 
 
 def prune_words(
@@ -163,8 +195,31 @@ def prune_words(
     found = (np.append(codes, -1)[pos] == targets) & (A.array[codes % s] == 1)
     succ = np.where(found, pos, -1)
     succ.setflags(write=False)
-    radius = _scc_spectral_radius(succ)
+    radius = float(_component_radii(succ).max(initial=0.0))
     return PrunedSystem(k, states, succ, radius, empty=(radius == 0.0))
+
+
+def _hole_radii(succ: np.ndarray) -> np.ndarray:
+    """Entry j: the spectral radius of the table's graph with state j removed.
+
+    Up to HOLE_CHUNK_STATES states' worth of these graphs are stacked into one
+    block-diagonal table and solved together; a word's radius is the max over
+    its block, as `prune_words` would give for that graph alone.
+    """
+    n, s = succ.shape
+    m = max(1, HOLE_CHUNK_STATES // (n - 1))
+    out = []
+    rest = np.arange(n - 1)
+    for first in range(0, n, m):
+        hole = np.arange(first, min(first + m, n))[:, None]
+        # Block i keeps every state but hole[i], renumbered from i * (n - 1);
+        # edges into the hole become -1 padding.
+        table = succ[rest + (rest >= hole)]
+        hole, base = hole[:, :, None], (n - 1) * np.arange(len(hole))[:, None, None]
+        table = np.where((table < 0) | (table == hole), -1, table - (table > hole) + base)
+        radii = _component_radii(table.reshape(-1, s))
+        out.append(radii.reshape(len(hole), n - 1).max(axis=1))
+    return np.concatenate(out)
 
 
 def higher_block_prune(A: TransitionMatrix, w) -> PrunedSystem:
@@ -261,15 +316,14 @@ def hole_family_scan(
     rows = []
     radius: dict[Word, float] = {}
     for k in range(1, max_depth + 1):
-        for w in enumerate_words(A, k):
-            ps = higher_block_prune(A, w)
-            radius[w] = ps.survivor_lambda
-            h = survivor_entropy(ps)
-            gap = log_lam - h  # +inf when the survivor set is empty
+        # The k-block table once; each hole word is one state of it.
+        table = prune_words(A, [], block_length=k)
+        for w, lam in zip(table.states, _hole_radii(table.successors).tolist()):
+            radius[w] = lam
+            gap = log_lam - float(np.log(lam)) if lam > 0.0 else math.inf
             delta = params.theta ** (-k)
             meas = cylinder_measure(m, w)
-            rows.append(HoleRow(w, k, delta, meas, ps.survivor_lambda, gap,
-                                gap / (delta**2 * meas**2)))
+            rows.append(HoleRow(w, k, delta, meas, lam, gap, gap / (delta**2 * meas**2)))
     violations = []
     for w, lam_w in radius.items():
         for c in A.successor_sets[w[-1]]:

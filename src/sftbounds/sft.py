@@ -171,6 +171,11 @@ def word_count(A: TransitionMatrix, k: int) -> int:
     """Exact number of admissible k-words: the entry sum of A**(k-1), in integers."""
     if k < 1:
         raise InputError(f"word length must be at least 1, got {k}")
+    return _word_count_cached(A, k)
+
+
+@functools.lru_cache(maxsize=512)
+def _word_count_cached(A: TransitionMatrix, k: int) -> int:
     if k == 1:
         return A.size
     base = [[int(x) for x in row] for row in A.rows]

@@ -153,6 +153,20 @@ def test_convergence_error_exits_three(capsys, monkeypatch, golden_path):
     assert "numerical error: iteration stalled" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError("Unable to allocate 8.00 GiB"), "Unable to allocate 8.00 GiB"),
+    (MemoryError(), "out of memory"),
+])
+def test_memory_error_exits_four(capsys, monkeypatch, golden_path, exc, message):
+    def exhaust(args):
+        raise exc
+
+    monkeypatch.setitem(cli._COMMANDS, "analyze", exhaust)
+    code = main(["analyze", "--matrix", str(golden_path)])
+    assert code == 4
+    assert f"resource error: {message}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["analyze", "--matrix", "m.json", "--theta", "3"],
     ["entropy", "--matrix", "m.json", "--depth", "2"],

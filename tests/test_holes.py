@@ -30,7 +30,7 @@ from sftbounds import (
     survivor_entropy,
     transition_matrix,
 )
-from sftbounds.holes import _scc_spectral_radius
+from sftbounds import holes
 
 
 def test_prune_11_gives_golden_survivor(full2):
@@ -172,6 +172,28 @@ def test_family_scan_positive_c_everywhere(golden, full3):
         assert scan.argmin_word in {r.word for r in scan.rows}
 
 
+@st.composite
+def scan_cases(draw):
+    A = random_primitive_matrices(1, (2, 3, 4), seed=draw(st.integers(0, 10_000)))[0]
+    return A, draw(st.integers(1, 4))  # at most 4**4 = 256 block states
+
+
+@given(scan_cases())
+@example((golden_mean_shift(), 1))  # hole 0 leaves an empty survivor set
+@example((full_shift(2), 2))  # hole 01 leaves reducible survivors
+def test_family_scan_matches_per_word_pruning(case):
+    A, depth = case
+    for row in hole_family_scan(A, depth).rows:
+        assert row.survivor_lambda == higher_block_prune(A, row.word).survivor_lambda
+
+
+@pytest.mark.parametrize("budget", [1, 50])  # one word per solve; two 26-state graphs
+def test_family_scan_rows_do_not_depend_on_chunking(monkeypatch, full3, budget):
+    rows = hole_family_scan(full3, 3).rows
+    monkeypatch.setattr(holes, "HOLE_CHUNK_STATES", budget)
+    assert hole_family_scan(full3, 3).rows == rows
+
+
 def test_family_scan_includes_empty_survivors(golden):
     scan = hole_family_scan(golden, 1)
     row0 = next(r for r in scan.rows if r.word == (0,))
@@ -212,7 +234,7 @@ def test_golden_100101_radius(golden):
 def test_radius_stall_reports_bracket_width(full2):
     succ = higher_block_prune(full2, (1, 1)).successors
     with pytest.raises(ConvergenceError) as info:
-        _scc_spectral_radius(succ, max_iter=2)
+        holes._component_radii(succ, max_iter=2)
     assert info.value.residual > 1e-13
 
 

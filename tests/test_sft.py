@@ -119,6 +119,9 @@ def test_lexicographic_order():
 def test_zero_length_rejected():
     with pytest.raises(InputError):
         enumerate_words(FULL2, 0)
+    for k in (0, -1):
+        with pytest.raises(InputError):
+            word_count(FULL2, k)
 
 
 def test_word_ceiling_guard():
