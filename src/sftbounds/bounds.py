@@ -3,7 +3,8 @@ end-to-end integral-discrepancy certificate
 
     |∫f dmu - ∫f dm| <= c_hat |f|_theta (log lam - h_mu)^(1/2),
 
-with c_hat = sqrt(2) C / (1 - rho) assembled from a decay certificate.
+with c_hat = sqrt(2) C / (1 - rho) read from a decay certificate
+(`DecayEstimate.c_hat`).
 """
 
 from __future__ import annotations
@@ -34,6 +35,15 @@ from .transfer import DecayEstimate, decay_estimate, lip_seminorm, supnorm, tran
 
 # Samples with a gap at or below this are excluded from ratio statistics.
 GAP_FLOOR = 1e-12
+
+# Absolute rounding allowance on the right-hand side of each verified bound.
+EFFECTIVE_BOUND_SLACK = 1e-9
+STEP_BOUND_SLACK = 1e-12
+
+# ratio_scan: the first FAMILIES samples each contribute a log-log slope from
+# FAMILY_POINTS kernels on the segment towards the Parry measure.
+FAMILIES = 5
+FAMILY_POINTS = 8
 
 
 def phi_divergence(p, q) -> float:
@@ -105,7 +115,6 @@ def step_bound_verify(
     mu: MarkovMeasure,
     eig: PerronData,
     n: int,
-    slack: float = 1e-12,
 ) -> StepBound:
     """Single telescoping step: |∫L^(n+1)f dmu - ∫L^n f dmu| against
     sqrt(2) |L^n f|_inf sqrt(gap)."""
@@ -118,7 +127,7 @@ def step_bound_verify(
     lhs = abs(integrate(fn1, mu) - integrate(fn, mu))
     gap = max(float(np.log(eig.lam)) - entropy(mu), 0.0)
     rhs = float(np.sqrt(2.0)) * supnorm(fn) * float(np.sqrt(gap))
-    return StepBound(lhs, rhs, lhs <= rhs + slack)
+    return StepBound(lhs, rhs, lhs <= rhs + STEP_BOUND_SLACK)
 
 
 @dataclass(frozen=True)
@@ -137,7 +146,6 @@ def effective_bound_verify(
     eig: PerronData,
     decay: DecayEstimate,
     params: MetricParams = MetricParams(),
-    slack: float = 1e-9,
     m: MarkovMeasure | None = None,
 ) -> BoundReport:
     """Verify the integral-discrepancy bound for one (f, mu) pair.
@@ -158,8 +166,8 @@ def effective_bound_verify(
     gap_pos = max(gap, 0.0)
     lhs = abs(integrate(fc, mu) - integrate(fc, m))
     sem = lip_seminorm(fc, params)
-    c_hat = float(np.sqrt(2.0)) * decay.C / (1.0 - decay.rho)
-    holds = lhs <= c_hat * sem * float(np.sqrt(gap_pos)) + slack
+    c_hat = decay.c_hat
+    holds = lhs <= c_hat * sem * float(np.sqrt(gap_pos)) + EFFECTIVE_BOUND_SLACK
     if gap_pos > GAP_FLOOR and sem > 0.0:
         ratio = lhs / (sem * float(np.sqrt(gap_pos)))
     else:
@@ -221,9 +229,6 @@ def ratio_scan(
     seed: int,
     depth: int = 2,
     params: MetricParams = MetricParams(),
-    concentration: float = 1.0,
-    families: int = 5,
-    family_points: int = 8,
 ) -> ScanSummary:
     """Sample (mu, f) pairs, verify the bound on each, and report the largest
     observed ratio plus a log-log slope of lhs versus gap along one-parameter
@@ -236,20 +241,19 @@ def ratio_scan(
         raise InputError(f"need at least one sample, got {samples}")
     eig = perron_eigendata(A)
     m = parry_measure(A, eig)
-    decay = decay_estimate(A, eig, depth, mode="spectral", params=params)
-    c_hat = float(np.sqrt(2.0)) * decay.C / (1.0 - decay.rho)
+    decay = decay_estimate(A, eig, depth, params)
 
     master = np.random.default_rng(seed)
     sub_seeds = master.integers(0, 2**63 - 1, size=2 * samples)
     rows = []
     slopes = []
-    t_grid = np.geomspace(1e-3, 1e-1, family_points)
+    t_grid = np.geomspace(1e-3, 1e-1, FAMILY_POINTS)
     for i in range(samples):
-        mu = sample_markov(A, int(sub_seeds[2 * i]), concentration)
+        mu = sample_markov(A, int(sub_seeds[2 * i]))
         f = random_function(A, depth, int(sub_seeds[2 * i + 1]))
         report = effective_bound_verify(f, mu, eig, decay, params, m=m)
         rows.append(ScanRow(i, report.gap, report.lhs, report.seminorm, report.ratio, report.holds))
-        if i < families:
+        if i < FAMILIES:
             fc = centered(f, m)
             slopes.append(_family_slope(A, eig, m, fc, mu.transition, t_grid))
 
@@ -265,7 +269,7 @@ def ratio_scan(
         max_ratio=float(max_ratio),
         argmax_id=int(argmax_id),
         slope=slope,
-        c_hat=c_hat,
+        c_hat=decay.c_hat,
         C=decay.C,
         rho=decay.rho,
         all_hold=all(r.holds for r in rows),

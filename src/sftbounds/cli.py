@@ -188,7 +188,7 @@ def _cmd_transfer_decay(args: argparse.Namespace) -> int:
     A = io.load_matrix(args.matrix)
     eig = perron_eigendata(A)
     params = MetricParams(args.theta)
-    est = decay_estimate(A, eig, args.depth, mode="spectral", params=params)
+    est = decay_estimate(A, eig, args.depth, params)
     rows = []
     for g, w in zip(mean_zero_probes(A, eig, args.depth),
                     enumerate_words(A, args.depth)):
@@ -199,7 +199,7 @@ def _cmd_transfer_decay(args: argparse.Namespace) -> int:
         "source": est.source,
         "depth": est.depth,
         "theta": est.theta,
-        "c_hat": float(np.sqrt(2.0)) * est.C / (1.0 - est.rho),
+        "c_hat": est.c_hat,
     }
     _emit(args, summary, ["probe_word", "seminorm", "supnorm"], rows)
     return 0

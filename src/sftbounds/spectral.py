@@ -81,10 +81,10 @@ def perron_eigendata(A: TransitionMatrix, tol: float = 1e-14, max_iter: int = 1_
     return PerronData(lam, u, v)
 
 
-def subdominant_modulus(M, ceiling: int = EIG_CEILING) -> float:
+def subdominant_modulus(M) -> float:
     """Modulus of the second-largest eigenvalue of a nonnegative square matrix.
 
-    Dense eigensolve; matrices above `ceiling` rows are rejected. A 1x1 input
+    Dense eigensolve; matrices above EIG_CEILING rows are rejected. A 1x1 input
     returns 0 by convention.
     """
     arr = np.asarray(M, dtype=float)
@@ -93,8 +93,8 @@ def subdominant_modulus(M, ceiling: int = EIG_CEILING) -> float:
     n = arr.shape[0]
     if n == 1:
         return 0.0
-    if n > ceiling:
-        raise CeilingError(f"matrix size {n} exceeds the eigensolver ceiling {ceiling}")
+    if n > EIG_CEILING:
+        raise CeilingError(f"matrix size {n} exceeds the eigensolver ceiling {EIG_CEILING}")
     if float(arr.min()) < -1e-12:
         raise InputError("matrix has negative entries")
     moduli = np.sort(np.abs(np.linalg.eigvals(arr)))[::-1]

@@ -2,7 +2,10 @@
 decay-rate certificates (C, rho) for sup-norm decay of mean-zero iterates.
 
 On depth-d functions the operator is an exact finite matrix with kernel weights
-u_i / (lam u_j); it maps depth d to depth max(d-1, 1).
+u_i / (lam u_j); it maps depth d to depth max(d-1, 1). The certificate takes rho
+as the subdominant modulus of that matrix and calibrates C on the mean-zero
+probe basis over DECAY_HORIZON steps; the word count is checked against the
+eigensolver ceiling before the matrix is built.
 """
 
 from __future__ import annotations
@@ -13,14 +16,8 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .errors import CeilingError, DegenerateSpectrumError, InputError
-from .measures import (
-    LocallyConstantFunction,
-    cylinder_measure_vector,
-    parry_measure,
-    random_function,
-    integrate,
-)
-from .sft import MetricParams, TransitionMatrix, enumerate_words, predecessors, word_index
+from .measures import LocallyConstantFunction, cylinder_measure_vector, parry_measure
+from .sft import MetricParams, TransitionMatrix, enumerate_words, predecessors, word_count, word_index
 from .spectral import EIG_CEILING, PerronData, subdominant_modulus
 
 DECAY_HORIZON = 50
@@ -120,9 +117,14 @@ class DecayEstimate:
 
     C: float
     rho: float
-    source: str  # "spectral" or "fitted"
+    source: str  # always "spectral"
     depth: int
     theta: float
+
+    @property
+    def c_hat(self) -> float:
+        """The constant sqrt(2) C / (1 - rho) of the integral-discrepancy bound."""
+        return float(np.sqrt(2.0)) * self.C / (1.0 - self.rho)
 
 
 def mean_zero_probes(A: TransitionMatrix, eig: PerronData, depth: int) -> list[LocallyConstantFunction]:
@@ -136,14 +138,14 @@ def mean_zero_probes(A: TransitionMatrix, eig: PerronData, depth: int) -> list[L
     return probes
 
 
-def _calibrate(M: np.ndarray, probes, rho: float, params: MetricParams, horizon: int) -> float:
+def _calibrate(M: np.ndarray, probes, rho: float, params: MetricParams) -> float:
     big_c = 0.0
     for g in probes:
         sem = lip_seminorm(g, params)
         if sem <= 0.0:
             continue
         vec = g.values.copy()
-        for n in range(horizon + 1):
+        for n in range(DECAY_HORIZON + 1):
             sup = float(np.max(np.abs(vec)))
             if sup <= DECAY_FLOOR * sem:
                 # numerically dead iterate; the exact-arithmetic value is 0
@@ -152,7 +154,7 @@ def _calibrate(M: np.ndarray, probes, rho: float, params: MetricParams, horizon:
                 raise DegenerateSpectrumError(
                     "decay rate is exactly 0 but an iterate is nonzero at step "
                     f"{n}; no geometric certificate exists at this depth "
-                    "(retry at depth 1 or with mode='fitted')"
+                    "(retry at depth 1)"
                 )
             else:
                 ratio = sup / (rho**n * sem)
@@ -166,59 +168,24 @@ def decay_estimate(
     A: TransitionMatrix,
     eig: PerronData,
     depth: int,
-    mode: str = "spectral",
     params: MetricParams = MetricParams(),
-    horizon: int = DECAY_HORIZON,
-    seed: int = 0,
-    n_probes: int = 8,
-    eig_ceiling: int = EIG_CEILING,
 ) -> DecayEstimate:
-    """Estimate (C, rho) for sup-norm decay of mean-zero depth-`depth` functions.
+    """Certificate (C, rho) for sup-norm decay of mean-zero depth-`depth` functions.
 
-    mode="spectral": rho is the subdominant modulus of the operator matrix on the
-    depth word space and C is calibrated so the bound holds over the probe basis
-    for all n up to `horizon` (0/0 steps skipped).
-
-    mode="fitted": rho comes from a pooled log-linear fit of sup-norm decay of
-    seeded random mean-zero probes; C is calibrated the same way.
+    rho is the subdominant modulus of the operator matrix on the depth word
+    space and C is calibrated so the bound holds over the probe basis for all n
+    up to DECAY_HORIZON (0/0 steps skipped). Word spaces above EIG_CEILING are
+    refused before the matrix is built.
     """
     if depth < 1:
         raise InputError(f"depth must be at least 1, got {depth}")
-    M, words = transfer_matrix(A, eig, depth)
-    if mode == "spectral":
-        if len(words) > eig_ceiling:
-            raise CeilingError(
-                f"depth-{depth} word space has {len(words)} words, above the "
-                f"eigensolver ceiling {eig_ceiling}"
-            )
-        rho = subdominant_modulus(M, ceiling=eig_ceiling)
-        probes = mean_zero_probes(A, eig, depth)
-        big_c = _calibrate(M, probes, rho, params, horizon)
-        return DecayEstimate(big_c, rho, "spectral", depth, params.theta)
-    if mode == "fitted":
-        m = parry_measure(A, eig)
-        probes = []
-        for k in range(n_probes):
-            g = random_function(A, depth, seed=(seed, k))
-            probes.append(
-                LocallyConstantFunction(A, depth, g.values - integrate(g, m))
-            )
-        pts_n: list[float] = []
-        pts_log: list[float] = []
-        for g in probes:
-            sem = lip_seminorm(g, params)
-            vec = g.values.copy()
-            for n in range(horizon + 1):
-                sup = float(np.max(np.abs(vec)))
-                if n >= 1 and sup > 1e-14 * max(sem, 1.0):
-                    pts_n.append(float(n))
-                    pts_log.append(float(np.log(sup)))
-                vec = M @ vec
-        if len(set(pts_n)) < 2:
-            rho = 0.0
-        else:
-            slope = float(np.polyfit(pts_n, pts_log, 1)[0])
-            rho = min(max(float(np.exp(slope)), 0.0), 1.0 - 1e-9)
-        big_c = _calibrate(M, probes, rho, params, horizon)
-        return DecayEstimate(big_c, rho, "fitted", depth, params.theta)
-    raise InputError(f"unknown decay mode {mode!r}; expected 'spectral' or 'fitted'")
+    n_words = word_count(A, depth)
+    if n_words > EIG_CEILING:
+        raise CeilingError(
+            f"depth-{depth} word space has {n_words} words, above the "
+            f"eigensolver ceiling {EIG_CEILING}"
+        )
+    M, _ = transfer_matrix(A, eig, depth)
+    rho = subdominant_modulus(M)
+    big_c = _calibrate(M, mean_zero_probes(A, eig, depth), rho, params)
+    return DecayEstimate(big_c, rho, "spectral", depth, params.theta)

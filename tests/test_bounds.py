@@ -267,6 +267,10 @@ def test_ratio_scan_all_hold_and_slope(full2, golden):
         assert scan.max_ratio <= scan.c_hat
 
 
+def test_ratio_scan_reads_certificate_c_hat(golden, eig_golden):
+    assert ratio_scan(golden, 20, 0).c_hat == decay_estimate(golden, eig_golden, 2).c_hat
+
+
 def test_ratio_scan_excludes_degenerate_gaps(golden, eig_golden):
     scan = ratio_scan(golden, samples=30, seed=2, depth=2)
     for row in scan.rows:

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from helpers import PHI
-from sftbounds import cli
+from sftbounds import cli, decay_estimate, golden_mean_shift, perron_eigendata, transfer
 from sftbounds.cli import main
 from sftbounds.errors import ConvergenceError
 
@@ -109,6 +109,13 @@ def test_transfer_decay_command(capsys, golden_path):
     assert abs(report["rho"] - 1 / PHI**2) <= 1e-9
 
 
+def test_transfer_decay_c_hat_is_the_certificate_property(capsys, golden_path):
+    code, report = run(capsys, "transfer-decay", "--matrix", str(golden_path), "--depth", "2")
+    assert code == 0
+    A = golden_mean_shift()
+    assert report["c_hat"] == decay_estimate(A, perron_eigendata(A), 2).c_hat
+
+
 def test_malformed_json_exits_two(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -139,6 +146,18 @@ def test_bad_samples_exits_two(capsys, golden_path):
 
 def test_ceiling_violation_exits_two(capsys, golden_path):
     code = main(["transfer-decay", "--matrix", str(golden_path), "--depth", "12"])
+    assert code == 2
+    assert "ceiling" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["transfer-decay", "verify"])
+def test_ceiling_checked_before_operator_is_built(capsys, monkeypatch, full2_path, command):
+    # the depth-16 operator would hold 32768 x 65536 entries
+    def refuse(*args):
+        raise AssertionError("transfer_matrix called above the eigensolver ceiling")
+
+    monkeypatch.setattr(transfer, "transfer_matrix", refuse)
+    code = main([command, "--matrix", str(full2_path), "--depth", "16"])
     assert code == 2
     assert "ceiling" in capsys.readouterr().err
 

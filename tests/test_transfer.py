@@ -1,7 +1,6 @@
 import math
 
 import numpy as np
-import pytest
 
 from helpers import PHI, random_primitive_matrices
 from sftbounds import (
@@ -22,7 +21,7 @@ from sftbounds import (
     transfer_apply,
     transfer_matrix,
 )
-from sftbounds.transfer import DECAY_FLOOR
+from sftbounds.transfer import DECAY_FLOOR, DECAY_HORIZON
 
 
 def test_seminorm_constant_is_zero(full2):
@@ -131,44 +130,23 @@ def test_decay_certificate_self_consistency(golden, eig_golden, full2, eig_full2
         for g in mean_zero_probes(A, eig, depth):
             sem = lip_seminorm(g)
             vec = g.values.copy()
-            for n in range(51):
+            for n in range(DECAY_HORIZON + 1):
                 sup = float(np.max(np.abs(vec)))
                 assert sup <= est.C * est.rho**n * sem + DECAY_FLOOR * sem
                 vec = M @ vec
+
+
+def test_c_hat_is_the_bound_constant(golden, eig_golden, full2, eig_full2):
+    for A, eig, depth in ((golden, eig_golden, 2), (full2, eig_full2, 1)):
+        est = decay_estimate(A, eig, depth)
+        assert est.source == "spectral"
+        assert est.c_hat == float(np.sqrt(2.0)) * est.C / (1.0 - est.rho)
 
 
 def test_supnorm_bounded_by_seminorm_for_mean_zero(golden, eig_golden):
     for depth in (1, 2, 3):
         for g in mean_zero_probes(golden, eig_golden, depth):
             assert supnorm(g) <= lip_seminorm(g) + 1e-12
-
-
-def test_fitted_mode_close_to_spectral(golden, eig_golden):
-    spectral = decay_estimate(golden, eig_golden, 2)
-    fitted = decay_estimate(golden, eig_golden, 2, mode="fitted", seed=3)
-    assert fitted.source == "fitted"
-    assert abs(fitted.rho - spectral.rho) <= 0.05
-    assert fitted.C > 0.0
-
-
-def test_fitted_certificate_holds_on_its_probes(golden, eig_golden):
-    est = decay_estimate(golden, eig_golden, 2, mode="fitted", seed=5)
-    m = parry_measure(golden, eig_golden)
-    M, _ = transfer_matrix(golden, eig_golden, 2)
-    for k in range(8):
-        g = random_function(golden, 2, seed=(5, k))
-        g = LocallyConstantFunction(golden, 2, g.values - integrate(g, m))
-        sem = lip_seminorm(g)
-        vec = g.values.copy()
-        for n in range(51):
-            sup = float(np.max(np.abs(vec)))
-            assert sup <= est.C * est.rho**n * sem + DECAY_FLOOR * sem
-            vec = M @ vec
-
-
-def test_unknown_mode_rejected(golden, eig_golden):
-    with pytest.raises(Exception):
-        decay_estimate(golden, eig_golden, 2, mode="bogus")
 
 
 def test_centered_probe_spans(golden, eig_golden):
