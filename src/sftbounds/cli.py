@@ -34,7 +34,7 @@ from .measures import (
 from .models import cylinder_interval, exceptional_dimension_bound
 from .sft import MetricParams, TransitionMatrix, enumerate_words, word_str
 from .spectral import perron_eigendata
-from .transfer import decay_estimate, lip_seminorm, mean_zero_probes, supnorm
+from .transfer import decay_estimate
 
 PINSKER_DIMS = range(2, 9)
 
@@ -184,24 +184,17 @@ def _cmd_pinsker(args: argparse.Namespace) -> int:
 
 
 def _cmd_transfer_decay(args: argparse.Namespace) -> int:
-    """decay certificate (C, rho) for the transfer operator"""
+    """proven decay certificate: per-step bounds and tail for the transfer operator"""
     A = io.load_matrix(args.matrix)
-    eig = perron_eigendata(A)
-    params = MetricParams(args.theta)
-    est = decay_estimate(A, eig, args.depth, params)
-    rows = []
-    for g, w in zip(mean_zero_probes(A, eig, args.depth),
-                    enumerate_words(A, args.depth)):
-        rows.append([word_str(w, A.size), lip_seminorm(g, params), supnorm(g)])
+    est = decay_estimate(A, perron_eigendata(A), args.depth)
     summary = {
         "C": est.C,
         "rho": est.rho,
-        "source": est.source,
         "depth": est.depth,
-        "theta": est.theta,
+        "tail": est.tail,
         "c_hat": est.c_hat,
     }
-    _emit(args, summary, ["probe_word", "seminorm", "supnorm"], rows)
+    _emit(args, summary, ["step", "bound"], [[n, b] for n, b in enumerate(est.steps)])
     return 0
 
 
@@ -301,7 +294,7 @@ _FLAGS_OF = {
     "analyze": ("--matrix", "--depth"),
     "entropy": ("--matrix", "--samples", "--seed", "--tol"),
     "pinsker": ("--samples", "--seed"),
-    "transfer-decay": ("--matrix", "--theta", "--depth"),
+    "transfer-decay": ("--matrix", "--depth"),
     "verify": ("--matrix", "--theta", "--depth", "--samples", "--seed"),
     "hole": ("--matrix", "--theta", "--max-hole-depth"),
     "model-dim": ("--model", "--x0", "--delta"),
@@ -326,12 +319,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     given = vars(args)  # a flag the subcommand lacks passes its check
     try:
-        if given.get("theta", math.inf) <= 1.0:
-            raise InputError(f"theta must exceed 1, got {args.theta}")
         if given.get("samples", 1) < 1:
             raise InputError(f"samples must be at least 1, got {args.samples}")
         if given.get("depth", 1) < 1:
             raise InputError(f"depth must be at least 1, got {args.depth}")
+        tol = given.get("tol", 1.0)
+        if not (math.isfinite(tol) and tol > 0.0):
+            raise InputError(f"tol must be finite and positive, got {tol}")
         return _COMMANDS[args.command](args)
     except VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)

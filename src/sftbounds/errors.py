@@ -13,11 +13,6 @@ class NotPrimitiveError(InputError):
     """The operation needs a primitive transition matrix."""
 
 
-class DegenerateSpectrumError(InputError):
-    """No geometric decay certificate exists: the iteration matrix is nilpotent on the
-    mean-zero subspace (rate 0) while finite transients are nonzero."""
-
-
 class ConvergenceError(RuntimeError):
     """An iterative solver exhausted its iteration budget."""
 

@@ -8,6 +8,7 @@ coordinates only.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +37,8 @@ class MetricParams:
     theta: float = 2.0
 
     def __post_init__(self):
-        if not self.theta > 1.0:
-            raise InputError(f"theta must exceed 1, got {self.theta}")
+        if not (math.isfinite(self.theta) and self.theta > 1.0):
+            raise InputError(f"theta must be finite and exceed 1, got {self.theta}")
 
 
 @dataclass(frozen=True)

@@ -1,30 +1,28 @@
 """The transfer operator on locally constant functions, the theta seminorm, and
-decay-rate certificates (C, rho) for sup-norm decay of mean-zero iterates.
+a proven certificate for sup-norm decay of mean-zero iterates.
 
 On depth-d functions the operator is an exact finite matrix with kernel weights
-u_i / (lam u_j); it maps depth d to depth max(d-1, 1). The certificate takes rho
-as the subdominant modulus of that matrix and calibrates C on the mean-zero
-probe basis over DECAY_HORIZON steps; the word count is checked against the
-eigensolver ceiling before the matrix is built.
+u_i / (lam u_j); it maps depth d to depth max(d-1, 1). The certificate bounds
+each iterate of a mean-zero function by per-step constants read from the s x s
+depth-1 operator and closes the infinite sum with a geometric tail, so no
+operator on the depth-d word space is built.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .errors import CeilingError, DegenerateSpectrumError, InputError
+from .errors import ConvergenceError, InputError
 from .measures import LocallyConstantFunction, cylinder_measure_vector, parry_measure
-from .sft import MetricParams, TransitionMatrix, enumerate_words, predecessors, word_count, word_index
-from .spectral import EIG_CEILING, PerronData, subdominant_modulus
+from .sft import MetricParams, TransitionMatrix, enumerate_words, predecessors, word_index
+from .spectral import PerronData, subdominant_modulus
 
-DECAY_HORIZON = 50
-
-# Iterate sup-norms at or below DECAY_FLOOR * |g|_theta are rounding residue of an
-# exact zero and are treated as 0 in calibration and verification.
-DECAY_FLOOR = 1e-13
+# decay_estimate sums at most this many depth-1 terms before its tail must close.
+DECAY_TERM_CAP = 10_000
 
 
 def supnorm(f: LocallyConstantFunction) -> float:
@@ -113,22 +111,30 @@ def conditional_expectation_check(f: LocallyConstantFunction, eig: PerronData) -
 
 @dataclass(frozen=True)
 class DecayEstimate:
-    """Certificate |L^n g|_inf <= C rho^n |g|_theta for mean-zero g of the stated depth."""
+    """Proven decay of mean-zero g of the stated depth: |L^n g|_inf <= steps[n] |g|_theta
+    for each summed step n, and the later steps sum to at most tail |g|_theta."""
 
-    C: float
-    rho: float
-    source: str  # always "spectral"
     depth: int
-    theta: float
+    steps: tuple[float, ...]
+    tail: float
+    rho: float  # diagnostic: subdominant modulus of the depth-1 operator
+
+    @property
+    def C(self) -> float:
+        """Diagnostic: the max over summed steps of steps[n] / rho^n (inf when rho^n is 0)."""
+        return max(
+            b / self.rho**n if self.rho**n > 0.0 else (math.inf if b > 0.0 else 0.0)
+            for n, b in enumerate(self.steps)
+        )
 
     @property
     def c_hat(self) -> float:
-        """The constant sqrt(2) C / (1 - rho) of the integral-discrepancy bound."""
-        return float(np.sqrt(2.0)) * self.C / (1.0 - self.rho)
+        """The constant sqrt(2) (sum(steps) + tail) of the integral-discrepancy bound."""
+        return math.sqrt(2.0) * (sum(self.steps) + self.tail)
 
 
 def mean_zero_probes(A: TransitionMatrix, eig: PerronData, depth: int) -> list[LocallyConstantFunction]:
-    """Calibration basis: the indicator of each depth cylinder minus its Parry measure."""
+    """Mean-zero basis: the indicator of each depth cylinder minus its Parry measure."""
     mass = cylinder_measure_vector(parry_measure(A, eig), depth)
     probes = []
     for k, mass_k in enumerate(mass):
@@ -138,54 +144,36 @@ def mean_zero_probes(A: TransitionMatrix, eig: PerronData, depth: int) -> list[L
     return probes
 
 
-def _calibrate(M: np.ndarray, probes, rho: float, params: MetricParams) -> float:
-    big_c = 0.0
-    for g in probes:
-        sem = lip_seminorm(g, params)
-        if sem <= 0.0:
-            continue
-        vec = g.values.copy()
-        for n in range(DECAY_HORIZON + 1):
-            sup = float(np.max(np.abs(vec)))
-            if sup <= DECAY_FLOOR * sem:
-                # numerically dead iterate; the exact-arithmetic value is 0
-                pass
-            elif rho**n * sem == 0.0:
-                raise DegenerateSpectrumError(
-                    "decay rate is exactly 0 but an iterate is nonzero at step "
-                    f"{n}; no geometric certificate exists at this depth "
-                    "(retry at depth 1)"
-                )
-            else:
-                ratio = sup / (rho**n * sem)
-                if ratio > big_c:
-                    big_c = ratio
-            vec = M @ vec
-    return big_c
+def _norm_inf(M: np.ndarray) -> float:
+    return float(np.abs(M).sum(axis=1).max())
 
 
-def decay_estimate(
-    A: TransitionMatrix,
-    eig: PerronData,
-    depth: int,
-    params: MetricParams = MetricParams(),
-) -> DecayEstimate:
-    """Certificate (C, rho) for sup-norm decay of mean-zero depth-`depth` functions.
+def decay_estimate(A: TransitionMatrix, eig: PerronData, depth: int) -> DecayEstimate:
+    """Proven sup-norm decay bounds for mean-zero depth-`depth` functions, from the
+    s x s depth-1 operator M1 alone.
 
-    rho is the subdominant modulus of the operator matrix on the depth word
-    space and C is calibrated so the bound holds over the probe basis for all n
-    up to DECAY_HORIZON (0/0 steps skipped). Word spaces above EIG_CEILING are
-    refused before the matrix is built.
+    L is Markov and maps depth d to depth max(d-1, 1), and |g|_inf <= |g|_theta
+    for mean-zero g, so the first depth-1 steps are bounded by 1. From then on
+    the iterate is a mean-zero depth-1 vector, on which L acts as
+    M10 = M1 - 1 m1^T (m1 the Parry stationary vector), so step depth-1+j is
+    bounded by ||M10^j||_inf. The terms are summed up to the first J with
+    q = ||M10^J||_inf < 1; by submultiplicativity the rest sum to at most
+    (sum over r < J of ||M10^r||_inf) q / (1 - q). No J within DECAY_TERM_CAP
+    terms raises ConvergenceError.
     """
     if depth < 1:
         raise InputError(f"depth must be at least 1, got {depth}")
-    n_words = word_count(A, depth)
-    if n_words > EIG_CEILING:
-        raise CeilingError(
-            f"depth-{depth} word space has {n_words} words, above the "
-            f"eigensolver ceiling {EIG_CEILING}"
-        )
-    M, _ = transfer_matrix(A, eig, depth)
-    rho = subdominant_modulus(M)
-    big_c = _calibrate(M, mean_zero_probes(A, eig, depth), rho, params)
-    return DecayEstimate(big_c, rho, "spectral", depth, params.theta)
+    M1 = _kernel(A, eig, 1).toarray()
+    M10 = M1 - parry_measure(A, eig).stationary[None, :]
+    power = np.eye(A.size)
+    norms = []
+    for _ in range(DECAY_TERM_CAP):
+        norms.append(_norm_inf(power))
+        power = M10 @ power
+        q = _norm_inf(power)
+        if q < 1.0:
+            steps = (1.0,) * (depth - 1) + tuple(norms)
+            return DecayEstimate(depth, steps, sum(norms) * q / (1.0 - q), subdominant_modulus(M1))
+    raise ConvergenceError(
+        f"||M10^j||_inf stayed at or above 1 for {DECAY_TERM_CAP} terms", residual=q
+    )

@@ -47,7 +47,10 @@ from sftbounds import (
     transfer_apply,
     transfer_matrix,
 )
-from sftbounds.transfer import DECAY_FLOOR
+
+# Iterate sup-norms at or below DECAY_FLOOR * |g|_theta are rounding residue of
+# an exact zero.
+DECAY_FLOOR = 1e-13
 
 FULL2 = full_shift(2)
 GOLDEN = golden_mean_shift()

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sftbounds
 from helpers import PHI
 from sftbounds import cli, decay_estimate, golden_mean_shift, perron_eigendata, transfer
 from sftbounds.cli import main
@@ -109,11 +114,18 @@ def test_transfer_decay_command(capsys, golden_path):
     assert abs(report["rho"] - 1 / PHI**2) <= 1e-9
 
 
-def test_transfer_decay_c_hat_is_the_certificate_property(capsys, golden_path):
-    code, report = run(capsys, "transfer-decay", "--matrix", str(golden_path), "--depth", "2")
+def test_transfer_decay_c_hat_is_the_certificate_property(capsys, golden_path, tmp_path):
+    out = tmp_path / "decay.json"
+    code, report = run(capsys, "transfer-decay", "--matrix", str(golden_path), "--depth", "2",
+                       "--out", str(out))
     assert code == 0
     A = golden_mean_shift()
-    assert report["c_hat"] == decay_estimate(A, perron_eigendata(A), 2).c_hat
+    est = decay_estimate(A, perron_eigendata(A), 2)
+    assert report["c_hat"] == est.c_hat
+    assert report["tail"] == est.tail
+    lines = out.with_suffix(".csv").read_text().splitlines()
+    assert lines[0] == "step,bound"
+    assert len(lines) == 1 + len(est.steps)
 
 
 def test_malformed_json_exits_two(capsys, tmp_path):
@@ -144,22 +156,41 @@ def test_bad_samples_exits_two(capsys, golden_path):
     assert "samples" in capsys.readouterr().err
 
 
-def test_ceiling_violation_exits_two(capsys, golden_path):
-    code = main(["transfer-decay", "--matrix", str(golden_path), "--depth", "12"])
-    assert code == 2
-    assert "ceiling" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("command", ["transfer-decay", "verify"])
-def test_ceiling_checked_before_operator_is_built(capsys, monkeypatch, full2_path, command):
-    # the depth-16 operator would hold 32768 x 65536 entries
+@pytest.mark.parametrize("matrix, argv", [
+    ("golden", ["transfer-decay", "--depth", "30"]),
+    ("full2", ["verify", "--depth", "8", "--samples", "2"]),
+], ids=["transfer-decay", "verify"])
+def test_deep_certificate_builds_no_depth_operator(capsys, monkeypatch, request, matrix, argv):
+    # golden depth 30 has 2.2 million words; the certificate reads the 2 x 2 depth-1 operator
     def refuse(*args):
-        raise AssertionError("transfer_matrix called above the eigensolver ceiling")
+        raise AssertionError("the certificate built a depth-k operator")
 
     monkeypatch.setattr(transfer, "transfer_matrix", refuse)
-    code = main([command, "--matrix", str(full2_path), "--depth", "16"])
+    path = request.getfixturevalue(f"{matrix}_path")
+    code, report = run(capsys, *argv, "--matrix", str(path))
+    assert code == 0
+    assert math.isfinite(report["c_hat"])
+
+
+def test_infinite_theta_exits_two(capsys, full2_path):
+    code = main(["hole", "--matrix", str(full2_path), "--theta", "inf"])
     assert code == 2
-    assert "ceiling" in capsys.readouterr().err
+    assert "theta" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+def test_bad_tol_exits_two(capsys, golden_path, tol):
+    code = main(["entropy", "--matrix", str(golden_path), "--samples", "2", "--tol", tol])
+    assert code == 2
+    assert "tol" in capsys.readouterr().err
+
+
+def test_import_leaves_scipy_special_out():
+    probe = "import sys, sftbounds; print('scipy.special' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(sftbounds.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "False"
 
 
 def test_convergence_error_exits_three(capsys, monkeypatch, golden_path):
@@ -194,6 +225,7 @@ def test_memory_error_exits_four(capsys, monkeypatch, golden_path, exc, message)
     ["verify", "--matrix", "m.json", "--x0", "0.3"],
     ["hole", "--matrix", "m.json", "--seed", "1"],
     ["model-dim", "--model", "doubling", "--matrix", "m.json"],
+    ["transfer-decay", "--matrix", "m.json", "--theta", "3"],
 ])
 def test_unread_flag_is_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:

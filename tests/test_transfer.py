@@ -1,9 +1,13 @@
 import math
 
 import numpy as np
+import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from helpers import PHI, random_primitive_matrices
 from sftbounds import (
+    DecayEstimate,
     LocallyConstantFunction,
     MetricParams,
     centered,
@@ -18,10 +22,20 @@ from sftbounds import (
     perron_eigendata,
     random_function,
     supnorm,
+    transfer,
     transfer_apply,
     transfer_matrix,
+    transition_matrix,
 )
-from sftbounds.transfer import DECAY_FLOOR, DECAY_HORIZON
+from sftbounds.errors import ConvergenceError
+
+# Iterate sup-norms at or below DECAY_FLOOR * |g|_theta are rounding residue of
+# an exact zero; probe iterates are followed for DECAY_HORIZON steps.
+DECAY_FLOOR = 1e-13
+DECAY_HORIZON = 50
+
+# The soundness property follows iterates this far.
+SOUNDNESS_HORIZON = 200
 
 
 def test_seminorm_constant_is_zero(full2):
@@ -136,11 +150,47 @@ def test_decay_certificate_self_consistency(golden, eig_golden, full2, eig_full2
                 vec = M @ vec
 
 
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.data())
+def test_certificate_bounds_random_mean_zero_iterates(seed, depth, data):
+    A = random_primitive_matrices(1, (2, 3, 4), seed)[0]
+    eig = perron_eigendata(A)
+    est = decay_estimate(A, eig, depth)
+    M, words = transfer_matrix(A, eig, depth)
+    vals = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=len(words), max_size=len(words)))
+    g = centered(LocallyConstantFunction(A, depth, np.array(vals)), parry_measure(A, eig))
+    sem = lip_seminorm(g)
+    assume(sem > 1e-9)
+    vec = g.values
+    total = 0.0
+    for n in range(SOUNDNESS_HORIZON + 1):
+        sup = float(np.max(np.abs(vec)))
+        if n < len(est.steps):
+            assert sup <= est.steps[n] * sem + DECAY_FLOOR * sem
+        total += sup
+        vec = M @ vec
+    assert total <= est.c_hat * sem / math.sqrt(2.0) + SOUNDNESS_HORIZON * DECAY_FLOOR * sem
+
+
 def test_c_hat_is_the_bound_constant(golden, eig_golden, full2, eig_full2):
     for A, eig, depth in ((golden, eig_golden, 2), (full2, eig_full2, 1)):
         est = decay_estimate(A, eig, depth)
-        assert est.source == "spectral"
-        assert est.c_hat == float(np.sqrt(2.0)) * est.C / (1.0 - est.rho)
+        assert est.c_hat == math.sqrt(2.0) * (sum(est.steps) + est.tail)
+
+
+def test_c_is_infinite_only_past_an_exact_zero_rate():
+    assert DecayEstimate(1, (1.0, 0.0), 0.0, 0.0).C == 1.0
+    assert DecayEstimate(2, (1.0, 1.0), 0.0, 0.0).C == math.inf
+    assert DecayEstimate(2, (1.0, 0.25), 0.0, 0.5).C == 1.0
+
+
+def test_term_cap_raises_convergence_error(monkeypatch):
+    # a slowly mixing cycle: ||M10^j||_inf first drops below 1 at j = 3
+    A = transition_matrix([[0, 1, 0], [0, 0, 1], [1, 1, 0]])
+    eig = perron_eigendata(A)
+    assert len(decay_estimate(A, eig, 1).steps) == 3
+    monkeypatch.setattr(transfer, "DECAY_TERM_CAP", 2)
+    with pytest.raises(ConvergenceError):
+        decay_estimate(A, eig, 1)
 
 
 def test_supnorm_bounded_by_seminorm_for_mean_zero(golden, eig_golden):
