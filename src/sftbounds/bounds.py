@@ -25,7 +25,7 @@ from .measures import (
     markov_measure,
     parry_measure,
     random_function,
-    sample_markov,
+    sample_markov_batch,
     stationary_vector,
 )
 from .sft import MetricParams, TransitionMatrix
@@ -212,9 +212,10 @@ def _family_slope(
     log_gap = []
     log_lhs = []
     base = integrate(fc, m)
-    for t in t_grid:
-        Q = (1.0 - t) * m.transition + t * q_direction
-        mu = markov_measure(stationary_vector(Q), Q, A)
+    t = t_grid[:, None, None]
+    Qs = (1.0 - t) * m.transition + t * q_direction
+    for r, Q in zip(stationary_vector(Qs), Qs):
+        mu = markov_measure(r, Q, A)
         gap = float(np.log(eig.lam)) - entropy(mu)
         lhs = abs(integrate(fc, mu) - base)
         if gap > GAP_FLOOR and lhs > 1e-13:
@@ -250,8 +251,7 @@ def ratio_scan(
     rows = []
     slopes = []
     t_grid = np.geomspace(1e-3, 1e-1, FAMILY_POINTS)
-    for i in range(samples):
-        mu = sample_markov(A, int(sub_seeds[2 * i]))
+    for i, mu in enumerate(sample_markov_batch(A, sub_seeds[0::2])):
         f = random_function(A, depth, int(sub_seeds[2 * i + 1]))
         report = effective_bound_verify(f, mu, eig, decay, params, m=m)
         rows.append(ScanRow(i, report.gap, report.lhs, report.seminorm, report.ratio, report.holds))

@@ -29,7 +29,7 @@ from .measures import (
     entropy,
     information_mean,
     parry_measure,
-    sample_markov,
+    sample_markov_batch,
 )
 from .models import cylinder_interval, exceptional_dimension_bound
 from .sft import MetricParams, TransitionMatrix, enumerate_words, word_str
@@ -132,8 +132,7 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
     rows = []
     worst_info = 0.0
     worst_gap = 0.0
-    for i in range(args.samples):
-        mu = sample_markov(A, int(seeds[i]))
+    for i, mu in enumerate(sample_markov_batch(A, seeds)):
         h = entropy(mu)
         info = information_mean(mu, eig)
         ident = gap_identity_check(mu, eig)

@@ -3,10 +3,15 @@ the information coboundary, conditional probability vectors, and a Dirichlet
 sampler for test measures.
 
 All integrals of depth-d functions are exact finite sums over admissible d-words.
+Stationary vectors of many kernels are solved in one batch, each chain stopping
+on its own step; cylinder vectors are products over columns of the word array.
+Both give the same bits as the one-chain and per-word computations.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,51 +83,72 @@ def parry_measure(A: TransitionMatrix, eig: PerronData) -> MarkovMeasure:
 
 
 def stationary_vector(Q: np.ndarray, tol: float = 1e-14, max_iter: int = 1_000_000) -> np.ndarray:
-    """Stationary probability vector of a stochastic matrix, by power iteration on Q^T.
+    """Stationary probability vector of a stochastic matrix, or one row per matrix
+    of a stack (k, s, s), by power iteration on Q^T.
 
-    Stops when max |rQ - r| falls to `tol`, or when the update size hits a
-    rounding limit cycle while the drift is already far below the stationarity
-    tolerance of markov_measure.
+    A chain stops when max |rQ - r| falls to `tol`, or when the update size hits
+    a rounding limit cycle while the drift is already far below the stationarity
+    tolerance of markov_measure. All chains are iterated at once; a chain leaves
+    the batch on the step it stops. The stacked matmul is bitwise equal to each
+    chain's own x @ Q (einsum is not), and the drift's y @ Q is the next step's
+    product, so every row ends on the bits of a chain iterated alone.
     """
     Q = np.asarray(Q, dtype=float)
-    n = Q.shape[0]
-    x = np.full(n, 1.0 / n)
-    inc_prev = np.inf
-    drift = np.inf
+    stack = Q if Q.ndim == 3 else Q[None]
+    k, n = stack.shape[:2]
+    out = np.empty((k, n))
+    active = np.arange(k)  # the chains still in the batch, in stack order
+    x = np.full((k, n), 1.0 / n)
+    z = (x[:, None, :] @ stack)[:, 0, :]
+    inc_prev = np.full(k, np.inf)
+    drift = np.full(k, np.inf)
+    done = np.zeros(k, dtype=bool)
     for _ in range(max_iter):
-        y = x @ Q
-        y = y / y.sum()
-        drift = float(np.max(np.abs(y @ Q - y)))
-        if drift <= tol:
-            return y
-        inc = float(np.max(np.abs(y - x)))
-        if inc >= inc_prev and inc <= 1e-12 and drift <= 1e-12:
-            return y
-        inc_prev = inc
-        x = y
+        y = z / z.sum(axis=1, keepdims=True)
+        z = (y[:, None, :] @ stack)[:, 0, :]
+        drift = np.abs(z - y).max(axis=1)
+        inc = np.abs(y - x).max(axis=1)
+        done = (drift <= tol) | ((inc >= inc_prev) & (inc <= 1e-12) & (drift <= 1e-12))
+        n_done = np.count_nonzero(done)
+        if n_done == len(done):
+            out[active] = y
+            return out if Q.ndim == 3 else out[0]
+        if n_done:
+            out[active[done]] = y[done]
+            keep = ~done
+            active, stack, y, z, inc = active[keep], stack[keep], y[keep], z[keep], inc[keep]
+        x, inc_prev = y, inc
     raise ConvergenceError(
-        f"stationary vector iteration did not converge within {max_iter} steps",
-        residual=drift,
+        f"stationary vector iteration did not converge within {max_iter} steps "
+        f"for {len(active)} of {k} chains",
+        residual=float(drift[~done].max()),
     )
 
 
-def sample_markov(A: TransitionMatrix, seed: int, concentration: float = 1.0) -> MarkovMeasure:
-    """Random Markov measure on A: each row of Q is a symmetric Dirichlet draw
-    over that row's allowed entries. Deterministic in (A, seed, concentration).
+def sample_markov_batch(A: TransitionMatrix, seeds, concentration: float = 1.0) -> list[MarkovMeasure]:
+    """Random Markov measures on A, one per seed: each row of Q is a symmetric
+    Dirichlet draw over that row's allowed entries, from default_rng(seed).
+    Deterministic in (A, seed, concentration); the stationary vectors are
+    solved in one batch.
     """
-    if concentration <= 0:
-        raise InputError(f"concentration must be positive, got {concentration}")
-    rng = np.random.default_rng(seed)
+    if not (math.isfinite(concentration) and concentration > 0):
+        raise InputError(f"concentration must be finite and positive, got {concentration}")
     s = A.size
-    Q = np.zeros((s, s))
-    for i in range(s):
-        allowed = A.successor_sets[i]
-        if len(allowed) == 1:
-            Q[i, allowed[0]] = 1.0
-        else:
-            Q[i, list(allowed)] = rng.dirichlet(np.full(len(allowed), concentration))
-    r = stationary_vector(Q)
-    return markov_measure(r, Q, A)
+    Qs = np.zeros((len(seeds), s, s))
+    for Q, seed in zip(Qs, seeds):
+        rng = np.random.default_rng(int(seed))
+        for i in range(s):
+            allowed = A.successor_sets[i]
+            if len(allowed) == 1:
+                Q[i, allowed[0]] = 1.0
+            else:
+                Q[i, list(allowed)] = rng.dirichlet(np.full(len(allowed), concentration))
+    return [markov_measure(r, Q, A) for r, Q in zip(stationary_vector(Qs), Qs)]
+
+
+def sample_markov(A: TransitionMatrix, seed: int, concentration: float = 1.0) -> MarkovMeasure:
+    """One random Markov measure on A: `sample_markov_batch` with a single seed."""
+    return sample_markov_batch(A, [seed], concentration)[0]
 
 
 def cylinder_measure(mu: MarkovMeasure, word) -> float:
@@ -217,9 +243,22 @@ def random_function(A: TransitionMatrix, depth: int, seed: int, scale: float = 1
     return LocallyConstantFunction(A, depth, scale * rng.standard_normal(word_count(A, depth)))
 
 
+@functools.lru_cache(maxsize=512)
+def _word_array(A: TransitionMatrix, k: int) -> np.ndarray:
+    """enumerate_words(A, k) as a read-only (n, k) int array, one word per row."""
+    W = np.array(enumerate_words(A, k), dtype=np.intp).reshape(-1, k)
+    W.setflags(write=False)
+    return W
+
+
 def cylinder_measure_vector(mu: MarkovMeasure, depth: int) -> np.ndarray:
-    """Measures of all admissible depth-words, aligned with enumerate_words order."""
-    return np.array([cylinder_measure(mu, w) for w in enumerate_words(mu.support, depth)])
+    """Measures of all admissible depth-words, aligned with enumerate_words order:
+    the left-to-right product of cylinder_measure, one word-array column at a time."""
+    W = _word_array(mu.support, depth)
+    p = mu.stationary[W[:, 0]]
+    for t in range(1, depth):
+        p = p * mu.transition[W[:, t - 1], W[:, t]]
+    return p
 
 
 def integrate(f: LocallyConstantFunction, mu: MarkovMeasure) -> float:

@@ -34,26 +34,10 @@ def lip_seminorm(f: LocallyConstantFunction, params: MetricParams = MetricParams
 
     var_n is the largest |f(w) - f(w')| over admissible word pairs agreeing on
     the first n symbols; it vanishes for n >= depth, so the sup is a finite max.
+    Those pairs are among the pairs of var_0 and theta > 1, so no term exceeds
+    var_0 and the max is var_0 = max f - min f, whatever theta.
     """
-    words = f.words
-    vals = f.values
-    best = 0.0
-    for n in range(f.depth):
-        lo: dict = {}
-        hi: dict = {}
-        for w, x in zip(words, vals):
-            key = w[:n]
-            if key not in lo:
-                lo[key] = x
-                hi[key] = x
-            else:
-                if x < lo[key]:
-                    lo[key] = x
-                if x > hi[key]:
-                    hi[key] = x
-        var_n = max(hi[k] - lo[k] for k in lo)
-        best = max(best, var_n / params.theta**n)
-    return float(best)
+    return float(max(0.0, f.values.max() - f.values.min()))
 
 
 def _kernel(A: TransitionMatrix, eig: PerronData, depth: int) -> csr_matrix:

@@ -42,6 +42,7 @@ from sftbounds import (
     random_function,
     ratio_scan,
     sample_markov,
+    sample_markov_batch,
     step_bound_verify,
     survivor_entropy,
     transfer_apply,
@@ -100,8 +101,7 @@ def test_criterion_2_information_mean():
     for A in mats:
         eig = perron_eigendata(A)
         log_lam = math.log(eig.lam)
-        for k in range(100):
-            mu = sample_markov(A, seed=k)
+        for mu in sample_markov_batch(A, range(100)):
             assert abs(information_mean(mu, eig) - log_lam) <= 1e-9
 
 
@@ -110,8 +110,7 @@ def test_criterion_3_gap_identity():
     mats = random_primitive_matrices(10, (2, 3, 4, 5), seed=2024)
     for A in mats:
         eig = perron_eigendata(A)
-        for k in range(100):
-            mu = sample_markov(A, seed=k)
+        for mu in sample_markov_batch(A, range(100)):
             assert gap_identity_check(mu, eig).discrepancy <= 1e-9
     res = gap_identity_check(bernoulli(0.9), EIG2)
     assert abs(res.lhs - 0.3680642) <= 1e-6

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import PHI, bernoulli_entropy, random_primitive_matrices
+from helpers import bernoulli_entropy
 from sftbounds import (
     InputError,
     VerificationError,
@@ -18,7 +18,6 @@ from sftbounds import (
     integrate,
     markov_measure,
     parry_measure,
-    perron_eigendata,
     phi_divergence,
     pinsker_verify,
     random_function,
@@ -27,7 +26,7 @@ from sftbounds import (
     step_bound_verify,
 )
 from sftbounds.spectral import PerronData
-from sftbounds.transfer import lip_seminorm, supnorm, transfer_apply
+from sftbounds.transfer import lip_seminorm, transfer_apply
 
 
 def bernoulli(p, A):

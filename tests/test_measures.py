@@ -3,11 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import PHI, bernoulli_entropy, random_primitive_matrices
 from sftbounds import (
+    ConvergenceError,
     InputError,
     centered,
     conditional_vectors,
@@ -24,8 +25,12 @@ from sftbounds import (
     perron_eigendata,
     random_function,
     sample_markov,
+    sample_markov_batch,
+    stationary_vector,
+    transition_matrix,
 )
 from sftbounds.io import load_function, load_measure
+from sftbounds.measures import cylinder_measure_vector
 
 
 def bernoulli(p, A):
@@ -282,3 +287,120 @@ def test_function_from_dict_rejects_inadmissible_word(golden):
 def test_stationarity_enforced(golden):
     with pytest.raises(InputError, match="stationary"):
         markov_measure([0.9, 0.1], [[0.5, 0.5], [1.0, 0.0]], golden)
+
+
+# ---------- batched stationary solve and cylinder vectors ----------
+
+def scalar_stationary(Q, tol=1e-14, max_iter=1_000_000):
+    """One chain's power iteration, as solved before batching: (vector, stop rule)."""
+    n = Q.shape[0]
+    x = np.full(n, 1.0 / n)
+    inc_prev = np.inf
+    drift = np.inf
+    for _ in range(max_iter):
+        y = x @ Q
+        y = y / y.sum()
+        drift = float(np.max(np.abs(y @ Q - y)))
+        if drift <= tol:
+            return y, "drift"
+        inc = float(np.max(np.abs(y - x)))
+        if inc >= inc_prev and inc <= 1e-12 and drift <= 1e-12:
+            return y, "cycle"
+        inc_prev = inc
+        x = y
+    raise ConvergenceError("no convergence", residual=drift)
+
+
+def slow_chain(s, p):
+    """A nearly periodic kernel: golden [[p, 1-p], [1, 0]] for s = 2, a near 3-cycle for s = 3."""
+    if s == 2:
+        return np.array([[p, 1.0 - p], [1.0, 0.0]])
+    return np.array([[p, 1.0 - p, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+
+
+def fast_chain(s, seed):
+    return np.random.default_rng(seed).dirichlet(np.ones(s), size=s)
+
+
+@settings(max_examples=12)
+@given(
+    st.sampled_from([2, 3]),
+    st.lists(
+        st.one_of(
+            st.tuples(st.just("fast"), st.integers(0, 2**32)),
+            # p = 1e-4 would take ~2e5 steps per chain; over this range both stop rules fire
+            st.tuples(st.just("slow"), st.floats(-2.3, -1.3)),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_batched_stationary_rows_equal_single_chain_solves(s, chains):
+    stack = np.array([
+        fast_chain(s, arg) if kind == "fast" else slow_chain(s, 10.0 ** arg) for kind, arg in chains
+    ])
+    rows = stationary_vector(stack)
+    assert rows.shape == (len(chains), s)
+    for Q, row in zip(stack, rows):
+        assert np.array_equal(row, scalar_stationary(Q)[0])
+
+
+def test_batch_mixes_both_stop_rules():
+    stack = np.array([slow_chain(2, 3e-3), slow_chain(2, 1e-2), fast_chain(2, 5), slow_chain(2, 0.3)])
+    oracle = [scalar_stationary(Q) for Q in stack]
+    assert {rule for _, rule in oracle} == {"drift", "cycle"}
+    rows = stationary_vector(stack)
+    for (y, _), row in zip(oracle, rows):
+        assert np.array_equal(row, y)
+    # one matrix is the one-chain case of the stack
+    assert np.array_equal(stationary_vector(stack[0]), oracle[0][0])
+
+
+def test_batch_failure_reports_widest_open_drift():
+    stack = np.array([slow_chain(2, 1e-3), fast_chain(2, 1), slow_chain(2, 2e-3)])
+    open_drifts = []
+    for Q in stack:
+        try:
+            scalar_stationary(Q, max_iter=60)
+        except ConvergenceError as err:
+            open_drifts.append(err.residual)
+    assert len(open_drifts) == 2
+    with pytest.raises(ConvergenceError) as info:
+        stationary_vector(stack, max_iter=60)
+    assert info.value.residual == max(open_drifts)
+
+
+def test_sampler_batch_equals_one_seed_draws(golden, full3):
+    for A in (golden, full3):
+        seeds = [3, 2**62 + 11, 0, 77]
+        for mu, seed in zip(sample_markov_batch(A, seeds), seeds):
+            one = sample_markov(A, seed)
+            assert np.array_equal(mu.stationary, one.stationary)
+            assert np.array_equal(mu.transition, one.transition)
+
+
+@pytest.mark.parametrize("concentration", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_sampler_rejects_bad_concentration_before_drawing(golden, monkeypatch, concentration):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew before validating the concentration")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    with pytest.raises(InputError, match="concentration"):
+        sample_markov(golden, seed=1, concentration=concentration)
+    with pytest.raises(InputError, match="concentration"):
+        sample_markov_batch(golden, [1, 2], concentration=concentration)
+
+
+WIDE3 = transition_matrix([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+
+
+@pytest.mark.parametrize("name", ["full2", "golden", "wide3", "full3"])
+def test_cylinder_vector_equals_per_word_products(name, request):
+    A = WIDE3 if name == "wide3" else request.getfixturevalue(name)
+    for seed in range(3):
+        mu = sample_markov(A, seed)
+        for depth in range(1, 7):
+            vec = cylinder_measure_vector(mu, depth)
+            words = enumerate_words(A, depth)
+            assert vec.shape == (len(words),)
+            assert all(vec[i] == cylinder_measure(mu, w) for i, w in enumerate(words))

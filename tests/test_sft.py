@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -17,7 +15,6 @@ from sftbounds import (
     metric_distance,
     parse_word,
     predecessors,
-    transition_matrix,
     validate_structure,
     word_count,
     word_str,

@@ -26,6 +26,7 @@ from sftbounds import (
     transfer_apply,
     transfer_matrix,
     transition_matrix,
+    word_count,
 )
 from sftbounds.errors import ConvergenceError
 
@@ -51,6 +52,44 @@ def test_seminorm_depth2_corner(full2):
     # values (0, 0, 0, 1) on 00, 01, 10, 11: var0 = 1 at n = 0, var1 = 1 at n = 1
     f = LocallyConstantFunction(full2, 2, np.array([0.0, 0.0, 0.0, 1.0]))
     assert lip_seminorm(f, MetricParams(2.0)) == 1.0
+
+
+def dict_seminorm(f, params):
+    """The theta seminorm by a dict of per-prefix min and max, word by word."""
+    best = 0.0
+    for n in range(f.depth):
+        lo: dict = {}
+        hi: dict = {}
+        for w, x in zip(f.words, f.values):
+            key = w[:n]
+            if key not in lo:
+                lo[key] = x
+                hi[key] = x
+            else:
+                if x < lo[key]:
+                    lo[key] = x
+                if x > hi[key]:
+                    hi[key] = x
+        var_n = max(hi[k] - lo[k] for k in lo)
+        best = max(best, var_n / params.theta**n)
+    return float(best)
+
+
+@given(
+    st.integers(0, 10_000),
+    st.integers(1, 5),
+    st.floats(1.0001, 20.0),
+    st.booleans(),
+)
+def test_seminorm_equals_prefix_dict_loop(seed, depth, theta, ties):
+    A = random_primitive_matrices(1, (2, 3, 4), seed=seed)[0]
+    rng = np.random.default_rng(seed)
+    n = word_count(A, depth)
+    # small integer values make many prefix runs tie at their max or min
+    vals = rng.integers(-2, 3, size=n).astype(float) if ties else rng.standard_normal(n)
+    f = LocallyConstantFunction(A, depth, vals)
+    params = MetricParams(theta)
+    assert lip_seminorm(f, params) == dict_seminorm(f, params)
 
 
 def test_operator_fixes_constants(full2, eig_full2, golden, eig_golden):
