@@ -4,7 +4,8 @@ end-to-end integral-discrepancy certificate
     |∫f dmu - ∫f dm| <= c_hat |f|_theta (log lam - h_mu)^(1/2),
 
 with c_hat = sqrt(2) (sum of the per-step decay bounds + their tail) read from
-the proven decay certificate (`DecayEstimate.c_hat`).
+the proven decay certificate (`DecayEstimate.c_hat`). It is verified with the
+oscillation max f - min f <= |f|_theta, which implies the stated bound.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .measures import (
     sample_markov_batch,
     stationary_vector,
 )
-from .sft import MetricParams, TransitionMatrix
+from .sft import TransitionMatrix
 from .spectral import PerronData, perron_eigendata
 from .transfer import DecayEstimate, decay_estimate, lip_seminorm, supnorm, transfer_apply
 
@@ -147,15 +148,15 @@ def effective_bound_verify(
     mu: MarkovMeasure,
     eig: PerronData,
     decay: DecayEstimate,
-    params: MetricParams = MetricParams(),
     m: MarkovMeasure | None = None,
 ) -> BoundReport:
     """Verify the integral-discrepancy bound for one (f, mu) pair.
 
     f is centered against the Parry measure first (pass `m` to reuse one). A gap
     below -1e-9 means the measure claims more entropy than log lam and is
-    treated as a hard error. The ratio field is lhs / (|f|_theta sqrt(gap)),
-    NaN when the gap or the seminorm is too small to divide by.
+    treated as a hard error. The ratio field is lhs / (seminorm sqrt(gap)),
+    with the oscillation `lip_seminorm`, NaN when the gap or the seminorm is
+    too small to divide by.
     """
     if m is None:
         m = parry_measure(f.matrix, eig)
@@ -167,7 +168,7 @@ def effective_bound_verify(
         )
     gap_pos = max(gap, 0.0)
     lhs = abs(integrate(fc, mu) - integrate(fc, m))
-    sem = lip_seminorm(fc, params)
+    sem = lip_seminorm(fc)
     c_hat = decay.c_hat
     holds = lhs <= c_hat * sem * float(np.sqrt(gap_pos)) + EFFECTIVE_BOUND_SLACK
     if gap_pos > GAP_FLOOR and sem > 0.0:
@@ -231,7 +232,6 @@ def ratio_scan(
     samples: int,
     seed: int,
     depth: int = 2,
-    params: MetricParams = MetricParams(),
 ) -> ScanSummary:
     """Sample (mu, f) pairs, verify the bound on each, and report the largest
     observed ratio plus a log-log slope of lhs versus gap along one-parameter
@@ -253,7 +253,7 @@ def ratio_scan(
     t_grid = np.geomspace(1e-3, 1e-1, FAMILY_POINTS)
     for i, mu in enumerate(sample_markov_batch(A, sub_seeds[0::2])):
         f = random_function(A, depth, int(sub_seeds[2 * i + 1]))
-        report = effective_bound_verify(f, mu, eig, decay, params, m=m)
+        report = effective_bound_verify(f, mu, eig, decay, m=m)
         rows.append(ScanRow(i, report.gap, report.lhs, report.seminorm, report.ratio, report.holds))
         if i < FAMILIES:
             fc = centered(f, m)

@@ -26,13 +26,14 @@ from .errors import ConvergenceError, InputError, VerificationError
 from .holes import HoleFamilyScan, hole_family_scan
 from .measures import (
     cylinder_measure,
+    cylinder_measure_vector,
     entropy,
     information_mean,
     parry_measure,
     sample_markov_batch,
 )
 from .models import cylinder_interval, exceptional_dimension_bound
-from .sft import MetricParams, TransitionMatrix, enumerate_words, word_str
+from .sft import MetricParams, TransitionMatrix, enumerate_words, word_count, word_str
 from .spectral import perron_eigendata
 from .transfer import decay_estimate
 
@@ -103,7 +104,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     eig = perron_eigendata(A)
     m = parry_measure(A, eig)
     words = enumerate_words(A, args.depth)
-    rows = [[word_str(w, A.size), cylinder_measure(m, w)] for w in words]
+    measures = cylinder_measure_vector(m, args.depth).tolist()
+    rows = [[word_str(w, A.size), p] for w, p in zip(words, measures)]
     summary = {
         "size": A.size,
         "irreducible": A.irreducible,
@@ -116,7 +118,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         "v": [float(x) for x in eig.v],
         "stationary": [float(x) for x in m.stationary],
         "transition": [[float(x) for x in row] for row in m.transition],
-        "word_counts": {str(k): len(enumerate_words(A, k)) for k in range(1, args.depth + 1)},
+        "word_counts": {str(k): word_count(A, k) for k in range(1, args.depth + 1)},
     }
     _emit(args, summary, ["word", "parry_measure"], rows)
     return 0
@@ -200,8 +202,7 @@ def _cmd_transfer_decay(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     """integral-discrepancy bound on sampled (measure, function) pairs"""
     A = io.load_matrix(args.matrix)
-    params = MetricParams(args.theta)
-    scan = ratio_scan(A, args.samples, args.seed, depth=args.depth, params=params)
+    scan = ratio_scan(A, args.samples, args.seed, depth=args.depth)
     summary = {
         "max_ratio": scan.max_ratio,
         "argmax_id": scan.argmax_id,
@@ -294,7 +295,7 @@ _FLAGS_OF = {
     "entropy": ("--matrix", "--samples", "--seed", "--tol"),
     "pinsker": ("--samples", "--seed"),
     "transfer-decay": ("--matrix", "--depth"),
-    "verify": ("--matrix", "--theta", "--depth", "--samples", "--seed"),
+    "verify": ("--matrix", "--depth", "--samples", "--seed"),
     "hole": ("--matrix", "--theta", "--max-hole-depth"),
     "model-dim": ("--model", "--x0", "--delta"),
 }

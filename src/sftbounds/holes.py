@@ -22,7 +22,6 @@ word's radius is the max over its block, the same bits a separate
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -30,9 +29,17 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .errors import CeilingError, ConvergenceError, InputError
-from .measures import cylinder_measure, parry_measure
-from .sft import MetricParams, TransitionMatrix, Word, enumerate_words, is_admissible
+from .errors import ConvergenceError, InputError
+from .measures import cylinder_measure, cylinder_measure_vector, parry_measure
+from .sft import (
+    MetricParams,
+    TransitionMatrix,
+    Word,
+    _path_count,
+    is_admissible,
+    word_array,
+    word_codes,
+)
 from .spectral import PerronData, perron_eigendata
 
 PRUNE_STATE_CEILING = 50_000
@@ -178,16 +185,12 @@ def prune_words(
     if any(len(w) > k for w in forb):
         raise InputError("forbidden words longer than the block length")
     s = A.size
-    if s**k > np.iinfo(np.int64).max:
-        raise CeilingError(f"{k}-words over {s} symbols overflow 64-bit word codes")
-    all_states = enumerate_words(A, k, ceiling=ceiling)
-    # Base-s codes of the k-words; lexicographic order makes them ascending.
+    codes = word_codes(A, k, ceiling=ceiling)
     weights = s ** np.arange(k - 1, -1, -1)
-    codes = np.array(all_states, dtype=np.int64).reshape(-1, k) @ weights
     keep = np.ones(len(codes), dtype=bool)
     for w in forb:
         keep &= codes // weights[len(w) - 1] != np.dot(w, weights[k - len(w):])
-    states = tuple(itertools.compress(all_states, keep))
+    states = tuple(map(tuple, word_array(A, k, ceiling)[keep].tolist()))
     codes = codes[keep]
     # Successor of a by c is a[1:] + c; a -1 sentinel marks codes not found.
     targets = (codes % s ** (k - 1) * s)[:, None] + np.arange(s)
@@ -243,13 +246,7 @@ def pruned_word_count(ps: PrunedSystem, n: int) -> int:
     k = ps.block_length
     if n < k:
         raise InputError(f"need n >= block length {k}, got {n}")
-    # Python-int counts in an object array; the -1 padding gathers the zero
-    # kept at the end.
-    counts = np.ones(len(ps.states) + 1, dtype=object)
-    counts[-1] = 0
-    for _ in range(n - k):
-        counts[:-1] = counts[ps.successors].sum(axis=1)
-    return int(counts.sum())
+    return _path_count(ps.successors, n - k)
 
 
 def dim_upper_bound(h: float, log_lambda: float, dim_m: float, log_theta_cap: float) -> float:
@@ -309,6 +306,9 @@ def hole_family_scan(
     extension removes less)."""
     if max_depth < 1:
         raise InputError(f"max depth must be at least 1, got {max_depth}")
+    # Counts never decrease with depth (every word has a successor): refuse the
+    # deepest table before any shallower depth is solved.
+    word_codes(A, max_depth, ceiling=PRUNE_STATE_CEILING)
     if eig is None:
         eig = perron_eigendata(A)
     m = parry_measure(A, eig)
@@ -318,11 +318,12 @@ def hole_family_scan(
     for k in range(1, max_depth + 1):
         # The k-block table once; each hole word is one state of it.
         table = prune_words(A, [], block_length=k)
-        for w, lam in zip(table.states, _hole_radii(table.successors).tolist()):
+        radii = _hole_radii(table.successors).tolist()
+        measures = cylinder_measure_vector(m, k).tolist()
+        for w, lam, meas in zip(table.states, radii, measures):
             radius[w] = lam
             gap = log_lam - float(np.log(lam)) if lam > 0.0 else math.inf
             delta = params.theta ** (-k)
-            meas = cylinder_measure(m, w)
             rows.append(HoleRow(w, k, delta, meas, lam, gap, gap / (delta**2 * meas**2)))
     violations = []
     for w, lam_w in radius.items():

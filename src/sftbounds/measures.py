@@ -10,7 +10,6 @@ Both give the same bits as the one-chain and per-word computations.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -24,6 +23,7 @@ from .sft import (
     is_admissible,
     parse_word,
     predecessors,
+    word_array,
     word_count,
     word_index,
     word_str,
@@ -243,18 +243,11 @@ def random_function(A: TransitionMatrix, depth: int, seed: int, scale: float = 1
     return LocallyConstantFunction(A, depth, scale * rng.standard_normal(word_count(A, depth)))
 
 
-@functools.lru_cache(maxsize=512)
-def _word_array(A: TransitionMatrix, k: int) -> np.ndarray:
-    """enumerate_words(A, k) as a read-only (n, k) int array, one word per row."""
-    W = np.array(enumerate_words(A, k), dtype=np.intp).reshape(-1, k)
-    W.setflags(write=False)
-    return W
-
-
 def cylinder_measure_vector(mu: MarkovMeasure, depth: int) -> np.ndarray:
-    """Measures of all admissible depth-words, aligned with enumerate_words order:
-    the left-to-right product of cylinder_measure, one word-array column at a time."""
-    W = _word_array(mu.support, depth)
+    """Measures of all admissible depth-words, aligned with the rows of
+    `word_array`: the left-to-right product of cylinder_measure, one column at
+    a time."""
+    W = word_array(mu.support, depth)
     p = mu.stationary[W[:, 0]]
     for t in range(1, depth):
         p = p * mu.transition[W[:, t - 1], W[:, t]]
@@ -282,10 +275,8 @@ class InformationCoboundary:
     g_values: np.ndarray
 
     def as_function(self, A: TransitionMatrix) -> LocallyConstantFunction:
-        words = enumerate_words(A, 2)
-        vals = np.array([
-            self.log_lambda + self.g_values[b] - self.g_values[a] for a, b in words
-        ])
+        W = word_array(A, 2)
+        vals = self.log_lambda + self.g_values[W[:, 1]] - self.g_values[W[:, 0]]
         return LocallyConstantFunction(A, 2, vals)
 
 

@@ -160,16 +160,19 @@ def is_admissible(A: TransitionMatrix, word) -> bool:
     return all(A.rows[a][b] == 1 for a, b in zip(word, word[1:]))
 
 
-def _int_matmul(x: list[list[int]], y: list[list[int]]) -> list[list[int]]:
-    n = len(x)
-    return [
-        [sum(x[i][k] * y[k][j] for k in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
+def _path_count(succ: np.ndarray, steps: int) -> int:
+    """Exact number of paths of `steps` edges on a successor table, in Python
+    ints: entry [i, c] of `succ` is a successor of state i, or -1 for none.
+    The -1 padding gathers the zero kept at the end of the counts."""
+    counts = np.ones(succ.shape[0] + 1, dtype=object)
+    counts[-1] = 0
+    for _ in range(steps):
+        counts[:-1] = counts[succ].sum(axis=1)
+    return int(counts.sum())
 
 
 def word_count(A: TransitionMatrix, k: int) -> int:
-    """Exact number of admissible k-words: the entry sum of A**(k-1), in integers."""
+    """Exact number of admissible k-words: the paths of k-1 steps on A."""
     if k < 1:
         raise InputError(f"word length must be at least 1, got {k}")
     return _word_count_cached(A, k)
@@ -177,55 +180,50 @@ def word_count(A: TransitionMatrix, k: int) -> int:
 
 @functools.lru_cache(maxsize=512)
 def _word_count_cached(A: TransitionMatrix, k: int) -> int:
-    if k == 1:
-        return A.size
-    base = [[int(x) for x in row] for row in A.rows]
-    result = None
-    power = base
-    e = k - 1
-    while e:
-        if e & 1:
-            result = power if result is None else _int_matmul(result, power)
-        e >>= 1
-        if e:
-            power = _int_matmul(power, power)
-    return sum(sum(row) for row in result)
+    return _path_count(np.where(A.array > 0, np.arange(A.size), -1), k - 1)
 
 
-@functools.lru_cache(maxsize=512)
-def _enumerate_cached(A: TransitionMatrix, k: int) -> tuple[Word, ...]:
-    succ = A.successor_sets
-    out: list[Word] = []
-
-    def extend(prefix: Word):
-        if len(prefix) == k:
-            out.append(prefix)
-            return
-        for j in succ[prefix[-1]]:
-            extend(prefix + (j,))
-
-    for i in range(A.size):
-        extend((i,))
-    return tuple(out)
-
-
-def enumerate_words(A: TransitionMatrix, k: int, ceiling: int = WORD_CEILING) -> tuple[Word, ...]:
-    """All admissible words of length k, in lexicographic order.
-
-    The count equals the entry sum of A**(k-1); enumeration is refused when that
-    count exceeds `ceiling`.
-    """
+def word_array(A: TransitionMatrix, k: int, ceiling: int = WORD_CEILING) -> np.ndarray:
+    """All admissible k-words as the rows of a cached read-only (n, k) array, in
+    lexicographic order; the one word layout the library reads. Refused, before
+    anything is allocated, when the count exceeds `ceiling`."""
     n = word_count(A, k)
     if n > ceiling:
         raise CeilingError(
             f"{n} admissible words of length {k} exceeds the ceiling {ceiling}"
         )
-    return _enumerate_cached(A, k)
+    return _word_array_cached(A, k)
+
+
+@functools.lru_cache(maxsize=512)
+def _word_array_cached(A: TransitionMatrix, k: int) -> np.ndarray:
+    # Each row is followed by its successors in ascending order, so extending
+    # a lexicographic array keeps it lexicographic.
+    W = np.arange(A.size)[:, None]
+    for _ in range(k - 1):
+        parent, sym = np.nonzero(A.array[W[:, -1]])
+        W = np.column_stack([W[parent], sym])
+    W.setflags(write=False)
+    return W
+
+
+def word_codes(A: TransitionMatrix, k: int, ceiling: int = WORD_CEILING) -> np.ndarray:
+    """int64 base-s codes sum w_t s^(k-1-t) of the rows of `word_array`, ascending
+    with them. Refused when s**k overflows int64, or the count exceeds `ceiling`."""
+    if A.size**k > np.iinfo(np.int64).max:
+        raise CeilingError(f"{k}-words over {A.size} symbols overflow 64-bit word codes")
+    return word_array(A, k, ceiling) @ A.size ** np.arange(k - 1, -1, -1)
+
+
+def enumerate_words(A: TransitionMatrix, k: int, ceiling: int = WORD_CEILING) -> tuple[Word, ...]:
+    """All admissible words of length k, in lexicographic order: the rows of
+    `word_array` as tuples. Refused when their count exceeds `ceiling`."""
+    return tuple(map(tuple, word_array(A, k, ceiling).tolist()))
 
 
 @functools.lru_cache(maxsize=512)
 def word_index(A: TransitionMatrix, k: int) -> dict[Word, int]:
-    return {w: i for i, w in enumerate(_enumerate_cached(A, k))}
+    return {w: i for i, w in enumerate(map(tuple, _word_array_cached(A, k).tolist()))}
 
 
 def predecessors(A: TransitionMatrix, j: int) -> tuple[int, ...]:

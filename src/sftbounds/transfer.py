@@ -1,5 +1,5 @@
-"""The transfer operator on locally constant functions, the theta seminorm, and
-a proven certificate for sup-norm decay of mean-zero iterates.
+"""The transfer operator on locally constant functions, the oscillation
+seminorm, and a proven certificate for sup-norm decay of mean-zero iterates.
 
 On depth-d functions the operator is an exact finite matrix with kernel weights
 u_i / (lam u_j); it maps depth d to depth max(d-1, 1). The certificate bounds
@@ -18,7 +18,7 @@ from scipy.sparse import csr_matrix
 
 from .errors import ConvergenceError, InputError
 from .measures import LocallyConstantFunction, cylinder_measure_vector, parry_measure
-from .sft import MetricParams, TransitionMatrix, enumerate_words, predecessors, word_index
+from .sft import TransitionMatrix, enumerate_words, predecessors, word_array, word_codes, word_index
 from .spectral import PerronData, subdominant_modulus
 
 # decay_estimate sums at most this many depth-1 terms before its tail must close.
@@ -29,14 +29,11 @@ def supnorm(f: LocallyConstantFunction) -> float:
     return float(np.max(np.abs(f.values)))
 
 
-def lip_seminorm(f: LocallyConstantFunction, params: MetricParams = MetricParams()) -> float:
-    """max over 0 <= n < depth of var_n(f) / theta^n.
-
-    var_n is the largest |f(w) - f(w')| over admissible word pairs agreeing on
-    the first n symbols; it vanishes for n >= depth, so the sup is a finite max.
-    Those pairs are among the pairs of var_0 and theta > 1, so no term exceeds
-    var_0 and the max is var_0 = max f - min f, whatever theta.
-    """
+def lip_seminorm(f: LocallyConstantFunction) -> float:
+    """The oscillation max f - min f: the n = 0 term of the Lipschitz seminorm
+    |f|_theta = max over n of var_n(f) theta**n (var_n the largest change of f
+    between words agreeing on n leading symbols), so at most |f|_theta for
+    every theta."""
     return float(max(0.0, f.values.max() - f.values.min()))
 
 
@@ -44,19 +41,18 @@ def _kernel(A: TransitionMatrix, eig: PerronData, depth: int) -> csr_matrix:
     """The operator from depth-`depth` words to depth-max(depth-1, 1) words, as a
     sparse matrix with entries u_i/(lam u_j): row w sums over i -> w0 the value at
     i.w[:depth-1], its columns in ascending i."""
-    out_words = enumerate_words(A, max(depth - 1, 1))
-    index = word_index(A, depth)
-    u, lam = eig.u, eig.lam
-    indptr = [0]
-    cols: list[int] = []
-    vals: list[float] = []
-    for w in out_words:
-        j = w[0]
-        for i in predecessors(A, j):
-            cols.append(index[(i,) + w[: depth - 1]])
-            vals.append(u[i] / (lam * u[j]))
-        indptr.append(len(cols))
-    return csr_matrix((vals, cols, indptr), shape=(len(out_words), len(index)))
+    out = word_array(A, max(depth - 1, 1))
+    # Row-major nonzeros: the rows in order, each row's predecessors i ascending.
+    rows, i = np.nonzero(A.array[:, out[:, 0]].T)
+    # Column of row w's term i: the code of the word i.w[:depth-1].
+    codes = word_codes(A, depth)
+    target = i * A.size ** (depth - 1)
+    if depth > 1:
+        target += word_codes(A, depth - 1)[rows]
+    cols = np.searchsorted(codes, target)
+    vals = eig.u[i] / (eig.lam * eig.u[out[rows, 0]])
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=len(out)))])
+    return csr_matrix((vals, cols, indptr), shape=(len(out), len(codes)))
 
 
 def transfer_apply(f: LocallyConstantFunction, eig: PerronData) -> LocallyConstantFunction:

@@ -226,6 +226,7 @@ def test_memory_error_exits_four(capsys, monkeypatch, golden_path, exc, message)
     ["hole", "--matrix", "m.json", "--seed", "1"],
     ["model-dim", "--model", "doubling", "--matrix", "m.json"],
     ["transfer-decay", "--matrix", "m.json", "--theta", "3"],
+    ["verify", "--matrix", "m.json", "--theta", "3"],
 ])
 def test_unread_flag_is_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:

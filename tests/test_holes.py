@@ -122,6 +122,15 @@ def test_growth_slope_at_thirty(full2, full3):
         assert dp_avoid_count(A, w, 30) == n30
 
 
+def test_pruned_word_count_is_exact_past_int64(full2):
+    # Binary words of length n without 11 number Fibonacci F(n + 2); F(102) > 2**63.
+    fib = [0, 1]
+    while len(fib) < 103:
+        fib.append(fib[-1] + fib[-2])
+    count = pruned_word_count(higher_block_prune(full2, (1, 1)), 100)
+    assert count == fib[102] > 2**63
+
+
 def test_dim_upper_bound_examples():
     val = dim_upper_bound(math.log(PHI), math.log(2), 1.0, math.log(2))
     assert abs(val - math.log(PHI) / math.log(2)) <= 1e-12
@@ -192,6 +201,16 @@ def test_family_scan_rows_do_not_depend_on_chunking(monkeypatch, full3, budget):
     rows = hole_family_scan(full3, 3).rows
     monkeypatch.setattr(holes, "HOLE_CHUNK_STATES", budget)
     assert hole_family_scan(full3, 3).rows == rows
+
+
+def test_family_scan_refuses_state_ceiling_before_solving(monkeypatch, full2):
+    # Depth 17 has 131072 > 50000 states; no shallower depth may be solved first.
+    def solve(succ):
+        raise AssertionError("a depth was solved before the ceiling check")
+
+    monkeypatch.setattr(holes, "_hole_radii", solve)
+    with pytest.raises(CeilingError, match="131072 admissible words of length 17"):
+        hole_family_scan(full2, 17)
 
 
 def test_family_scan_includes_empty_survivors(golden):

@@ -16,6 +16,8 @@ from sftbounds import (
     parse_word,
     predecessors,
     validate_structure,
+    word_array,
+    word_codes,
     word_count,
     word_str,
 )
@@ -106,6 +108,17 @@ def test_exhaustive_cross_check_small_alphabets():
         for k in range(1, 7):
             assert set(enumerate_words(A, k)) == set(brute_words(A, k))
             assert all(is_admissible(A, w) for w in enumerate_words(A, k))
+            W, codes, words = word_array(A, k), word_codes(A, k), sorted(brute_words(A, k))
+            assert [tuple(row) for row in W.tolist()] == words
+            assert codes.tolist() == [
+                sum(c * A.size ** (k - 1 - t) for t, c in enumerate(w)) for w in words
+            ]
+            assert (np.diff(codes) > 0).all()
+            assert not W.flags.writeable
+
+
+def test_word_count_is_exact_past_int64():
+    assert word_count(full_shift(3), 60) == 3**60
 
 
 def test_lexicographic_order():
@@ -122,8 +135,9 @@ def test_zero_length_rejected():
 
 
 def test_word_ceiling_guard():
-    with pytest.raises(CeilingError):
-        enumerate_words(FULL2, 5, ceiling=10)
+    for words in (enumerate_words, word_array, word_codes):
+        with pytest.raises(CeilingError):
+            words(FULL2, 5, ceiling=10)
 
 
 def test_predecessors_full_shift():

@@ -4,22 +4,24 @@ import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
 
-from helpers import PHI, random_primitive_matrices
+from helpers import PHI, brute_words, random_primitive_matrices
 from sftbounds import (
     DecayEstimate,
     LocallyConstantFunction,
-    MetricParams,
     centered,
     conditional_expectation_check,
     constant_function,
     decay_estimate,
+    full_shift,
     indicator,
     integrate,
     lip_seminorm,
     mean_zero_probes,
     parry_measure,
     perron_eigendata,
+    predecessors,
     random_function,
     supnorm,
     transfer,
@@ -45,18 +47,18 @@ def test_seminorm_constant_is_zero(full2):
 
 def test_seminorm_depth1_indicator(full2):
     f = indicator(full2, (0,))
-    assert lip_seminorm(f, MetricParams(2.0)) == 1.0
+    assert lip_seminorm(f) == 1.0
 
 
 def test_seminorm_depth2_corner(full2):
     # values (0, 0, 0, 1) on 00, 01, 10, 11: var0 = 1 at n = 0, var1 = 1 at n = 1
     f = LocallyConstantFunction(full2, 2, np.array([0.0, 0.0, 0.0, 1.0]))
-    assert lip_seminorm(f, MetricParams(2.0)) == 1.0
+    assert lip_seminorm(f) == 1.0
 
 
-def dict_seminorm(f, params):
-    """The theta seminorm by a dict of per-prefix min and max, word by word."""
-    best = 0.0
+def dict_variations(f):
+    """var_n(f) for n < depth, by a dict of per-prefix min and max, word by word."""
+    out = []
     for n in range(f.depth):
         lo: dict = {}
         hi: dict = {}
@@ -70,9 +72,8 @@ def dict_seminorm(f, params):
                     lo[key] = x
                 if x > hi[key]:
                     hi[key] = x
-        var_n = max(hi[k] - lo[k] for k in lo)
-        best = max(best, var_n / params.theta**n)
-    return float(best)
+        out.append(max(hi[k] - lo[k] for k in lo))
+    return out
 
 
 @given(
@@ -88,8 +89,11 @@ def test_seminorm_equals_prefix_dict_loop(seed, depth, theta, ties):
     # small integer values make many prefix runs tie at their max or min
     vals = rng.integers(-2, 3, size=n).astype(float) if ties else rng.standard_normal(n)
     f = LocallyConstantFunction(A, depth, vals)
-    params = MetricParams(theta)
-    assert lip_seminorm(f, params) == dict_seminorm(f, params)
+    var = dict_variations(f)
+    # The value the theta-weighted form max var_n / theta**n gave, for every
+    # theta, and at most the Lipschitz seminorm max var_n * theta**n.
+    assert lip_seminorm(f) == float(max(v / theta**n for n, v in enumerate(var)))
+    assert lip_seminorm(f) <= max(v * theta**n for n, v in enumerate(var))
 
 
 def test_operator_fixes_constants(full2, eig_full2, golden, eig_golden):
@@ -246,3 +250,30 @@ def test_centered_probe_spans(golden, eig_golden):
     probes = mean_zero_probes(golden, eig_golden, 2)
     combo = sum(c * g.values for c, g in zip(f.values, probes))
     assert np.allclose(combo, fc.values, atol=1e-12)
+
+
+def dict_kernel(A, eig, depth):
+    """The depth-`depth` operator's CSR arrays by a word-index dict, word by word."""
+    out_words = sorted(brute_words(A, max(depth - 1, 1)))
+    index = {w: i for i, w in enumerate(sorted(brute_words(A, depth)))}
+    u, lam = eig.u, eig.lam
+    indptr, cols, vals = [0], [], []
+    for w in out_words:
+        j = w[0]
+        for i in predecessors(A, j):
+            cols.append(index[(i,) + w[: depth - 1]])
+            vals.append(u[i] / (lam * u[j]))
+        indptr.append(len(cols))
+    return csr_matrix((vals, cols, indptr), shape=(len(out_words), len(index)))
+
+
+@pytest.mark.parametrize("size", [2, 3, 4, 5])
+def test_kernel_equals_dict_loop_bitwise(size):
+    for A in [full_shift(size)] + random_primitive_matrices(3, (size,), seed=size):
+        eig = perron_eigendata(A)
+        for depth in range(1, 6):
+            got, want = transfer._kernel(A, eig, depth), dict_kernel(A, eig, depth)
+            assert got.shape == want.shape
+            for name in ("data", "indices", "indptr"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (A.rows, depth, name)
