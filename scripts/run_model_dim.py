@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from sftbounds import exceptional_dimension_bound, prune_words, pruned_word_count
+from sftbounds import exceptional_dimension_bound, pruned_word_count
 from sftbounds.io import load_model, write_csv, write_json
 
 
@@ -36,9 +36,8 @@ def main() -> None:
         if rep.trivial:
             box = 1.0
         else:
-            ps = prune_words(model.transition, rep.inner, block_length=rep.depth)
             n = max(args.box_depth, rep.depth)
-            box = math.log(pruned_word_count(ps, n)) / (n * math.log(model.cap_theta))
+            box = math.log(pruned_word_count(rep.pruned, n)) / (n * math.log(model.cap_theta))
         rows.append([rep.delta, rep.depth, len(rep.inner), rep.outer_measure,
                      rep.bound, box, rep.trivial])
         print(f"delta={rep.delta:.4f} depth={rep.depth} inner={len(rep.inner):3d} "

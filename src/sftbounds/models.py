@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .holes import prune_words, survivor_entropy
+from .holes import PrunedSystem, prune_words, survivor_entropy
 from .measures import cylinder_measure, parry_measure
-from .sft import TransitionMatrix, Word, enumerate_words, is_admissible, transition_matrix
+from .sft import TransitionMatrix, Word, is_admissible, transition_matrix
 from .spectral import PerronData, perron_eigendata
 
 ENDPOINT_TOL = 1e-12
@@ -195,7 +195,13 @@ class BallCover:
 
 def ball_to_cylinders(model: ExpandingModel, x0: float, delta: float) -> BallCover:
     """Convert a metric ball into inner and outer depth-k cylinder covers,
-    k = ceil(log(1/delta) / log(theta0)) + 1."""
+    k = ceil(log(1/delta) / log(theta0)) + 1.
+
+    The depth-k words are found by descending the cylinder tree: a prefix is
+    extended only while its interval meets a ball segment widened by
+    2 * ENDPOINT_TOL. Cylinders nest, so every prefix of an inner or outer word
+    survives, and the cost is O(k * s) intervals rather than s^k. Successors are
+    taken in ascending order, so the words come out in lexicographic order."""
     if not 0.0 < delta < 0.5:
         raise InputError(f"delta must lie in (0, 1/2), got {delta}")
     if not 0.0 <= x0 <= 1.0:
@@ -203,9 +209,19 @@ def ball_to_cylinders(model: ExpandingModel, x0: float, delta: float) -> BallCov
     ratio = math.log(1.0 / delta) / math.log(model.theta0)
     depth = math.ceil(ratio - 1e-12) + 1
     segments = _ball_segments(model, x0, delta)
+    slack = 2.0 * ENDPOINT_TOL
+    successors = model.transition.successor_sets
+    words: list[Word] = [(a,) for a in range(model.branch_count)]
+    for _ in range(depth - 1):
+        kept = []
+        for w in words:
+            ci = cylinder_interval(model, w)
+            if any(ci.lo <= hi + slack and lo - slack <= ci.hi for lo, hi in segments):
+                kept.append(w)
+        words = [w + (c,) for w in kept for c in successors[w[-1]]]
     inner = []
     outer = []
-    for w in enumerate_words(model.transition, depth):
+    for w in words:
         ci = cylinder_interval(model, w)
         overlaps = any(
             min(ci.hi, hi) - max(ci.lo, lo) > ENDPOINT_TOL for lo, hi in segments
@@ -235,6 +251,7 @@ class DimensionReport:
     implied_c: float
     shape_bound: float
     trivial: bool
+    pruned: PrunedSystem | None  # the pruned inner cover; None when trivial
 
 
 def exceptional_dimension_bound(model: ExpandingModel, x0: float, delta: float,
@@ -260,7 +277,7 @@ def exceptional_dimension_bound(model: ExpandingModel, x0: float, delta: float,
         return DimensionReport(
             x0, delta, cover.depth, cover.inner, cover.outer, outer_measure,
             survivor_lambda=eig.lam, h_plus=log_lam, bound=1.0,
-            implied_c=0.0, shape_bound=1.0, trivial=True,
+            implied_c=0.0, shape_bound=1.0, trivial=True, pruned=None,
         )
     ps = prune_words(A, cover.inner, block_length=cover.depth)
     h_plus = survivor_entropy(ps)
@@ -273,5 +290,5 @@ def exceptional_dimension_bound(model: ExpandingModel, x0: float, delta: float,
     shape = 1.0 - implied_c * delta**2 * outer_measure**2 if math.isfinite(implied_c) else bound
     return DimensionReport(
         x0, delta, cover.depth, cover.inner, cover.outer, outer_measure,
-        ps.survivor_lambda, h_plus, bound, implied_c, shape, trivial=False,
+        ps.survivor_lambda, h_plus, bound, implied_c, shape, trivial=False, pruned=ps,
     )

@@ -1,5 +1,7 @@
+import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.sparse
@@ -316,3 +318,32 @@ def test_doubling_delta_1e4_completes():
     graph = scipy.sparse.csr_matrix((np.ones(ok.sum()), (src[ok], dst[ok])), shape=(2**k, 2**k))
     truth = float(np.abs(scipy.sparse.linalg.eigs(graph, k=1, which="LM", return_eigenvectors=False)).max())
     assert abs(rep.survivor_lambda - truth) <= 1e-9
+
+
+@functools.lru_cache(maxsize=None)
+def _correlation_root(s, correlation):
+    """Largest real root of (z - s) * c(z) + 1 at 40 digits, where c has the 0/1
+    coefficients `correlation`, highest power first."""
+    coeffs = [0] * (len(correlation) + 1)
+    for i, b in enumerate(correlation):
+        coeffs[i] += b
+        coeffs[i + 1] -= s * b
+    coeffs[-1] += 1
+    with mpmath.workdps(40):
+        roots = mpmath.polyroots(coeffs, maxsteps=500, extraprec=200)
+        return max(mpmath.re(r) for r in roots if abs(mpmath.im(r)) < mpmath.mpf(10) ** -15)
+
+
+@pytest.mark.parametrize("s, max_depth", [(2, 8), (3, 5)])
+def test_single_word_radii_match_correlation_polynomial(s, max_depth):
+    # Guibas-Odlyzko (J. Combin. Theory A, 1981): the words of the full s-shift
+    # avoiding one word w of length k grow like the largest real root of
+    # (z - s) * c_w(z) + 1, c_w(z) = sum_j [w[j:] == w[:k-j]] z^(k-1-j) being
+    # w's autocorrelation polynomial. w = 01 gives the double root z = 1.
+    scan = hole_family_scan(full_shift(s), max_depth)
+    assert len(scan.rows) == sum(s**k for k in range(1, max_depth + 1))
+    for row in scan.rows:
+        w, k = row.word, len(row.word)
+        correlation = tuple(int(w[j:] == w[: k - j]) for j in range(k))
+        truth = _correlation_root(s, correlation)
+        assert abs(row.survivor_lambda - truth) <= 1e-12 * truth, w

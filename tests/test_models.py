@@ -1,8 +1,11 @@
+import functools
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import PHI, dp_avoid_count
 from sftbounds import (
@@ -17,9 +20,12 @@ from sftbounds import (
     model_preset,
     parry_measure,
     perron_eigendata,
+    prune_words,
 )
+from sftbounds import models
+from sftbounds.cli import main
 from sftbounds.io import load_model
-from sftbounds.models import _ball_segments
+from sftbounds.models import ENDPOINT_TOL, _ball_segments
 
 DOUBLING = model_preset("doubling")
 
@@ -138,6 +144,125 @@ def test_ball_cover_at_partition_endpoint():
     assert starts == {0, 1}
 
 
+def _reflected(model):
+    """The model conjugated by x -> 1 - x: the branch order reverses."""
+    return build_model(
+        [Branch(1.0 - b.hi, 1.0 - b.lo, b.slope, 1.0 - b.slope - b.intercept)
+         for b in model.branches],
+        circle=model.circle,
+    )
+
+
+COVER_MODELS = {}
+for _name in ("doubling", "triadic", "golden"):
+    COVER_MODELS[_name] = model_preset(_name)
+    COVER_MODELS[_name + "-reflected"] = _reflected(model_preset(_name))
+
+
+@functools.lru_cache(maxsize=None)
+def _all_intervals(key, depth):
+    model = COVER_MODELS[key]
+    return [(w, cylinder_interval(model, w)) for w in enumerate_words(model.transition, depth)]
+
+
+def brute_force_cover(key, x0, delta):
+    """The enumerate-everything cover: every depth-k word's interval, classified
+    by the same overlap and containment tests as `ball_to_cylinders`."""
+    model = COVER_MODELS[key]
+    depth = math.ceil(math.log(1.0 / delta) / math.log(model.theta0) - 1e-12) + 1
+    segments = _ball_segments(model, x0, delta)
+    inner = []
+    outer = []
+    for w, ci in _all_intervals(key, depth):
+        overlaps = any(
+            min(ci.hi, hi) - max(ci.lo, lo) > ENDPOINT_TOL for lo, hi in segments
+        )
+        contained = any(
+            lo - ENDPOINT_TOL <= ci.lo and ci.hi <= hi + ENDPOINT_TOL
+            for lo, hi in segments
+        )
+        if overlaps:
+            outer.append(w)
+        if contained:
+            inner.append(w)
+    return depth, tuple(inner), tuple(outer)
+
+
+@settings(max_examples=40)
+@given(
+    key=st.sampled_from(sorted(COVER_MODELS)),
+    x0=st.floats(0.0, 1.0),
+    delta=st.floats(1e-4, 0.45),
+)
+# ball edges on cylinder endpoints, where the tolerance band decides
+@example(key="doubling", x0=3 / 16, delta=1 / 16)
+@example(key="doubling", x0=5 / 1024, delta=1 / 1024)
+@example(key="doubling", x0=0.5, delta=0.25)
+@example(key="doubling-reflected", x0=13 / 64, delta=1 / 64)
+@example(key="triadic", x0=1 / 3, delta=1 / 9)
+@example(key="triadic", x0=1 / 3, delta=1e-3)
+@example(key="triadic-reflected", x0=1 / 3, delta=1 / 27)
+# wraparound on the circle, and the edge of the golden repeller
+@example(key="doubling", x0=0.0, delta=0.125)
+@example(key="triadic", x0=0.0, delta=1 / 27)
+@example(key="triadic", x0=1.0, delta=1e-3)
+@example(key="golden", x0=0.0, delta=1 / 16)
+@example(key="golden-reflected", x0=1.0, delta=1e-4)
+def test_ball_cover_descent_equals_brute_force(key, x0, delta):
+    cover = ball_to_cylinders(COVER_MODELS[key], x0, delta)
+    depth, inner, outer = brute_force_cover(key, x0, delta)
+    assert cover.depth == depth
+    assert cover.inner == inner
+    assert cover.outer == outer
+
+
+def _dyadic_cover(x0, delta, k):
+    """Doubling-map cover by arithmetic: the depth-k cylinder of the binary
+    digits of j is exactly [j / 2^k, (j + 1) / 2^k], so only the j near the
+    ball need a look."""
+    (lo, hi), = _ball_segments(DOUBLING, x0, delta)
+    inner, outer = [], []
+    first = max(0, math.floor((lo - ENDPOINT_TOL) * 2**k) - 1)
+    last = min(2**k - 1, math.ceil((hi + ENDPOINT_TOL) * 2**k) + 1)
+    for j in range(first, last + 1):
+        a, b = j / 2**k, (j + 1) / 2**k
+        w = tuple(int(c) for c in format(j, f"0{k}b"))
+        if min(b, hi) - max(a, lo) > ENDPOINT_TOL:
+            outer.append(w)
+        if lo - ENDPOINT_TOL <= a and b <= hi + ENDPOINT_TOL:
+            inner.append(w)
+    return tuple(inner), tuple(outer)
+
+
+@pytest.mark.parametrize("x0", [0.3, 0.1234567, 0.7071067811865476, 0.6180339887498949])
+@pytest.mark.parametrize("delta", [1e-12, 3e-13])
+def test_ball_cover_below_endpoint_tolerance(x0, delta):
+    # Cylinders shorter than ENDPOINT_TOL: words just outside the ball count
+    # as inner, and their prefixes meet the ball only within the slack. The
+    # oracle classifies as the cover does; whether that classification is
+    # right at this scale is not what is tested here.
+    cover = ball_to_cylinders(DOUBLING, x0, delta)
+    assert cover.depth == math.ceil(math.log2(1.0 / delta) - 1e-12) + 1
+    assert (cover.inner, cover.outer) == _dyadic_cover(x0, delta, cover.depth)
+
+
+def test_model_dim_state_ceiling_trips_before_cover_work(monkeypatch, tmp_path):
+    # 2^21 block states exceed the 50 000-state ceiling; the cover must not
+    # build the 2^21 cylinder intervals before the ceiling refuses them.
+    calls = []
+    real = models.cylinder_interval
+
+    def counting(model, word):
+        calls.append(word)
+        return real(model, word)
+
+    monkeypatch.setattr(models, "cylinder_interval", counting)
+    status = main(["model-dim", "--model", "doubling", "--x0", "0.125", "--delta", "1e-6",
+                   "--out", str(tmp_path / "dim.json")])
+    assert status == 2
+    assert 0 < len(calls) < 1000
+
+
 def test_ball_cover_rejects_bad_inputs():
     with pytest.raises(InputError):
         ball_to_cylinders(DOUBLING, 0.2, 0.5)
@@ -160,6 +285,16 @@ def test_dimension_bound_hole_00():
     assert abs(rep.outer_measure - 0.25) <= 1e-12
     assert rep.implied_c > 0.0
     assert abs(rep.shape_bound - rep.bound) <= 1e-12
+
+
+def test_dimension_report_carries_pruned_cover():
+    rep = exceptional_dimension_bound(DOUBLING, 0.125, 0.125)
+    ps = prune_words(DOUBLING.transition, rep.inner, block_length=rep.depth)
+    assert rep.pruned.states == ps.states
+    assert np.array_equal(rep.pruned.successors, ps.successors)
+    assert rep.pruned.survivor_lambda == rep.survivor_lambda
+    trivial = exceptional_dimension_bound(model_preset("golden"), 0.62, 0.004)
+    assert trivial.trivial and trivial.pruned is None
 
 
 def test_dimension_bound_box_count_cross_check(full2):
