@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import CeilingError, InputError
 from .holes import PrunedSystem, prune_words, survivor_entropy
 from .measures import cylinder_measure, parry_measure
-from .sft import TransitionMatrix, Word, is_admissible, transition_matrix
+from .sft import WORD_CEILING, TransitionMatrix, Word, is_admissible, transition_matrix, word_count
 from .spectral import PerronData, perron_eigendata
 
 ENDPOINT_TOL = 1e-12
@@ -193,22 +193,13 @@ class BallCover:
         return len(self.inner) == 0
 
 
-def ball_to_cylinders(model: ExpandingModel, x0: float, delta: float) -> BallCover:
-    """Convert a metric ball into inner and outer depth-k cylinder covers,
-    k = ceil(log(1/delta) / log(theta0)) + 1.
-
-    The depth-k words are found by descending the cylinder tree: a prefix is
-    extended only while its interval meets a ball segment widened by
-    2 * ENDPOINT_TOL. Cylinders nest, so every prefix of an inner or outer word
-    survives, and the cost is O(k * s) intervals rather than s^k. Successors are
-    taken in ascending order, so the words come out in lexicographic order."""
-    if not 0.0 < delta < 0.5:
-        raise InputError(f"delta must lie in (0, 1/2), got {delta}")
-    if not 0.0 <= x0 <= 1.0:
-        raise InputError(f"x0 must lie in [0, 1], got {x0}")
-    ratio = math.log(1.0 / delta) / math.log(model.theta0)
-    depth = math.ceil(ratio - 1e-12) + 1
-    segments = _ball_segments(model, x0, delta)
+def _cover_candidates(model: ExpandingModel, segments, depth: int) -> list[Word]:
+    """The depth-k words all of whose proper prefixes have intervals meeting a
+    ball segment widened by 2 * ENDPOINT_TOL, found by descending the cylinder
+    tree, in lexicographic order (successors are taken ascending). Cylinders
+    nest, so this holds every word whose interval comes within ENDPOINT_TOL of
+    the ball, at a cost of O(k * s) intervals while cylinders are longer than
+    the slack."""
     slack = 2.0 * ENDPOINT_TOL
     successors = model.transition.successor_sets
     words: list[Word] = [(a,) for a in range(model.branch_count)]
@@ -219,9 +210,31 @@ def ball_to_cylinders(model: ExpandingModel, x0: float, delta: float) -> BallCov
             if any(ci.lo <= hi + slack and lo - slack <= ci.hi for lo, hi in segments):
                 kept.append(w)
         words = [w + (c,) for w in kept for c in successors[w[-1]]]
+    return words
+
+
+def ball_to_cylinders(model: ExpandingModel, x0: float, delta: float) -> BallCover:
+    """Convert a metric ball into inner and outer depth-k cylinder covers,
+    k = ceil(log(1/delta) / log(theta0)) + 1, in lexicographic order.
+
+    Refused when there are more than WORD_CEILING admissible k-words: below
+    ENDPOINT_TOL the descent keeps every prefix within the slack of the ball,
+    so only the word count bounds its work."""
+    if not 0.0 < delta < 0.5:
+        raise InputError(f"delta must lie in (0, 1/2), got {delta}")
+    if not 0.0 <= x0 <= 1.0:
+        raise InputError(f"x0 must lie in [0, 1], got {x0}")
+    ratio = math.log(1.0 / delta) / math.log(model.theta0)
+    depth = math.ceil(ratio - 1e-12) + 1
+    n = word_count(model.transition, depth)
+    if n > WORD_CEILING:
+        raise CeilingError(
+            f"{n} admissible words of length {depth} exceeds the ceiling {WORD_CEILING}"
+        )
+    segments = _ball_segments(model, x0, delta)
     inner = []
     outer = []
-    for w in words:
+    for w in _cover_candidates(model, segments, depth):
         ci = cylinder_interval(model, w)
         overlaps = any(
             min(ci.hi, hi) - max(ci.lo, lo) > ENDPOINT_TOL for lo, hi in segments

@@ -1,7 +1,6 @@
 import functools
 import math
 
-import mpmath
 import numpy as np
 import pytest
 import scipy.sparse
@@ -324,6 +323,7 @@ def test_doubling_delta_1e4_completes():
 def _correlation_root(s, correlation):
     """Largest real root of (z - s) * c(z) + 1 at 40 digits, where c has the 0/1
     coefficients `correlation`, highest power first."""
+    import mpmath  # only this oracle needs it
     coeffs = [0] * (len(correlation) + 1)
     for i, b in enumerate(correlation):
         coeffs[i] += b

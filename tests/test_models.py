@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from sftbounds import (
 from sftbounds import models
 from sftbounds.cli import main
 from sftbounds.io import load_model
-from sftbounds.models import ENDPOINT_TOL, _ball_segments
+from sftbounds.models import ENDPOINT_TOL, _ball_segments, _cover_candidates
 
 DOUBLING = model_preset("doubling")
 
@@ -216,39 +217,38 @@ def test_ball_cover_descent_equals_brute_force(key, x0, delta):
     assert cover.outer == outer
 
 
-def _dyadic_cover(x0, delta, k):
-    """Doubling-map cover by arithmetic: the depth-k cylinder of the binary
-    digits of j is exactly [j / 2^k, (j + 1) / 2^k], so only the j near the
-    ball need a look."""
-    (lo, hi), = _ball_segments(DOUBLING, x0, delta)
-    inner, outer = [], []
-    first = max(0, math.floor((lo - ENDPOINT_TOL) * 2**k) - 1)
-    last = min(2**k - 1, math.ceil((hi + ENDPOINT_TOL) * 2**k) + 1)
-    for j in range(first, last + 1):
-        a, b = j / 2**k, (j + 1) / 2**k
-        w = tuple(int(c) for c in format(j, f"0{k}b"))
-        if min(b, hi) - max(a, lo) > ENDPOINT_TOL:
-            outer.append(w)
-        if lo - ENDPOINT_TOL <= a and b <= hi + ENDPOINT_TOL:
-            inner.append(w)
-    return tuple(inner), tuple(outer)
-
-
 @pytest.mark.parametrize("x0", [0.3, 0.1234567, 0.7071067811865476, 0.6180339887498949])
 @pytest.mark.parametrize("delta", [1e-12, 3e-13])
-def test_ball_cover_below_endpoint_tolerance(x0, delta):
-    # Cylinders shorter than ENDPOINT_TOL: words just outside the ball count
-    # as inner, and their prefixes meet the ball only within the slack. The
-    # oracle classifies as the cover does; whether that classification is
-    # right at this scale is not what is tested here.
-    cover = ball_to_cylinders(DOUBLING, x0, delta)
-    assert cover.depth == math.ceil(math.log2(1.0 / delta) - 1e-12) + 1
-    assert (cover.inner, cover.outer) == _dyadic_cover(x0, delta, cover.depth)
+def test_descent_reaches_every_word_near_the_ball(x0, delta):
+    # Cylinders shorter than ENDPOINT_TOL, where the cover's absolute-tolerance
+    # classification is not sound (ROADMAP, automaton pruning). Only the descent
+    # is checked: the depth-k doubling cylinder of j is exactly
+    # [j / 2^k, (j + 1) / 2^k], and every j whose cylinder comes within
+    # ENDPOINT_TOL of the ball, which is every word a tolerance test could mark
+    # inner or outer, must be a candidate, among few others.
+    k = math.ceil(math.log2(1.0 / delta) - 1e-12) + 1
+    segments = _ball_segments(DOUBLING, x0, delta)
+    candidates = _cover_candidates(DOUBLING, segments, k)
+    assert candidates == sorted(candidates)
+    codes = {int("".join(map(str, w)), 2) for w in candidates}
+    (lo, hi), = segments
+    lo, hi, tol = Fraction(lo), Fraction(hi), Fraction(ENDPOINT_TOL)
+    near = {
+        j for j in range(math.floor((lo - tol) * 2**k), math.ceil((hi + tol) * 2**k))
+        if Fraction(j, 2**k) <= hi + tol and Fraction(j + 1, 2**k) >= lo - tol
+    }
+    assert near and near <= codes
+    # parents within the 2 * ENDPOINT_TOL slack of the ball, two children each
+    assert len(candidates) <= 2 * ((2 * delta + 4 * ENDPOINT_TOL) * 2 ** (k - 1) + 2)
 
 
-def test_model_dim_state_ceiling_trips_before_cover_work(monkeypatch, tmp_path):
-    # 2^21 block states exceed the 50 000-state ceiling; the cover must not
-    # build the 2^21 cylinder intervals before the ceiling refuses them.
+@pytest.mark.parametrize("delta", [1e-6, 1e-20])
+def test_model_dim_ceiling_trips_before_cover_work(monkeypatch, tmp_path, delta):
+    # delta=1e-6: 2^21 block states exceed the 50 000-state ceiling, and the
+    # cover must not build the 2^21 cylinder intervals before it refuses them.
+    # delta=1e-20: 2^68 words exceed the word ceiling, which must refuse before
+    # the descent, whose prefixes grow like s^depth once cylinders are shorter
+    # than ENDPOINT_TOL.
     calls = []
     real = models.cylinder_interval
 
@@ -257,10 +257,10 @@ def test_model_dim_state_ceiling_trips_before_cover_work(monkeypatch, tmp_path):
         return real(model, word)
 
     monkeypatch.setattr(models, "cylinder_interval", counting)
-    status = main(["model-dim", "--model", "doubling", "--x0", "0.125", "--delta", "1e-6",
+    status = main(["model-dim", "--model", "doubling", "--x0", "0.125", "--delta", str(delta),
                    "--out", str(tmp_path / "dim.json")])
     assert status == 2
-    assert 0 < len(calls) < 1000
+    assert len(calls) < 1000
 
 
 def test_ball_cover_rejects_bad_inputs():
