@@ -37,7 +37,9 @@ def main() -> None:
             box = 1.0
         else:
             n = max(args.box_depth, rep.depth)
-            box = math.log(pruned_word_count(rep.pruned, n)) / (n * math.log(model.cap_theta))
+            count = pruned_word_count(rep.pruned, n)
+            # no orbit survives when no word does; `bound` is 0 there too
+            box = math.log(count) / (n * math.log(model.cap_theta)) if count else 0.0
         rows.append([rep.delta, rep.depth, len(rep.inner), rep.outer_measure,
                      rep.bound, box, rep.trivial])
         print(f"delta={rep.delta:.4f} depth={rep.depth} inner={len(rep.inner):3d} "

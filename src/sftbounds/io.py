@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -33,15 +34,27 @@ def _load_json(path: str | Path) -> dict:
     return data
 
 
+@contextmanager
+def _parsing(path):
+    """Report a ValueError or TypeError raised on a file's contents as an InputError."""
+    try:
+        yield
+    except InputError:
+        raise
+    except (ValueError, TypeError) as exc:
+        raise InputError(f"{path}: malformed contents ({exc})") from exc
+
+
 def load_matrix(path: str | Path) -> TransitionMatrix:
     """Read {"size": s, "rows": [[0/1, ...], ...]}."""
     data = _load_json(path)
     if "rows" not in data:
         raise InputError(f"{path}: missing 'rows'")
     rows = data["rows"]
-    if "size" in data and len(rows) != int(data["size"]):
-        raise InputError(f"{path}: 'size' is {data['size']} but {len(rows)} rows given")
-    return transition_matrix(rows)
+    with _parsing(path):
+        if "size" in data and len(rows) != int(data["size"]):
+            raise InputError(f"{path}: 'size' is {data['size']} but {len(rows)} rows given")
+        return transition_matrix(rows)
 
 
 def save_matrix(path: str | Path, A: TransitionMatrix) -> None:
@@ -75,7 +88,8 @@ def load_model(path_or_preset: str | Path) -> ExpandingModel:
     data = _load_json(path_or_preset)
     if "branches" not in data:
         raise InputError(f"{path_or_preset}: missing 'branches'")
-    return build_model(data["branches"], circle=bool(data.get("circle", False)))
+    with _parsing(path_or_preset):
+        return build_model(data["branches"], circle=bool(data.get("circle", False)))
 
 
 def fmt(x) -> str:

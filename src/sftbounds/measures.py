@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -28,9 +29,13 @@ from .sft import (
     word_index,
     word_str,
 )
-from .spectral import PerronData
+
+if TYPE_CHECKING:  # annotations only: spectral imports stationary_vector from here
+    from .spectral import PerronData
 
 STATIONARITY_TOL = 1e-12
+# Width of a power iteration's rounding floor, in ulps of the largest entry.
+ROUNDING_ULPS = 16
 
 
 @dataclass(frozen=True)
@@ -83,15 +88,20 @@ def parry_measure(A: TransitionMatrix, eig: PerronData) -> MarkovMeasure:
 
 
 def stationary_vector(Q: np.ndarray, tol: float = 1e-14, max_iter: int = 1_000_000) -> np.ndarray:
-    """Stationary probability vector of a stochastic matrix, or one row per matrix
-    of a stack (k, s, s), by power iteration on Q^T.
+    """Dominant left eigenvector of a nonnegative primitive matrix, or one row per
+    matrix of a stack (k, s, s), by power iteration on Q^T with unit-sum iterates;
+    for a stochastic matrix this is its stationary probability vector.
 
-    A chain stops when max |rQ - r| falls to `tol`, or when the update size hits
-    a rounding limit cycle while the drift is already far below the stationarity
-    tolerance of markov_measure. All chains are iterated at once; a chain leaves
-    the batch on the step it stops. The stacked matmul is bitwise equal to each
-    chain's own x @ Q (einsum is not), and the drift's y @ Q is the next step's
-    product, so every row ends on the bits of a chain iterated alone.
+    A chain stops when max |rQ - r| falls to `tol`, or at a rounding limit
+    cycle: the update size stops shrinking while it and the next update, the
+    scale-free drift max |rQ/sum(rQ) - r|, are far below the stationarity
+    tolerance of markov_measure (1e-12). With tol=0 only a limit cycle ends a
+    chain, and only one within ROUNDING_ULPS of the largest entry, so a
+    Perron vector (root other than 1) is iterated to its rounding floor.
+    All chains are iterated at once; a chain leaves the batch on the step
+    it stops. The stacked matmul is bitwise equal to each chain's own
+    x @ Q (einsum is not), and the drift's y @ Q is the next step's product,
+    so every row ends on the bits of a chain iterated alone.
     """
     Q = np.asarray(Q, dtype=float)
     stack = Q if Q.ndim == 3 else Q[None]
@@ -108,7 +118,13 @@ def stationary_vector(Q: np.ndarray, tol: float = 1e-14, max_iter: int = 1_000_0
         z = (y[:, None, :] @ stack)[:, 0, :]
         drift = np.abs(z - y).max(axis=1)
         inc = np.abs(y - x).max(axis=1)
-        done = (drift <= tol) | ((inc >= inc_prev) & (inc <= 1e-12) & (drift <= 1e-12))
+        done = drift <= tol
+        floor = (inc >= inc_prev) & (inc <= 1e-12)
+        if floor.any():
+            # this update and the next one, max |rQ/sum(rQ) - r|, which is scale-free
+            step = np.maximum(inc, np.abs(z / z.sum(axis=1, keepdims=True) - y).max(axis=1))
+            width = 1e-12 if tol > 0 else ROUNDING_ULPS * np.finfo(float).eps * y.max(axis=1)
+            done |= floor & (step <= width)
         n_done = np.count_nonzero(done)
         if n_done == len(done):
             out[active] = y
@@ -119,7 +135,7 @@ def stationary_vector(Q: np.ndarray, tol: float = 1e-14, max_iter: int = 1_000_0
             active, stack, y, z, inc = active[keep], stack[keep], y[keep], z[keep], inc[keep]
         x, inc_prev = y, inc
     raise ConvergenceError(
-        f"stationary vector iteration did not converge within {max_iter} steps "
+        f"power iteration did not converge within {max_iter} steps "
         f"for {len(active)} of {k} chains",
         residual=float(drift[~done].max()),
     )

@@ -6,7 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CeilingError, ConvergenceError, InputError, NotPrimitiveError
+from .errors import CeilingError, InputError, NotPrimitiveError
+from .measures import stationary_vector
 from .sft import TransitionMatrix
 
 # Dense eigensolves are restricted to desk-scale matrices.
@@ -26,54 +27,20 @@ class PerronData:
     v: np.ndarray
 
 
-def power_iteration(mat: np.ndarray, tol: float = 1e-14, max_iter: int = 1_000_000):
-    """Dominant eigenpair of a nonnegative primitive matrix from the flat start vector.
-
-    Stops once successive Rayleigh quotients differ by less than `tol`, the
-    componentwise residual is below 1e-13 * lam * max(x), and the residual has
-    hit its rounding floor (no further geometric improvement). Returns (lam, x)
-    with x positive and sum(x) = 1.
-    """
-    n = mat.shape[0]
-    x = np.full(n, 1.0 / n)
-    lam_prev = np.inf
-    resid_prev = np.inf
-    resid = np.inf
-    for _ in range(max_iter):
-        y = mat @ x
-        lam = float(x @ y) / float(x @ x)
-        resid = float(np.max(np.abs(y - lam * x)))
-        small = resid <= 1e-13 * max(lam, 1.0) * float(np.max(x))
-        plateaued = resid == 0.0 or resid > 0.5 * resid_prev
-        if abs(lam - lam_prev) < tol and small and plateaued:
-            return lam, x
-        lam_prev = lam
-        resid_prev = resid
-        total = float(y.sum())
-        if total <= 0.0:
-            raise ConvergenceError("iterate left the positive cone", residual=resid)
-        x = y / total
-    raise ConvergenceError(
-        f"power iteration did not converge within {max_iter} iterations",
-        residual=resid,
-    )
-
-
-def perron_eigendata(A: TransitionMatrix, tol: float = 1e-14, max_iter: int = 1_000_000) -> PerronData:
+def perron_eigendata(A: TransitionMatrix) -> PerronData:
     """Perron root and eigenvectors of a primitive transition matrix.
 
-    Power iteration on A gives (lam, v); on A transposed gives (lam, u).
+    One batched power iteration on the stack (A^T, A) gives v and u, each run
+    to its rounding floor (`stationary_vector` with tol=0); lam is the mean of
+    their Rayleigh quotients.
     """
     if not A.primitive:
         raise NotPrimitiveError(
             "transition matrix is not primitive; no unique dominant eigenpair"
         )
-    if tol <= 0:
-        raise InputError(f"tolerance must be positive, got {tol}")
     arr = A.array.astype(float)
-    lam_right, v = power_iteration(arr, tol, max_iter)
-    lam_left, u = power_iteration(arr.T, tol, max_iter)
-    lam = 0.5 * (lam_right + lam_left)
+    v, u = stationary_vector(np.stack([arr.T, arr]), tol=0.0)
+    lam = 0.5 * (float(v @ (arr @ v)) / float(v @ v) + float(u @ (arr.T @ u)) / float(u @ u))
     v = v / v.sum()
     u = u / float(u @ v)
     u.setflags(write=False)

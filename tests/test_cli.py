@@ -137,6 +137,25 @@ def test_malformed_json_exits_two(capsys, tmp_path):
     assert "malformed JSON" in captured.err
 
 
+_GOLDEN_BRANCH = {"domain": [0.0, 0.5], "slope": 2.0, "intercept": 0.0}
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("analyze", {"rows": [[1, 1], [1]]}),
+    ("analyze", {"size": "x", "rows": [[1, 1], [1, 0]]}),
+    ("model-dim", {"branches": [_GOLDEN_BRANCH,
+                                {"domain": [0.5, 0.75], "slope": "x", "intercept": -1.0}]}),
+    ("model-dim", {"branches": 3}),
+], ids=["ragged-rows", "size-not-int", "slope-not-number", "branches-not-list"])
+def test_malformed_contents_exit_two(capsys, tmp_path, command, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    flag = ["--matrix", str(path)] if command == "analyze" else ["--model", str(path), "--x0", "0.3"]
+    code = main([command, *flag])
+    assert code == 2
+    assert "input error" in capsys.readouterr().err
+
+
 def test_non_primitive_matrix_exits_two(capsys, tmp_path):
     path = tmp_path / "cycle.json"
     path.write_text(json.dumps({"size": 2, "rows": [[0, 1], [1, 0]]}))

@@ -300,11 +300,12 @@ def scalar_stationary(Q, tol=1e-14, max_iter=1_000_000):
     for _ in range(max_iter):
         y = x @ Q
         y = y / y.sum()
-        drift = float(np.max(np.abs(y @ Q - y)))
+        z = y @ Q
+        drift = float(np.max(np.abs(z - y)))
         if drift <= tol:
             return y, "drift"
         inc = float(np.max(np.abs(y - x)))
-        if inc >= inc_prev and inc <= 1e-12 and drift <= 1e-12:
+        if inc >= inc_prev and inc <= 1e-12 and np.max(np.abs(z / z.sum() - y)) <= 1e-12:
             return y, "cycle"
         inc_prev = inc
         x = y

@@ -50,3 +50,11 @@ def test_model_dim_script(tmp_path):
     lines = (tmp_path / "out" / "model_dim.csv").read_text().splitlines()
     assert len(lines) == 3
     assert (tmp_path / "out" / "model_dim_summary.json").exists()
+
+
+def test_model_dim_script_empty_survivor_set(tmp_path):
+    # the largest hole empties the pruned survivor set: its box count is 0, like its bound
+    run_script("run_model_dim.py", "--model", "golden", "--x0", "0.3", "--delta-min", "0.003",
+               out_dir=tmp_path / "out")
+    last = (tmp_path / "out" / "model_dim.csv").read_text().splitlines()[-1].split(",")
+    assert last[4] == last[5] == "0.0"

@@ -41,12 +41,92 @@ def test_non_primitive_rejected():
         perron_eigendata(A)
 
 
-def test_nonconvergence_reports_residual(golden):
-    from sftbounds.errors import ConvergenceError
+# Perron data of the benchmark matrices, as float.hex: (lam, u, v). Every `hole` and
+# `model-dim` output on them is a function of these bits.
+PINNED = {
+    "full2": ([[1, 1], [1, 1]], "0x1.0000000000000p+1",
+              ["0x1.0000000000000p+0"] * 2, ["0x1.0000000000000p-1"] * 2),
+    "golden": ([[1, 1], [1, 0]], "0x1.9e3779b97f4a8p+0",
+               ["0x1.2bbae2a27f931p+0", "0x1.727c9716ffb75p-1"],
+               ["0x1.3c6ef372fe950p-1", "0x1.8722191a02d61p-2"]),
+    "full3": ([[1, 1, 1]] * 3, "0x1.8000000000000p+1",
+              ["0x1.0000000000000p+0"] * 3, ["0x1.5555555555555p-2"] * 3),
+    "wide3": ([[1, 1, 0], [0, 1, 1], [1, 0, 1]], "0x1.0000000000000p+1",
+              ["0x1.0000000000000p+0"] * 3, ["0x1.5555555555555p-2"] * 3),
+}
 
-    with pytest.raises(ConvergenceError) as info:
-        perron_eigendata(golden, max_iter=1)
-    assert info.value.residual is not None
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_benchmark_eigendata_bits(name):
+    rows, lam, u, v = PINNED[name]
+    eig = perron_eigendata(transition_matrix(rows))
+    assert eig.lam.hex() == lam
+    assert [x.hex() for x in eig.u] == u
+    assert [x.hex() for x in eig.v] == v
+
+
+def mp_perron(A):
+    """Perron root and left/right vectors of A at 40 digits by mpmath.eig, with the
+    PerronData normalization: sum(v) = 1 and u . v = 1."""
+    import mpmath  # only this oracle needs it
+
+    with mpmath.workdps(40):
+        E, EL, ER = mpmath.eig(mpmath.matrix(A.array.tolist()), left=True, right=True)
+        i = max(range(A.size), key=lambda j: mpmath.re(E[j]))
+        v = [mpmath.re(ER[j, i]) for j in range(A.size)]
+        u = [mpmath.re(EL[i, j]) for j in range(A.size)]
+        total = sum(v)
+        v = [x / total for x in v]
+        uv = sum(a * b for a, b in zip(u, v))
+        u = [x / uv for x in u]
+        return mpmath.re(E[i]), u, v
+
+
+def assert_matches_oracle(A):
+    eig = perron_eigendata(A)
+    lam, u, v = mp_perron(A)
+    assert abs(eig.lam - lam) <= 1e-14 * lam
+    for got, want in ((eig.u, u), (eig.v, v)):
+        for x, y in zip(got, want):
+            assert abs(x - y) <= 1e-14 * y
+
+
+def test_eigendata_matches_mpmath_oracle():
+    rng = np.random.default_rng(40)
+    checked = 0
+    while checked < 48:
+        s = int(rng.integers(2, 9))
+        try:
+            A = transition_matrix((rng.random((s, s)) < rng.uniform(0.25, 0.9)).astype(int))
+        except InputError:  # a zero row or column
+            continue
+        if A.primitive:
+            assert_matches_oracle(A)
+            checked += 1
+
+
+def wielandt(n):
+    """The cycle 0 -> 1 -> ... -> n-1 -> 0 plus the chord n-1 -> 1: the slowest mixing
+    primitive n x n matrix (|mu| / lam = 0.988 for n = 8)."""
+    rows = np.roll(np.eye(n, dtype=int), 1, axis=1)
+    rows[n - 1, 1] = 1
+    return rows
+
+
+@pytest.mark.parametrize("rows", [
+    # complex subdominant pairs make the update size oscillate; a stop on its
+    # first rise below 1e-12 leaves relative errors of 6e-13 to 1.3e-12 on the
+    # first three, and above 1e-14 on all four
+    [[0, 0, 1, 0, 0, 0], [1, 0, 0, 1, 1, 0], [0, 1, 0, 0, 1, 1], [0, 0, 1, 0, 1, 0],
+     [0, 0, 1, 0, 0, 0], [1, 1, 0, 1, 0, 0]],
+    [[0, 0, 1, 1, 0], [0, 0, 0, 1, 0], [1, 1, 0, 0, 1], [0, 0, 1, 0, 0], [0, 0, 0, 1, 1]],
+    [[0, 0, 0, 0, 0, 1, 0, 1], [1, 0, 0, 0, 0, 0, 0, 0], [0, 0, 1, 0, 1, 1, 1, 0],
+     [0, 0, 0, 0, 0, 0, 0, 1], [1, 0, 0, 0, 1, 0, 0, 1], [0, 1, 0, 0, 0, 0, 1, 0],
+     [0, 1, 0, 1, 0, 0, 0, 0], [1, 0, 1, 0, 0, 0, 0, 0]],
+    wielandt(8),
+], ids=["osc6", "osc5", "osc8", "wielandt8"])
+def test_eigendata_matches_mpmath_oracle_on_oscillating_updates(rows):
+    assert_matches_oracle(transition_matrix(rows))
 
 
 def test_transpose_swaps_left_and_right():
