@@ -25,13 +25,10 @@ from .errors import (
 from .holes import (
     HoleFamilyScan,
     HoleRow,
-    HoleSpec,
     PrunedSystem,
-    cover_count,
     dim_upper_bound,
     higher_block_prune,
     hole_family_scan,
-    hole_spec,
     prune_words,
     pruned_word_count,
     survivor_entropy,
@@ -78,7 +75,6 @@ from .sft import (
     full_shift,
     golden_mean_shift,
     is_admissible,
-    metric_distance,
     parse_word,
     predecessors,
     transition_matrix,

@@ -10,6 +10,7 @@ oscillation max f - min f <= |f|_theta, which implies the stated bound.
 
 from __future__ import annotations
 
+import statistics
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -265,7 +266,8 @@ def ratio_scan(
     else:
         max_ratio, argmax_id = float("nan"), -1
     usable = [s for s in slopes if np.isfinite(s)]
-    slope = float(np.median(usable)) if usable else float("nan")
+    # statistics, not np.median: that loads numpy.ma on first use.
+    slope = float(statistics.median(usable)) if usable else float("nan")
     return ScanSummary(
         rows=tuple(rows),
         max_ratio=float(max_ratio),

@@ -9,7 +9,9 @@ most one successor per symbol), never as a dense float matrix. Its spectral
 radius comes from a power iteration over all strongly connected components at
 once; each component stops on the width of its own Collatz-Wielandt bracket,
 a proven enclosure of the Perron root (Lind-Marcus, Symbolic Dynamics and
-Coding, Ch. 4).
+Coding, Ch. 4). The components come from `sft._strong_components`, a numpy
+forward-backward colouring of the same table, so no sparse-matrix library is
+needed.
 
 A hole scan builds the k-block table once per depth k. Every hole word of
 depth k is one state of it, so the graph for that hole is the table minus one
@@ -26,16 +28,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import ConvergenceError, InputError
-from .measures import cylinder_measure, cylinder_measure_vector, parry_measure
+from .measures import cylinder_measure_vector, parry_measure
 from .sft import (
     MetricParams,
     TransitionMatrix,
     Word,
     _path_count,
+    _strong_components,
     is_admissible,
     word_array,
     word_codes,
@@ -46,28 +47,6 @@ PRUNE_STATE_CEILING = 50_000
 # Most block-table states one batched solve in hole_family_scan stacks; it
 # bounds that solve's working set.
 HOLE_CHUNK_STATES = 4096
-
-
-@dataclass(frozen=True)
-class HoleSpec:
-    """A forbidden cylinder: the word, its depth, the symbolic ball radius
-    theta**-depth, and its Parry measure."""
-
-    word: Word
-    depth: int
-    delta: float
-    measure: float
-
-
-def hole_spec(A: TransitionMatrix, eig: PerronData, word, params: MetricParams = MetricParams()) -> HoleSpec:
-    w = tuple(word)
-    if not is_admissible(A, w):
-        raise InputError(f"hole word {w} is not admissible")
-    m = parry_measure(A, eig)
-    measure = cylinder_measure(m, w)
-    if not 0.0 < measure < 1.0:
-        raise InputError(f"hole measure {measure} outside (0, 1)")
-    return HoleSpec(w, len(w), params.theta ** (-len(w)), measure)
 
 
 @dataclass(frozen=True)
@@ -112,17 +91,18 @@ def _component_radii(succ: np.ndarray, tol: float = 1e-13, max_iter: int = 100_0
     n = succ.shape[0]
     if n == 0:
         return np.zeros(0)
-    src, col = np.nonzero(succ >= 0)
-    graph = csr_matrix((np.ones(len(src)), (src, succ[src, col])), shape=(n, n))
-    ncomp, labels = connected_components(graph, directed=True, connection="strong")
+    labels = _strong_components(succ)
+    ncomp = int(labels.max()) + 1
     # Sorted by component, the active states form one run per component.
     # Edges that leave a component, like the -1 padding, gather the zero kept
-    # at the end of the iterate.
+    # at the end of the iterate. Each symbol's targets are one contiguous
+    # column, so the gathers read them in order.
     order = np.argsort(labels, kind="stable")
     pos = np.empty(n, dtype=np.int64)
     pos[order] = np.arange(n)
     nxt = succ[order]
     sub = np.where((nxt >= 0) & (labels[nxt] == labels[order, None]), pos[nxt], -1)
+    cols = [np.ascontiguousarray(c) for c in sub.T]
     comp = np.arange(ncomp)  # the active components, in run order
     sizes = np.bincount(labels, minlength=ncomp)
     starts = np.cumsum(sizes) - sizes
@@ -130,9 +110,9 @@ def _component_radii(succ: np.ndarray, tol: float = 1e-13, max_iter: int = 100_0
     x = np.ones(n + 1)
     x[-1] = 0.0
     for _ in range(max_iter):
-        y = x[sub[:, 0]]
-        for c in range(1, sub.shape[1]):
-            y += x[sub[:, c]]
+        y = x[cols[0]]
+        for c in cols[1:]:
+            y += x[c]
         y += x[:-1]
         ratio = y / x[:-1]
         lo = np.minimum.reduceat(ratio, starts)
@@ -144,9 +124,9 @@ def _component_radii(succ: np.ndarray, tol: float = 1e-13, max_iter: int = 100_0
         y /= np.repeat(hi, sizes)
         if done.any():
             alive = np.repeat(~done, sizes)
-            renumber = np.cumsum(alive) - 1
-            sub = sub[alive]
-            sub = np.where(sub >= 0, renumber[sub], -1)
+            # Whole components leave, so live states point only at live ones.
+            renumber = np.append(np.cumsum(alive) - 1, -1)
+            cols = [renumber[c[alive]] for c in cols]
             y = y[alive]
             comp, sizes = comp[~done], sizes[~done]
             starts = np.cumsum(sizes) - sizes
@@ -260,17 +240,6 @@ def dim_upper_bound(h: float, log_lambda: float, dim_m: float, log_theta_cap: fl
     if h > log_lambda + 1e-12:
         raise InputError(f"survivor entropy {h} exceeds log lambda {log_lambda}")
     return dim_m - (log_lambda - h) / log_theta_cap
-
-
-def cover_count(n: int, h: float, log_lambda: float, dim_m: float, log_theta_cap: float, a: float) -> float:
-    """a * exp(n h - n log_lambda + n dim_m log_theta_cap): the size of a cover
-    by balls of radius Theta**-n; its log over n log Theta tends to the
-    dimension bound."""
-    if n < 1:
-        raise InputError(f"n must be at least 1, got {n}")
-    if a <= 0.0:
-        raise InputError(f"prefactor must be positive, got {a}")
-    return a * math.exp(n * (h - log_lambda + dim_m * log_theta_cap))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
-"""File formats: matrices, measures, locally constant functions, and models as
-JSON; CSV detail tables with deterministic float rendering."""
+"""File formats: matrices and models as JSON; CSV detail tables with
+deterministic float rendering."""
 
 from __future__ import annotations
 
@@ -11,12 +11,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError
-from .measures import (
-    LocallyConstantFunction,
-    MarkovMeasure,
-    function_from_dict,
-    markov_measure,
-)
 from .models import ExpandingModel, build_model, model_preset
 from .sft import TransitionMatrix, transition_matrix
 
@@ -55,28 +49,6 @@ def load_matrix(path: str | Path) -> TransitionMatrix:
         if "size" in data and len(rows) != int(data["size"]):
             raise InputError(f"{path}: 'size' is {data['size']} but {len(rows)} rows given")
         return transition_matrix(rows)
-
-
-def save_matrix(path: str | Path, A: TransitionMatrix) -> None:
-    write_json(path, {"size": A.size, "rows": [list(row) for row in A.rows]})
-
-
-def load_measure(path: str | Path, A: TransitionMatrix) -> MarkovMeasure:
-    """Read {"stationary": [...], "transition": [[...], ...]} over the matrix A."""
-    data = _load_json(path)
-    for key in ("stationary", "transition"):
-        if key not in data:
-            raise InputError(f"{path}: missing '{key}'")
-    return markov_measure(data["stationary"], data["transition"], A)
-
-
-def load_function(path: str | Path, A: TransitionMatrix) -> LocallyConstantFunction:
-    """Read {"depth": d, "values": {"word": x, ...}}; every admissible word required."""
-    data = _load_json(path)
-    for key in ("depth", "values"):
-        if key not in data:
-            raise InputError(f"{path}: missing '{key}'")
-    return function_from_dict(A, int(data["depth"]), data["values"])
 
 
 def load_model(path_or_preset: str | Path) -> ExpandingModel:

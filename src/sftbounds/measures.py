@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
+import numpy.random  # numpy loads it lazily; load it here, not in the first sampling call
 
 from .errors import ConvergenceError, InputError
 from .sft import (

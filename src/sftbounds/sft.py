@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import CeilingError, InputError
 
@@ -127,8 +125,7 @@ def validate_structure(entries) -> StructureFlags:
     if (col_sums == 0).any():
         j = int(np.argmin(col_sums))
         raise InputError(f"column {j} is all zeros: symbol {j} has no admissible predecessor")
-    n_comp, _ = connected_components(csr_matrix(arr), directed=True, connection="strong")
-    irreducible = bool(n_comp == 1)
+    irreducible = bool((_strong_components(np.where(arr > 0, np.arange(s), -1)) == 0).all())
     primitive = irreducible and _is_primitive(arr)
     diagonal_ones = bool((np.diag(arr) == 1).all())
     return StructureFlags(irreducible, primitive, diagonal_ones)
@@ -169,6 +166,57 @@ def _path_count(succ: np.ndarray, steps: int) -> int:
     for _ in range(steps):
         counts[:-1] = counts[succ].sum(axis=1)
     return int(counts.sum())
+
+
+def _strong_components(succ: np.ndarray) -> np.ndarray:
+    """Strongly connected component of each state of a successor table's graph
+    (entry [i, c] of `succ` a successor of state i, or -1 for none), numbered
+    0.. in order of their least state.
+
+    Forward-backward colouring (Fleischer, Hendrickson and Pinar, "On
+    identifying strongly connected components in parallel", 2000), all
+    components of a round at once. Forward, f[u] is the least state reachable
+    from u: min-label propagation over successors, with the pointer jump
+    f = f[f], sound because f[u] is itself reachable from u. The states with
+    f == r all reach r, and the component of r is those that r reaches inside
+    that class: the states whose least in-class ancestor, by the same
+    propagation backward over in-class edges, is r. Those components are
+    removed and the rest goes round again.
+    """
+    n = succ.shape[0]
+    root = np.empty(n, dtype=np.int64)  # least state of each state's component
+    alive = np.arange(n)  # the open states, ascending, so local order is global order
+    cols = [np.ascontiguousarray(c) for c in succ.T]
+    while len(alive):
+        local = np.arange(len(alive))
+        f = np.append(local, len(alive))  # the -1 padding gathers this sentinel
+        while True:
+            g = f[:-1].copy()
+            for c in cols:
+                np.minimum(g, f[c], out=g)
+            g = g[g]
+            if (g == f[:-1]).all():
+                break
+            f[:-1] = g
+        f = f[:-1]
+        src, dst = np.tile(local, len(cols)), np.concatenate(cols)
+        inside = (dst >= 0) & (f[src] == f[dst])
+        src, dst = src[inside], dst[inside]
+        b = local
+        while True:
+            g = b.copy()
+            np.minimum.at(g, dst, b[src])
+            g = g[g]
+            if (g == b).all():
+                break
+            b = g
+        done = b == f
+        root[alive[done]] = alive[f[done]]
+        # Edges into finished states become -1 padding, like the padding itself.
+        renumber = np.append(np.where(done, -1, np.cumsum(~done) - 1), -1)
+        cols = [renumber[c[~done]] for c in cols]
+        alive = alive[~done]
+    return (np.cumsum(root == np.arange(n)) - 1)[root]
 
 
 def word_count(A: TransitionMatrix, k: int) -> int:
@@ -231,21 +279,6 @@ def predecessors(A: TransitionMatrix, j: int) -> tuple[int, ...]:
     if not 0 <= j < A.size:
         raise InputError(f"symbol {j} out of range 0..{A.size - 1}")
     return A.predecessor_sets[j]
-
-
-def metric_distance(x, y, params: MetricParams) -> float:
-    """theta ** -t where t is the agreement length of the two words.
-
-    Words must have equal length L; identical words get t = L.
-    """
-    if len(x) != len(y):
-        raise InputError(f"words must have equal length, got {len(x)} and {len(y)}")
-    t = 0
-    for a, b in zip(x, y):
-        if a != b:
-            break
-        t += 1
-    return params.theta ** (-t)
 
 
 def word_str(word, size: int) -> str:

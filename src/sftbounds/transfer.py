@@ -14,11 +14,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .errors import ConvergenceError, InputError
 from .measures import LocallyConstantFunction, cylinder_measure_vector, parry_measure
-from .sft import TransitionMatrix, enumerate_words, predecessors, word_array, word_codes, word_index
+from .sft import (
+    TransitionMatrix,
+    enumerate_words,
+    predecessors,
+    word_array,
+    word_codes,
+    word_count,
+    word_index,
+)
 from .spectral import PerronData, subdominant_modulus
 
 # decay_estimate sums at most this many depth-1 terms before its tail must close.
@@ -37,28 +44,41 @@ def lip_seminorm(f: LocallyConstantFunction) -> float:
     return float(max(0.0, f.values.max() - f.values.min()))
 
 
-def _kernel(A: TransitionMatrix, eig: PerronData, depth: int) -> csr_matrix:
-    """The operator from depth-`depth` words to depth-max(depth-1, 1) words, as a
-    sparse matrix with entries u_i/(lam u_j): row w sums over i -> w0 the value at
-    i.w[:depth-1], its columns in ascending i."""
+def _kernel(A: TransitionMatrix, eig: PerronData, depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """The operator from depth-`depth` words to depth-max(depth-1, 1) words, as
+    two (rows, s) tables: for i -> w0, entry [w, i] of `cols` is the column of
+    the word i.w[:depth-1] and that of `weights` is u_i/(lam u_w0); for other i
+    they are -1 and 0.0, and the -1 gathers a 0.0 appended to the values."""
     out = word_array(A, max(depth - 1, 1))
-    # Row-major nonzeros: the rows in order, each row's predecessors i ascending.
-    rows, i = np.nonzero(A.array[:, out[:, 0]].T)
+    head = out[:, 0]
+    edge = A.array[:, head].T > 0
     # Column of row w's term i: the code of the word i.w[:depth-1].
-    codes = word_codes(A, depth)
-    target = i * A.size ** (depth - 1)
+    target = np.arange(A.size) * A.size ** (depth - 1)
     if depth > 1:
-        target += word_codes(A, depth - 1)[rows]
-    cols = np.searchsorted(codes, target)
-    vals = eig.u[i] / (eig.lam * eig.u[out[rows, 0]])
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=len(out)))])
-    return csr_matrix((vals, cols, indptr), shape=(len(out), len(codes)))
+        target = target + word_codes(A, depth - 1)[:, None]
+    cols = np.where(edge, np.searchsorted(word_codes(A, depth), target), -1)
+    weights = np.where(edge, eig.u / (eig.lam * eig.u[head, None]), 0.0)
+    return cols, weights
+
+
+def _dense(A: TransitionMatrix, eig: PerronData, depth: int) -> np.ndarray:
+    """The `_kernel` tables as a dense (rows, words) matrix."""
+    cols, weights = _kernel(A, eig, depth)
+    dense = np.zeros((len(cols), word_count(A, depth)))
+    rows, i = np.nonzero(cols >= 0)
+    dense[rows, cols[rows, i]] = weights[rows, i]
+    return dense
 
 
 def transfer_apply(f: LocallyConstantFunction, eig: PerronData) -> LocallyConstantFunction:
-    """Apply the operator once: (Lf)(w) = sum over i -> w0 of u_i/(lam u_w0) f(i.w)."""
-    K = _kernel(f.matrix, eig, f.depth)
-    return LocallyConstantFunction(f.matrix, max(f.depth - 1, 1), K @ f.values)
+    """Apply the operator once: (Lf)(w) = sum over i -> w0 of u_i/(lam u_w0) f(i.w),
+    the terms added in ascending i from +0.0."""
+    cols, weights = _kernel(f.matrix, eig, f.depth)
+    values = np.append(f.values, 0.0)
+    out = np.zeros(len(cols))
+    for i in range(cols.shape[1]):
+        out += weights[:, i] * values[cols[:, i]]
+    return LocallyConstantFunction(f.matrix, max(f.depth - 1, 1), out)
 
 
 def transfer_matrix(A: TransitionMatrix, eig: PerronData, depth: int):
@@ -68,7 +88,7 @@ def transfer_matrix(A: TransitionMatrix, eig: PerronData, depth: int):
     out_depth = max(depth - 1, 1)
     image = word_index(A, out_depth)
     rows = [image[w[:out_depth]] for w in words]
-    return _kernel(A, eig, depth).toarray()[rows], words
+    return _dense(A, eig, depth)[rows], words
 
 
 def conditional_expectation_check(f: LocallyConstantFunction, eig: PerronData) -> float:
@@ -143,7 +163,7 @@ def decay_estimate(A: TransitionMatrix, eig: PerronData, depth: int) -> DecayEst
     """
     if depth < 1:
         raise InputError(f"depth must be at least 1, got {depth}")
-    M1 = _kernel(A, eig, 1).toarray()
+    M1 = _dense(A, eig, 1)
     M10 = M1 - parry_measure(A, eig).stationary[None, :]
     power = np.eye(A.size)
     norms = []

@@ -204,12 +204,60 @@ def test_bad_tol_exits_two(capsys, golden_path, tol):
     assert "tol" in capsys.readouterr().err
 
 
-def test_import_leaves_scipy_special_out():
-    probe = "import sys, sftbounds; print('scipy.special' in sys.modules)"
+def run_python(probe):
+    """stdout of `python -c probe` in a fresh interpreter that imports this sftbounds."""
     env = {**os.environ, "PYTHONPATH": str(Path(sftbounds.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env=env)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_import_leaves_scipy_special_out():
+    probe = "import sys, sftbounds.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    assert run_python(probe) == "[]"
+
+
+def test_scan_pipelines_import_no_numpy_module_after_setup(tmp_path, golden_path):
+    # A module numpy loads lazily on first use would be timed with the work.
+    runs = [
+        ["verify", "--matrix", str(golden_path), "--samples", "20", "--depth", "2"],
+        ["entropy", "--matrix", str(golden_path), "--samples", "5"],
+        ["transfer-decay", "--matrix", str(golden_path), "--depth", "3"],
+    ]
+    for i, argv in enumerate(runs):
+        argv += ["--out", str(tmp_path / f"run{i}.json")]
+    probe = (
+        "import contextlib, io, sys\n"
+        "from sftbounds.cli import main\n"
+        "before = set(sys.modules)\n"
+        f"for argv in {runs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0\n"
+        "print(sorted(m for m in set(sys.modules) - before if m.split('.')[0] == 'numpy'))\n"
+    )
+    assert run_python(probe) == "[]"
+
+
+def test_cli_runs_with_scipy_blocked(tmp_path, golden_path, full2_path):
+    # A None entry in sys.modules makes every `import scipy...` raise ImportError.
+    runs = [
+        ["verify", "--matrix", str(full2_path), "--samples", "20", "--depth", "2"],
+        ["entropy", "--matrix", str(golden_path), "--samples", "5"],
+        ["transfer-decay", "--matrix", str(golden_path), "--depth", "3"],
+        ["hole", "--matrix", str(golden_path), "--max-hole-depth", "4"],
+        ["model-dim", "--model", "doubling", "--x0", "0.125", "--delta", "0.01"],
+    ]
+    for i, argv in enumerate(runs):
+        argv += ["--out", str(tmp_path / f"run{i}.json")]
+    probe = (
+        "import contextlib, io, sys; sys.modules['scipy'] = None\n"
+        "from sftbounds.cli import main\n"
+        f"for argv in {runs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = main(argv)\n"
+        "    print(code)\n"
+    )
+    assert run_python(probe).split() == ["0"] * len(runs)
 
 
 def test_convergence_error_exits_three(capsys, monkeypatch, golden_path):

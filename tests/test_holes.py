@@ -14,8 +14,6 @@ from sftbounds import (
     CeilingError,
     ConvergenceError,
     InputError,
-    MetricParams,
-    cover_count,
     dim_upper_bound,
     enumerate_words,
     exceptional_dimension_bound,
@@ -23,7 +21,6 @@ from sftbounds import (
     golden_mean_shift,
     higher_block_prune,
     hole_family_scan,
-    hole_spec,
     model_preset,
     perron_eigendata,
     prune_words,
@@ -141,24 +138,6 @@ def test_dim_upper_bound_examples():
         dim_upper_bound(math.log(2) + 1e-6, math.log(2), 1.0, math.log(2))
     with pytest.raises(InputError):
         dim_upper_bound(0.0, math.log(2), 1.0, 0.0)
-
-
-def test_cover_count_scaling_and_limit():
-    h, log_lam, dim_m, log_cap = math.log(PHI), math.log(2), 1.0, math.log(2)
-    assert cover_count(5, h, log_lam, dim_m, log_cap, 2.0) == 2 * cover_count(5, h, log_lam, dim_m, log_cap, 1.0)
-    n = 1000
-    limit = math.log(cover_count(n, h, log_lam, dim_m, log_cap, 2.0)) / (n * log_cap)
-    target = dim_m - (log_lam - h) / log_cap
-    assert abs(limit - target) <= 1e-2
-
-
-def test_hole_spec_fields(golden, eig_golden):
-    spec = hole_spec(golden, eig_golden, (0, 0), MetricParams(2.0))
-    assert spec.depth == 2
-    assert spec.delta == 0.25
-    assert 0.0 < spec.measure < 1.0
-    with pytest.raises(InputError):
-        hole_spec(golden, eig_golden, (1, 1))
 
 
 def test_family_scan_full_shift(full2):

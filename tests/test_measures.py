@@ -29,7 +29,6 @@ from sftbounds import (
     stationary_vector,
     transition_matrix,
 )
-from sftbounds.io import load_function, load_measure
 from sftbounds.measures import cylinder_measure_vector
 
 
@@ -241,41 +240,35 @@ def test_centered_has_zero_integral(golden, eig_golden):
     assert abs(integrate(centered(f, m), m)) <= 1e-14
 
 
-def test_measure_json_roundtrip(tmp_path, golden):
+def test_measure_json_roundtrip(golden):
     mu = sample_markov(golden, seed=3)
-    path = tmp_path / "measure.json"
-    path.write_text(json.dumps({
+    data = json.loads(json.dumps({
         "stationary": list(mu.stationary),
         "transition": [list(row) for row in mu.transition],
     }))
-    loaded = load_measure(path, golden)
-    assert np.allclose(loaded.stationary, mu.stationary)
-    assert np.allclose(loaded.transition, mu.transition)
+    loaded = markov_measure(data["stationary"], data["transition"], golden)
+    assert np.array_equal(loaded.stationary, mu.stationary)
+    assert np.array_equal(loaded.transition, mu.transition)
 
 
-def test_measure_json_rejects_unsupported_transition(tmp_path, golden):
-    path = tmp_path / "measure.json"
-    path.write_text(json.dumps({
+def test_measure_json_rejects_unsupported_transition(golden):
+    data = json.loads(json.dumps({
         "stationary": [0.5, 0.5],
         "transition": [[0.0, 1.0], [0.5, 0.5]],  # uses the forbidden 1 -> 1 edge
     }))
     with pytest.raises(InputError):
-        load_measure(path, golden)
+        markov_measure(data["stationary"], data["transition"], golden)
 
 
-def test_function_json_requires_every_word(tmp_path, golden):
-    path = tmp_path / "f.json"
-    path.write_text(json.dumps({"depth": 2, "values": {"00": 1.0, "01": 2.0}}))
+def test_function_json_requires_every_word(golden):
     with pytest.raises(InputError, match="missing"):
-        load_function(path, golden)
+        function_from_dict(golden, 2, json.loads('{"00": 1.0, "01": 2.0}'))
 
 
-def test_function_json_roundtrip(tmp_path, golden):
+def test_function_json_roundtrip(golden):
     f = random_function(golden, 2, seed=8)
-    path = tmp_path / "f.json"
-    path.write_text(json.dumps({"depth": 2, "values": f.as_dict()}))
-    loaded = load_function(path, golden)
-    assert np.allclose(loaded.values, f.values)
+    loaded = function_from_dict(golden, 2, json.loads(json.dumps(f.as_dict())))
+    assert np.array_equal(loaded.values, f.values)
 
 
 def test_function_from_dict_rejects_inadmissible_word(golden):

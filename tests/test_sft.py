@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from helpers import brute_words, random_primitive_matrices
 from sftbounds import (
@@ -12,7 +14,6 @@ from sftbounds import (
     full_shift,
     golden_mean_shift,
     is_admissible,
-    metric_distance,
     parse_word,
     predecessors,
     validate_structure,
@@ -21,6 +22,7 @@ from sftbounds import (
     word_count,
     word_str,
 )
+from sftbounds.sft import _strong_components
 
 GOLDEN = golden_mean_shift()
 FULL2 = full_shift(2)
@@ -160,56 +162,78 @@ def test_predecessors_nonempty_everywhere():
             assert len(predecessors(A, j)) > 0
 
 
-def test_metric_first_symbol_differs():
-    params = MetricParams(2.0)
-    assert metric_distance((0, 1, 1), (1, 1, 1), params) == 1.0
-
-
-def test_metric_three_symbol_agreement():
-    params = MetricParams(2.0)
-    assert metric_distance((0, 1, 0, 0), (0, 1, 0, 1), params) == 0.125
-
-
-def test_metric_identical_words_convention():
-    params = MetricParams(2.0)
-    assert metric_distance((0, 1, 0, 1, 0), (0, 1, 0, 1, 0), params) == 2.0**-5
-
-
-def test_metric_unequal_lengths_rejected():
-    with pytest.raises(InputError):
-        metric_distance((0, 1), (0, 1, 0), MetricParams(2.0))
-
-
 def test_theta_must_exceed_one():
     with pytest.raises(InputError):
         MetricParams(1.0)
 
 
-_WORDS5 = st.sampled_from(enumerate_words(GOLDEN, 5))
-_THETAS = st.floats(min_value=1.01, max_value=8.0, allow_nan=False)
+def csgraph_components(succ):
+    """Strong-component labels of a successor table's graph, by scipy."""
+    n = succ.shape[0]
+    src, col = np.nonzero(succ >= 0)
+    graph = csr_matrix((np.ones(len(src)), (src, succ[src, col])), shape=(n, n))
+    return connected_components(graph, directed=True, connection="strong")[1]
 
 
-@given(_WORDS5, _WORDS5, _THETAS)
-def test_metric_symmetry(x, y, theta):
-    params = MetricParams(theta)
-    assert metric_distance(x, y, params) == metric_distance(y, x, params)
+def assert_same_partition(got, want):
+    """Equal partitions: the label pairs match one to one."""
+    assert len(got) == len(want)
+    pairs = set(zip(got.tolist(), want.tolist()))
+    assert len(pairs) == len(set(got.tolist())) == len(set(want.tolist()))
 
 
-@given(_WORDS5, _WORDS5, _WORDS5, _THETAS)
-def test_metric_ultrametric(x, y, z, theta):
-    params = MetricParams(theta)
-    dxz = metric_distance(x, z, params)
-    assert dxz <= max(metric_distance(x, y, params), metric_distance(y, z, params)) + 1e-15
+@st.composite
+def successor_tables(draw):
+    """A -1-padded successor table, a block-diagonal stack of 1-3 random ones."""
+    s = draw(st.integers(1, 3))
+    blocks, base = [], 0
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(0, 12))
+        entries = draw(st.lists(st.integers(-1, max(n - 1, 0)), min_size=n * s, max_size=n * s))
+        table = np.array(entries, dtype=np.int64).reshape(n, s)
+        table = np.where((table < 0) | (n == 0), -1, table + base)
+        blocks.append(table)
+        base += n
+    return np.concatenate(blocks)
 
 
-@given(_WORDS5, _WORDS5)
-def test_metric_identity_up_to_convention(x, y):
-    params = MetricParams(2.0)
-    d = metric_distance(x, y, params)
-    if x == y:
-        assert d == 2.0**-5
-    else:
-        assert d > 2.0**-5
+def chain(n, step):
+    """State i -> i + step where that is a state, as a one-column table."""
+    nxt = np.arange(n) + step
+    return np.where((nxt >= 0) & (nxt < n), nxt, -1)[:, None]
+
+
+@given(successor_tables())
+@example(np.zeros((0, 2), dtype=np.int64))
+@example(np.array([[-1]]))
+@example(np.array([[0]]))  # a self-loop
+@example(np.array([[0, 1], [1, -1], [1, 0]]))
+@example(chain(9, 1))
+@example(chain(9, -1))
+@example(np.vstack([chain(4, -1), np.arange(4, 8)[:, None] % 4 + 4]))
+def test_strong_components_match_csgraph(succ):
+    labels = _strong_components(succ)
+    assert labels.shape == (succ.shape[0],)
+    if succ.shape[0] == 0:
+        return
+    assert_same_partition(labels, csgraph_components(succ))
+    # Numbered 0.. in order of their least state.
+    firsts = [int(np.flatnonzero(labels == c)[0]) for c in range(labels.max() + 1)]
+    assert firsts == sorted(firsts)
+
+
+def test_irreducible_flag_matches_csgraph():
+    rng = np.random.default_rng(7)
+    seen = set()
+    for _ in range(400):
+        s = int(rng.integers(2, 8))
+        arr = (rng.random((s, s)) < rng.uniform(0.15, 0.6)).astype(int)
+        if not (arr.any(axis=0).all() and arr.any(axis=1).all()):
+            continue
+        want = connected_components(csr_matrix(arr), directed=True, connection="strong")[0] == 1
+        assert validate_structure(arr).irreducible == want, arr
+        seen.add(bool(want))
+    assert seen == {True, False}
 
 
 def test_word_rendering_roundtrip():

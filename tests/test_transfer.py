@@ -253,18 +253,20 @@ def test_centered_probe_spans(golden, eig_golden):
 
 
 def dict_kernel(A, eig, depth):
-    """The depth-`depth` operator's CSR arrays by a word-index dict, word by word."""
+    """The depth-`depth` operator's padded tables by a word-index dict, word by
+    word: entry [w, i] is the column of i.w[:depth-1] and its weight, or -1 and
+    0.0 when i -> w0 is not allowed."""
     out_words = sorted(brute_words(A, max(depth - 1, 1)))
     index = {w: i for i, w in enumerate(sorted(brute_words(A, depth)))}
     u, lam = eig.u, eig.lam
-    indptr, cols, vals = [0], [], []
-    for w in out_words:
+    cols = np.full((len(out_words), A.size), -1)
+    weights = np.zeros((len(out_words), A.size))
+    for r, w in enumerate(out_words):
         j = w[0]
         for i in predecessors(A, j):
-            cols.append(index[(i,) + w[: depth - 1]])
-            vals.append(u[i] / (lam * u[j]))
-        indptr.append(len(cols))
-    return csr_matrix((vals, cols, indptr), shape=(len(out_words), len(index)))
+            cols[r, i] = index[(i,) + w[: depth - 1]]
+            weights[r, i] = u[i] / (lam * u[j])
+    return cols, weights
 
 
 @pytest.mark.parametrize("size", [2, 3, 4, 5])
@@ -273,7 +275,30 @@ def test_kernel_equals_dict_loop_bitwise(size):
         eig = perron_eigendata(A)
         for depth in range(1, 6):
             got, want = transfer._kernel(A, eig, depth), dict_kernel(A, eig, depth)
-            assert got.shape == want.shape
-            for name in ("data", "indices", "indptr"):
-                a, b = getattr(got, name), getattr(want, name)
-                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (A.rows, depth, name)
+            for name, a, b in zip(("cols", "weights"), got, want):
+                assert a.shape == b.shape and a.dtype == b.dtype, (A.rows, depth, name)
+                assert a.tobytes() == b.tobytes(), (A.rows, depth, name)
+
+
+def csr_kernel(A, eig, depth):
+    """The kernel as a scipy CSR matrix: each row's terms in ascending i."""
+    cols, weights = transfer._kernel(A, eig, depth)
+    rows, i = np.nonzero(cols >= 0)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=len(cols)))])
+    return csr_matrix((weights[rows, i], cols[rows, i], indptr),
+                      shape=(len(cols), word_count(A, depth)))
+
+
+@pytest.mark.parametrize("size", [2, 3, 4])
+def test_apply_equals_csr_product_bitwise(size):
+    rng = np.random.default_rng(size)
+    for A in [full_shift(size)] + random_primitive_matrices(4, (size,), seed=10 + size):
+        eig = perron_eigendata(A)
+        for depth in range(1, 5):
+            K = csr_kernel(A, eig, depth)
+            for scale in (1.0, 1e-300, 1e300, -0.0):
+                f = LocallyConstantFunction(A, depth, scale * rng.standard_normal(K.shape[1]))
+                got = transfer_apply(f, eig).values
+                assert got.tobytes() == (K @ f.values).tobytes(), (A.rows, depth, scale)
+            dense = transfer._dense(A, eig, depth)
+            assert dense.tobytes() == K.toarray().tobytes(), (A.rows, depth)
