@@ -74,10 +74,11 @@ def _emit(args: argparse.Namespace, summary: dict, header: list[str], rows: list
         "seed": getattr(args, "seed", None),
         "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    print(text)
     if args.out:
         out = Path(args.out)
-        io.write_json(out, payload)
+        out.write_text(text + "\n")
         io.write_csv(out.with_suffix(".csv"), header, rows)
 
 

@@ -3,9 +3,10 @@ the information coboundary, conditional probability vectors, and a Dirichlet
 sampler for test measures.
 
 All integrals of depth-d functions are exact finite sums over admissible d-words.
-Stationary vectors of many kernels are solved in one batch, each chain stopping
-on its own step; cylinder vectors are products over columns of the word array.
-Both give the same bits as the one-chain and per-word computations.
+Stationary vectors of many kernels are solved in one batch, a block of power
+steps at a time, each chain returning the iterate of its own stopping step;
+cylinder vectors are products over columns of the word array. Both give the
+same bits as the one-chain and per-word computations.
 """
 
 from __future__ import annotations
@@ -37,6 +38,10 @@ if TYPE_CHECKING:  # annotations only: spectral imports stationary_vector from h
 STATIONARITY_TOL = 1e-12
 # Width of a power iteration's rounding floor, in ulps of the largest entry.
 ROUNDING_ULPS = 16
+# Steps per block of the batched power iteration: the first block, and the cap
+# that later blocks double up to.
+_BLOCK_MIN = 4
+_BLOCK_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -99,10 +104,18 @@ def stationary_vector(Q: np.ndarray, tol: float = 1e-14, max_iter: int = 1_000_0
     tolerance of markov_measure (1e-12). With tol=0 only a limit cycle ends a
     chain, and only one within ROUNDING_ULPS of the largest entry, so a
     Perron vector (root other than 1) is iterated to its rounding floor.
-    All chains are iterated at once; a chain leaves the batch on the step
-    it stops. The stacked matmul is bitwise equal to each chain's own
-    x @ Q (einsum is not), and the drift's y @ Q is the next step's product,
-    so every row ends on the bits of a chain iterated alone.
+
+    All chains are iterated at once, a block of steps at a time: each step is
+    one stacked matmul, one row sum and one divide, written into the block's
+    buffers, and the stop rules are then read over the whole block, each chain
+    returning its iterate of the first step that stops it. Chains that stopped
+    leave the batch at the end of the block. Blocks start at _BLOCK_MIN steps
+    and double up to _BLOCK_CAP, so a quick solve runs few extra steps. The
+    bits are those of a chain iterated alone, one step and one test at a time:
+    the stacked matmul is bitwise equal to each chain's own x @ Q (einsum is
+    not), the scale-free drift rQ/sum(rQ) is the next step's iterate, the
+    stop rules are exact elementwise tests on the same iterates, and the
+    steps a chain runs past its stop are never read.
     """
     Q = np.asarray(Q, dtype=float)
     stack = Q if Q.ndim == 3 else Q[None]
@@ -111,34 +124,44 @@ def stationary_vector(Q: np.ndarray, tol: float = 1e-14, max_iter: int = 1_000_0
     active = np.arange(k)  # the chains still in the batch, in stack order
     x = np.full((k, n), 1.0 / n)
     z = (x[:, None, :] @ stack)[:, 0, :]
+    y = z / z.sum(axis=1, keepdims=True)  # the iterate of the next step
     inc_prev = np.full(k, np.inf)
-    drift = np.full(k, np.inf)
-    done = np.zeros(k, dtype=bool)
-    for _ in range(max_iter):
-        y = z / z.sum(axis=1, keepdims=True)
-        z = (y[:, None, :] @ stack)[:, 0, :]
-        drift = np.abs(z - y).max(axis=1)
-        inc = np.abs(y - x).max(axis=1)
-        done = drift <= tol
-        floor = (inc >= inc_prev) & (inc <= 1e-12)
-        if floor.any():
-            # this update and the next one, max |rQ/sum(rQ) - r|, which is scale-free
-            step = np.maximum(inc, np.abs(z / z.sum(axis=1, keepdims=True) - y).max(axis=1))
-            width = 1e-12 if tol > 0 else ROUNDING_ULPS * np.finfo(float).eps * y.max(axis=1)
-            done |= floor & (step <= width)
-        n_done = np.count_nonzero(done)
-        if n_done == len(done):
-            out[active] = y
+    open_drift = np.full(k, np.inf)
+    steps, block = 0, _BLOCK_MIN
+    while steps < max_iter:
+        b = min(block, max_iter - steps)
+        # Y[t + 1] is step t's iterate, Z[t] its product, Y[0] the last iterate
+        # before the block and Y[b + 1] the first one after it
+        Y = np.empty((b + 2, len(active), n))
+        Z = np.empty((b, len(active), n))
+        sums = np.empty((b, len(active), 1))
+        Y[0], Y[1] = x, y
+        for y_t, z_t, z_row, sum_t, y_next in zip(Y[1:-1, :, None], Z[:, :, None], Z, sums, Y[2:]):
+            np.matmul(y_t, stack, out=z_t)
+            np.add.reduce(z_row, axis=1, keepdims=True, out=sum_t)
+            np.divide(z_row, sum_t, out=y_next)
+        update = np.abs(np.diff(Y, axis=0)).max(axis=2)  # update[t] = max |Y[t + 1] - Y[t]|
+        inc = update[:b]
+        drift = np.abs(Z - Y[1:-1]).max(axis=2)
+        floor = (inc >= np.concatenate([inc_prev[None], inc[:-1]])) & (inc <= 1e-12)
+        # this update and the next one, max |rQ/sum(rQ) - r|, which is scale-free
+        step = np.maximum(inc, update[1:])
+        width = 1e-12 if tol > 0 else ROUNDING_ULPS * np.finfo(float).eps * Y[1:-1].max(axis=2)
+        done = (drift <= tol) | (floor & (step <= width))
+        stopped = done.any(axis=0)
+        hit = np.flatnonzero(stopped)
+        out[active[hit]] = Y[done[:, hit].argmax(axis=0) + 1, hit]
+        steps += b
+        keep = ~stopped
+        if not keep.any():
             return out if Q.ndim == 3 else out[0]
-        if n_done:
-            out[active[done]] = y[done]
-            keep = ~done
-            active, stack, y, z, inc = active[keep], stack[keep], y[keep], z[keep], inc[keep]
-        x, inc_prev = y, inc
+        active, stack, open_drift = active[keep], stack[keep], drift[-1, keep]
+        x, y, inc_prev = Y[-2, keep], Y[-1, keep], inc[-1, keep]
+        block = min(2 * block, _BLOCK_CAP)
     raise ConvergenceError(
         f"power iteration did not converge within {max_iter} steps "
         f"for {len(active)} of {k} chains",
-        residual=float(drift[~done].max()),
+        residual=float(open_drift.max()),
     )
 
 

@@ -77,6 +77,12 @@ def test_hole_command(capsys, full2_path):
     assert abs(row["dim"] - math.log(PHI) / math.log(2)) <= 1e-7
 
 
+def test_hole_stdout_json_equals_out_file(capsys, full2_path, tmp_path):
+    out = tmp_path / "hole.json"
+    assert main(["hole", "--matrix", str(full2_path), "--max-hole-depth", "3", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
 def test_hole_golden_depth7_exits_zero(capsys, golden_path):
     # Golden hole 100101 once got radius 1.6 and a false monotonicity violation.
     code, report = run(capsys, "hole", "--matrix", str(golden_path), "--max-hole-depth", "7")

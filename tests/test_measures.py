@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -29,7 +30,7 @@ from sftbounds import (
     stationary_vector,
     transition_matrix,
 )
-from sftbounds.measures import cylinder_measure_vector
+from sftbounds.measures import _BLOCK_CAP, _BLOCK_MIN, ROUNDING_ULPS, cylinder_measure_vector
 
 
 def bernoulli(p, A):
@@ -285,21 +286,24 @@ def test_stationarity_enforced(golden):
 # ---------- batched stationary solve and cylinder vectors ----------
 
 def scalar_stationary(Q, tol=1e-14, max_iter=1_000_000):
-    """One chain's power iteration, as solved before batching: (vector, stop rule)."""
+    """One chain's power iteration, one step and one stop test at a time:
+    (vector, stop rule, steps taken)."""
     n = Q.shape[0]
     x = np.full(n, 1.0 / n)
     inc_prev = np.inf
     drift = np.inf
-    for _ in range(max_iter):
+    for steps in range(1, max_iter + 1):
         y = x @ Q
         y = y / y.sum()
         z = y @ Q
         drift = float(np.max(np.abs(z - y)))
         if drift <= tol:
-            return y, "drift"
+            return y, "drift", steps
         inc = float(np.max(np.abs(y - x)))
-        if inc >= inc_prev and inc <= 1e-12 and np.max(np.abs(z / z.sum() - y)) <= 1e-12:
-            return y, "cycle"
+        # tol=0 runs to the rounding floor, a few ulps of the largest entry
+        width = 1e-12 if tol > 0 else ROUNDING_ULPS * np.finfo(float).eps * float(y.max())
+        if inc >= inc_prev and inc <= 1e-12 and max(inc, np.max(np.abs(z / z.sum() - y))) <= width:
+            return y, "cycle", steps
         inc_prev = inc
         x = y
     raise ConvergenceError("no convergence", residual=drift)
@@ -339,29 +343,126 @@ def test_batched_stationary_rows_equal_single_chain_solves(s, chains):
         assert np.array_equal(row, scalar_stationary(Q)[0])
 
 
+def weighted_wielandt(s, seed):
+    """Positive weights on the Wielandt support (the cycle 0 -> ... -> s-1 -> 0
+    plus the chord s-1 -> 1): its updates oscillate, so for s >= 4 the rounding
+    width decides where a tol=0 chain stops."""
+    rows = np.roll(np.eye(s), 1, axis=1)
+    rows[s - 1, 1] = 1.0
+    return rows * np.random.default_rng(seed).uniform(0.5, 2.0, size=(s, s))
+
+
+def random_nonnegative(kind, s, seed):
+    """A primitive stack that is not stochastic: 0/1 matrices, positive matrices,
+    or the (A^T, A) pair perron_eigendata solves, of a 0/1 or a weighted
+    Wielandt matrix."""
+    if kind == "positive":
+        return np.random.default_rng(seed).uniform(0.05, 3.0, size=(2, s, s))
+    if kind == "wielandt":
+        W = weighted_wielandt(s, seed)
+        return np.stack([W.T, W])
+    arr = [A.array.astype(float) for A in random_primitive_matrices(2, (s,), seed)]
+    return np.stack([arr[0].T, arr[0]] if kind == "pair" else arr)
+
+
+@settings(max_examples=30)
+@given(st.sampled_from(["01", "positive", "pair", "wielandt"]), st.integers(2, 6), st.integers(0, 2**32))
+def test_rounding_floor_rows_equal_single_chain_solves(kind, s, seed):
+    stack = random_nonnegative(kind, s, seed)
+    rows = stationary_vector(stack, tol=0.0)
+    for Q, row in zip(stack, rows):
+        assert np.array_equal(row, scalar_stationary(Q, tol=0.0)[0])
+
+
+def test_rounding_floor_stops_on_block_edges():
+    ends, size = [0], _BLOCK_MIN
+    while ends[-1] < 1000:
+        ends.append(ends[-1] + size)
+        size = min(2 * size, _BLOCK_CAP)
+    stops = set()
+    # among their stops are steps 60, 61, 252, 445 and 1222; at step 1212, the
+    # last of a block, the chain stopping on 1222 meets a floor that the next
+    # update rejects
+    for s, seed in ((3, 9), (3, 17), (4, 0), (4, 31), (6, 68)):
+        stack = random_nonnegative("wielandt", s, seed)
+        for Q, row in zip(stack, stationary_vector(stack, tol=0.0)):
+            y, rule, steps = scalar_stationary(Q, tol=0.0)
+            assert rule == "cycle" and np.array_equal(row, y)
+            stops.add(steps)
+    # a stop on the first step of a block reads the update before it, one on
+    # the last step reads the update after it
+    assert stops & {e + 1 for e in ends} and stops & set(ends[1:])
+
+
 def test_batch_mixes_both_stop_rules():
     stack = np.array([slow_chain(2, 3e-3), slow_chain(2, 1e-2), fast_chain(2, 5), slow_chain(2, 0.3)])
     oracle = [scalar_stationary(Q) for Q in stack]
-    assert {rule for _, rule in oracle} == {"drift", "cycle"}
+    assert {rule for _, rule, _ in oracle} == {"drift", "cycle"}
     rows = stationary_vector(stack)
-    for (y, _), row in zip(oracle, rows):
+    for (y, _, _), row in zip(oracle, rows):
         assert np.array_equal(row, y)
     # one matrix is the one-chain case of the stack
     assert np.array_equal(stationary_vector(stack[0]), oracle[0][0])
 
 
+def test_chain_stopping_on_the_last_allowed_step_returns():
+    stack = np.array([slow_chain(2, 3e-3), fast_chain(2, 5), slow_chain(2, 0.05), slow_chain(2, 0.3)])
+    oracle = [scalar_stationary(Q) for Q in stack]
+    for Q, (y, _, steps) in zip(stack, oracle):
+        assert np.array_equal(stationary_vector(Q, max_iter=steps), y)
+        with pytest.raises(ConvergenceError):
+            stationary_vector(Q, max_iter=steps - 1)
+    last = max(steps for _, _, steps in oracle)
+    rows = stationary_vector(stack, max_iter=last)
+    for (y, _, _), row in zip(oracle, rows):
+        assert np.array_equal(row, y)
+
+
 def test_batch_failure_reports_widest_open_drift():
+    # max_iter cuts the first block (1, 3), ends on a block end (60) or cuts a
+    # later block (61, 127, 129); max_iter=0 runs no step at all
     stack = np.array([slow_chain(2, 1e-3), fast_chain(2, 1), slow_chain(2, 2e-3)])
-    open_drifts = []
-    for Q in stack:
-        try:
-            scalar_stationary(Q, max_iter=60)
-        except ConvergenceError as err:
-            open_drifts.append(err.residual)
-    assert len(open_drifts) == 2
-    with pytest.raises(ConvergenceError) as info:
-        stationary_vector(stack, max_iter=60)
-    assert info.value.residual == max(open_drifts)
+    for max_iter in (0, 1, 3, 60, 61, 127, 129):
+        open_drifts = []
+        for Q in stack:
+            try:
+                scalar_stationary(Q, max_iter=max_iter)
+            except ConvergenceError as err:
+                open_drifts.append(err.residual)
+        assert len(open_drifts) >= 2
+        with pytest.raises(ConvergenceError, match=f"for {len(open_drifts)} of 3 chains") as info:
+            stationary_vector(stack, max_iter=max_iter)
+        assert info.value.residual == max(open_drifts)
+
+
+# Bits of the one-step-at-a-time power iteration, recorded on x86-64 with
+# numpy 2.4 and its bundled OpenBLAS: (lam, u, v) of perron_eigendata, and a
+# sha256 of the stationary rows of the measures `verify --seed 0 --samples 150`
+# samples on the golden mean shift, the slowest of the bench pool seeds.
+PERRON_BITS = {
+    "full2": ([[1, 1], [1, 1]], "0x1.0000000000000p+1",
+              ["0x1.0000000000000p+0"] * 2, ["0x1.0000000000000p-1"] * 2),
+    "golden": ([[1, 1], [1, 0]], "0x1.9e3779b97f4a8p+0",
+               ["0x1.2bbae2a27f931p+0", "0x1.727c9716ffb75p-1"],
+               ["0x1.3c6ef372fe950p-1", "0x1.8722191a02d61p-2"]),
+    "full3": ([[1, 1, 1], [1, 1, 1], [1, 1, 1]], "0x1.8000000000000p+1",
+              ["0x1.0000000000000p+0"] * 3, ["0x1.5555555555555p-2"] * 3),
+    "wide3": ([[1, 1, 0], [0, 1, 1], [1, 0, 1]], "0x1.0000000000000p+1",
+              ["0x1.0000000000000p+0"] * 3, ["0x1.5555555555555p-2"] * 3),
+}
+GOLDEN_VERIFY_ROWS_SHA256 = "4fd4cb109139d661e153d418a046c70d31511ff7f8408ca2fa3684e45c72f179"
+
+
+def test_solver_bits_are_pinned(golden):
+    for rows, lam, u, v in PERRON_BITS.values():
+        eig = perron_eigendata(transition_matrix(rows))
+        assert eig.lam.hex() == lam
+        assert [float(x).hex() for x in eig.u] == u
+        assert [float(x).hex() for x in eig.v] == v
+    sub_seeds = np.random.default_rng(0).integers(0, 2**63 - 1, size=2 * 150)
+    stationary = np.array([mu.stationary for mu in sample_markov_batch(golden, sub_seeds[0::2])])
+    assert stationary.shape == (150, 2)
+    assert hashlib.sha256(stationary.tobytes()).hexdigest() == GOLDEN_VERIFY_ROWS_SHA256
 
 
 def test_sampler_batch_equals_one_seed_draws(golden, full3):
