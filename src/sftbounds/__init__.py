@@ -5,7 +5,6 @@ from .bounds import (
     BoundReport,
     GapIdentity,
     PinskerResult,
-    ScanRow,
     ScanSummary,
     StepBound,
     effective_bound_verify,
@@ -34,7 +33,6 @@ from .holes import (
     survivor_entropy,
 )
 from .measures import (
-    InformationCoboundary,
     LocallyConstantFunction,
     MarkovMeasure,
     centered,
@@ -42,9 +40,7 @@ from .measures import (
     constant_function,
     cylinder_measure,
     entropy,
-    function_from_dict,
     indicator,
-    information_coboundary,
     information_mean,
     integrate,
     markov_measure,
@@ -68,17 +64,14 @@ from .models import (
 )
 from .sft import (
     MetricParams,
-    StructureFlags,
     TransitionMatrix,
     Word,
     enumerate_words,
     full_shift,
     golden_mean_shift,
     is_admissible,
-    parse_word,
     predecessors,
     transition_matrix,
-    validate_structure,
     word_array,
     word_codes,
     word_count,

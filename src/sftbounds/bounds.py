@@ -180,18 +180,10 @@ def effective_bound_verify(
 
 
 @dataclass(frozen=True)
-class ScanRow:
-    sample_id: int
-    gap: float
-    lhs: float
-    seminorm: float
-    ratio: float
-    holds: bool
-
-
-@dataclass(frozen=True)
 class ScanSummary:
-    rows: tuple[ScanRow, ...]
+    """`rows[i]` is the report of sample i."""
+
+    rows: tuple[BoundReport, ...]
     max_ratio: float
     argmax_id: int
     slope: float
@@ -254,13 +246,12 @@ def ratio_scan(
     t_grid = np.geomspace(1e-3, 1e-1, FAMILY_POINTS)
     for i, mu in enumerate(sample_markov_batch(A, sub_seeds[0::2])):
         f = random_function(A, depth, int(sub_seeds[2 * i + 1]))
-        report = effective_bound_verify(f, mu, eig, decay, m=m)
-        rows.append(ScanRow(i, report.gap, report.lhs, report.seminorm, report.ratio, report.holds))
+        rows.append(effective_bound_verify(f, mu, eig, decay, m=m))
         if i < FAMILIES:
             fc = centered(f, m)
             slopes.append(_family_slope(A, eig, m, fc, mu.transition, t_grid))
 
-    finite = [(r.ratio, r.sample_id) for r in rows if np.isfinite(r.ratio)]
+    finite = [(r.ratio, i) for i, r in enumerate(rows) if np.isfinite(r.ratio)]
     if finite:
         max_ratio, argmax_id = max(finite)
     else:

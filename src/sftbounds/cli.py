@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import datetime
-import json
 import math
 import sys
 from pathlib import Path
@@ -56,25 +55,13 @@ _FLAGS = {
 }
 
 
-def _finite(x):
-    """x with every non-finite float, at any nesting depth, replaced by None."""
-    if isinstance(x, float):
-        return x if math.isfinite(x) else None
-    if isinstance(x, dict):
-        return {k: _finite(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_finite(v) for v in x]
-    return x
-
-
 def _emit(args: argparse.Namespace, summary: dict, header: list[str], rows: list[list]) -> None:
-    payload = _finite(summary)
-    payload["meta"] = {
+    meta = {
         "command": args.command,
         "seed": getattr(args, "seed", None),
         "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    text = io.json_text({**summary, "meta": meta})
     print(text)
     if args.out:
         out = Path(args.out)
@@ -85,7 +72,7 @@ def _emit(args: argparse.Namespace, summary: dict, header: list[str], rows: list
 def verify_table(scan: ScanSummary) -> tuple[list[str], list[list]]:
     """Header and rows of the `verify` detail CSV."""
     header = ["sample_id", "gap", "lhs", "seminorm", "ratio", "holds"]
-    return header, [[r.sample_id, r.gap, r.lhs, r.seminorm, r.ratio, r.holds] for r in scan.rows]
+    return header, [[i, r.gap, r.lhs, r.seminorm, r.ratio, r.holds] for i, r in enumerate(scan.rows)]
 
 
 def hole_table(A: TransitionMatrix, scan: HoleFamilyScan) -> tuple[list[str], list[list]]:

@@ -41,7 +41,7 @@ from .sft import (
     word_array,
     word_codes,
 )
-from .spectral import PerronData, perron_eigendata
+from .spectral import perron_eigendata
 
 PRUNE_STATE_CEILING = 50_000
 # Most block-table states one batched solve in hole_family_scan stacks; it
@@ -56,6 +56,7 @@ class PrunedSystem:
     `states` are the surviving k-words in lexicographic order. The read-only
     `(len(states), size)` table `successors` is the whole graph: entry [i, c] is
     the index of state `states[i][1:] + (c,)`, or -1 when there is none.
+    `survivor_lambda` is its spectral radius, 0.0 when no orbit survives.
     `matrix` is the dense read-only int8 adjacency, built on first use.
     """
 
@@ -63,7 +64,6 @@ class PrunedSystem:
     states: tuple[Word, ...]
     successors: np.ndarray
     survivor_lambda: float
-    empty: bool
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
@@ -139,17 +139,13 @@ def _component_radii(succ: np.ndarray, tol: float = 1e-13, max_iter: int = 100_0
     )
 
 
-def prune_words(
-    A: TransitionMatrix,
-    words,
-    block_length: int | None = None,
-    ceiling: int = PRUNE_STATE_CEILING,
-) -> PrunedSystem:
+def prune_words(A: TransitionMatrix, words, block_length: int | None = None) -> PrunedSystem:
     """Forbid the cylinders of `words` via the k-block presentation.
 
     States are admissible k-words minus those starting with a forbidden word;
     a -> b is allowed when the windows overlap in k-1 symbols. With no words
     this is the plain k-block presentation (block_length then required).
+    Refused when there are more than PRUNE_STATE_CEILING admissible k-words.
     """
     forb = [tuple(w) for w in words]
     for w in forb:
@@ -165,12 +161,12 @@ def prune_words(
     if any(len(w) > k for w in forb):
         raise InputError("forbidden words longer than the block length")
     s = A.size
-    codes = word_codes(A, k, ceiling=ceiling)
+    codes = word_codes(A, k, ceiling=PRUNE_STATE_CEILING)
     weights = s ** np.arange(k - 1, -1, -1)
     keep = np.ones(len(codes), dtype=bool)
     for w in forb:
         keep &= codes // weights[len(w) - 1] != np.dot(w, weights[k - len(w):])
-    states = tuple(map(tuple, word_array(A, k, ceiling)[keep].tolist()))
+    states = tuple(map(tuple, word_array(A, k, PRUNE_STATE_CEILING)[keep].tolist()))
     codes = codes[keep]
     # Successor of a by c is a[1:] + c; a -1 sentinel marks codes not found.
     targets = (codes % s ** (k - 1) * s)[:, None] + np.arange(s)
@@ -179,7 +175,7 @@ def prune_words(
     succ = np.where(found, pos, -1)
     succ.setflags(write=False)
     radius = float(_component_radii(succ).max(initial=0.0))
-    return PrunedSystem(k, states, succ, radius, empty=(radius == 0.0))
+    return PrunedSystem(k, states, succ, radius)
 
 
 def _hole_radii(succ: np.ndarray) -> np.ndarray:
@@ -212,7 +208,7 @@ def higher_block_prune(A: TransitionMatrix, w) -> PrunedSystem:
 
 def survivor_entropy(ps: PrunedSystem) -> float:
     """log of the pruned spectral radius; -inf when nothing survives."""
-    if ps.empty or ps.survivor_lambda <= 0.0:
+    if ps.survivor_lambda <= 0.0:
         return float("-inf")
     return float(np.log(ps.survivor_lambda))
 
@@ -267,7 +263,6 @@ def hole_family_scan(
     A: TransitionMatrix,
     max_depth: int,
     params: MetricParams = MetricParams(),
-    eig: PerronData | None = None,
 ) -> HoleFamilyScan:
     """Prune every admissible hole word up to max_depth; report per-hole entropy
     gaps, the largest c with gap >= c * delta^2 * measure^2 across the family,
@@ -278,8 +273,7 @@ def hole_family_scan(
     # Counts never decrease with depth (every word has a successor): refuse the
     # deepest table before any shallower depth is solved.
     word_codes(A, max_depth, ceiling=PRUNE_STATE_CEILING)
-    if eig is None:
-        eig = perron_eigendata(A)
+    eig = perron_eigendata(A)
     m = parry_measure(A, eig)
     log_lam = float(np.log(eig.lam))
     rows = []

@@ -1,10 +1,11 @@
 """File formats: matrices and models as JSON; CSV detail tables with
-deterministic float rendering."""
+deterministic float rendering; strict JSON summaries."""
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -83,7 +84,21 @@ def write_csv(path: str | Path, header: list[str], rows: list[list]) -> None:
             writer.writerow([fmt(x) for x in row])
 
 
+def _finite(x):
+    """x with every non-finite float, at any nesting depth, replaced by None."""
+    if isinstance(x, float):
+        return x if math.isfinite(x) else None
+    if isinstance(x, dict):
+        return {k: _finite(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_finite(v) for v in x]
+    return x
+
+
+def json_text(payload: dict) -> str:
+    """Strict JSON with sorted keys: non-finite floats are written as null."""
+    return json.dumps(_finite(payload), indent=2, sort_keys=True, allow_nan=False)
+
+
 def write_json(path: str | Path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True))
-        fh.write("\n")
+    Path(path).write_text(json_text(payload) + "\n")

@@ -1,6 +1,6 @@
 """Markov measures on an SFT: the Parry measure, cylinder measures, entropy,
-the information coboundary, conditional probability vectors, and a Dirichlet
-sampler for test measures.
+the mean of the information function, conditional probability vectors, and a
+Dirichlet sampler for test measures.
 
 All integrals of depth-d functions are exact finite sums over admissible d-words.
 Stationary vectors of many kernels are solved in one batch, a block of power
@@ -11,7 +11,6 @@ same bits as the one-chain and per-word computations.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -24,12 +23,10 @@ from .sft import (
     Word,
     enumerate_words,
     is_admissible,
-    parse_word,
     predecessors,
     word_array,
     word_count,
     word_index,
-    word_str,
 )
 
 if TYPE_CHECKING:  # annotations only: spectral imports stationary_vector from here
@@ -53,33 +50,32 @@ class MarkovMeasure:
     support: TransitionMatrix
 
 
-def markov_measure(stationary, transition, support: TransitionMatrix,
-                   tol: float = STATIONARITY_TOL) -> MarkovMeasure:
+def markov_measure(stationary, transition, support: TransitionMatrix) -> MarkovMeasure:
     """Validate (r, Q) and freeze them into a MarkovMeasure.
 
     Checks: r >= 0 summing to 1, Q rows summing to 1, Q supported inside the
-    0/1 matrix, and stationarity rQ = r, all to `tol`.
+    0/1 matrix, and stationarity rQ = r, all to STATIONARITY_TOL.
     """
     r = np.array(stationary, dtype=float)
     Q = np.array(transition, dtype=float)
     s = support.size
     if r.shape != (s,) or Q.shape != (s, s):
         raise InputError(f"measure dimensions {r.shape}, {Q.shape} do not match alphabet size {s}")
-    if float(r.min()) < -tol or float(Q.min()) < -tol:
+    if float(r.min()) < -STATIONARITY_TOL or float(Q.min()) < -STATIONARITY_TOL:
         raise InputError("negative probabilities")
     r = np.maximum(r, 0.0)
     Q = np.maximum(Q, 0.0)
-    if abs(float(r.sum()) - 1.0) > tol:
+    if abs(float(r.sum()) - 1.0) > STATIONARITY_TOL:
         raise InputError(f"stationary vector sums to {r.sum()}, not 1")
     row_sums = Q.sum(axis=1)
-    if float(np.max(np.abs(row_sums - 1.0))) > tol:
+    if float(np.max(np.abs(row_sums - 1.0))) > STATIONARITY_TOL:
         raise InputError("transition matrix rows must sum to 1")
     off = Q[support.array == 0]
-    if off.size and float(np.max(off)) > tol:
+    if off.size and float(np.max(off)) > STATIONARITY_TOL:
         raise InputError("transition probabilities positive outside the allowed support")
     Q[support.array == 0] = 0.0
     drift = float(np.max(np.abs(r @ Q - r)))
-    if drift > tol:
+    if drift > STATIONARITY_TOL:
         raise InputError(f"vector is not stationary: max |rQ - r| = {drift}")
     r.setflags(write=False)
     Q.setflags(write=False)
@@ -117,7 +113,7 @@ def stationary_vector(Q: np.ndarray, tol: float = 1e-14, max_iter: int = 1_000_0
     stop rules are exact elementwise tests on the same iterates, and the
     steps a chain runs past its stop are never read.
     """
-    Q = np.asarray(Q, dtype=float)
+    Q = np.ascontiguousarray(Q, dtype=float)
     stack = Q if Q.ndim == 3 else Q[None]
     k, n = stack.shape[:2]
     out = np.empty((k, n))
@@ -165,14 +161,12 @@ def stationary_vector(Q: np.ndarray, tol: float = 1e-14, max_iter: int = 1_000_0
     )
 
 
-def sample_markov_batch(A: TransitionMatrix, seeds, concentration: float = 1.0) -> list[MarkovMeasure]:
-    """Random Markov measures on A, one per seed: each row of Q is a symmetric
-    Dirichlet draw over that row's allowed entries, from default_rng(seed).
-    Deterministic in (A, seed, concentration); the stationary vectors are
+def sample_markov_batch(A: TransitionMatrix, seeds) -> list[MarkovMeasure]:
+    """Random Markov measures on A, one per seed: each row of Q is a flat
+    Dirichlet draw (all concentrations 1) over that row's allowed entries, from
+    default_rng(seed). Deterministic in (A, seed); the stationary vectors are
     solved in one batch.
     """
-    if not (math.isfinite(concentration) and concentration > 0):
-        raise InputError(f"concentration must be finite and positive, got {concentration}")
     s = A.size
     Qs = np.zeros((len(seeds), s, s))
     for Q, seed in zip(Qs, seeds):
@@ -182,13 +176,13 @@ def sample_markov_batch(A: TransitionMatrix, seeds, concentration: float = 1.0) 
             if len(allowed) == 1:
                 Q[i, allowed[0]] = 1.0
             else:
-                Q[i, list(allowed)] = rng.dirichlet(np.full(len(allowed), concentration))
+                Q[i, list(allowed)] = rng.dirichlet(np.ones(len(allowed)))
     return [markov_measure(r, Q, A) for r, Q in zip(stationary_vector(Qs), Qs)]
 
 
-def sample_markov(A: TransitionMatrix, seed: int, concentration: float = 1.0) -> MarkovMeasure:
+def sample_markov(A: TransitionMatrix, seed: int) -> MarkovMeasure:
     """One random Markov measure on A: `sample_markov_batch` with a single seed."""
-    return sample_markov_batch(A, [seed], concentration)[0]
+    return sample_markov_batch(A, [seed])[0]
 
 
 def cylinder_measure(mu: MarkovMeasure, word) -> float:
@@ -243,10 +237,6 @@ class LocallyConstantFunction:
             raise InputError(f"word {tuple(word)} is not an admissible depth-{self.depth} word")
         return float(self.values[idx])
 
-    def as_dict(self) -> dict[str, float]:
-        s = self.matrix.size
-        return {word_str(w, s): float(x) for w, x in zip(self.words, self.values)}
-
 
 def constant_function(A: TransitionMatrix, value: float, depth: int = 1) -> LocallyConstantFunction:
     return LocallyConstantFunction(A, depth, np.full(word_count(A, depth), float(value)))
@@ -262,25 +252,10 @@ def indicator(A: TransitionMatrix, word) -> LocallyConstantFunction:
     return LocallyConstantFunction(A, len(w), vals)
 
 
-def function_from_dict(A: TransitionMatrix, depth: int, mapping: dict) -> LocallyConstantFunction:
-    """Build a function from {word string: value}; every admissible word is required."""
-    words = enumerate_words(A, depth)
-    parsed = {parse_word(str(key), A.size): float(val) for key, val in mapping.items()}
-    missing = [w for w in words if w not in parsed]
-    if missing:
-        raise InputError(
-            f"missing value for admissible word {word_str(missing[0], A.size)!r} "
-            f"({len(missing)} missing in total)"
-        )
-    extra = set(parsed) - set(words)
-    if extra:
-        raise InputError(f"value given for inadmissible word {sorted(extra)[0]}")
-    return LocallyConstantFunction(A, depth, np.array([parsed[w] for w in words]))
-
-
-def random_function(A: TransitionMatrix, depth: int, seed: int, scale: float = 1.0) -> LocallyConstantFunction:
+def random_function(A: TransitionMatrix, depth: int, seed: int) -> LocallyConstantFunction:
+    """Standard normal values on the depth-words, from default_rng(seed)."""
     rng = np.random.default_rng(seed)
-    return LocallyConstantFunction(A, depth, scale * rng.standard_normal(word_count(A, depth)))
+    return LocallyConstantFunction(A, depth, rng.standard_normal(word_count(A, depth)))
 
 
 def cylinder_measure_vector(mu: MarkovMeasure, depth: int) -> np.ndarray:
@@ -306,31 +281,16 @@ def centered(f: LocallyConstantFunction, mu: MarkovMeasure) -> LocallyConstantFu
     return LocallyConstantFunction(f.matrix, f.depth, f.values - integrate(f, mu))
 
 
-@dataclass(frozen=True)
-class InformationCoboundary:
-    """The information function of the Parry measure, in coboundary form:
-    iota(x) = log_lambda + g(x1) - g(x0) with g(y) = log u[y0]."""
-
-    log_lambda: float
-    g_values: np.ndarray
-
-    def as_function(self, A: TransitionMatrix) -> LocallyConstantFunction:
-        W = word_array(A, 2)
-        vals = self.log_lambda + self.g_values[W[:, 1]] - self.g_values[W[:, 0]]
-        return LocallyConstantFunction(A, 2, vals)
-
-
-def information_coboundary(eig: PerronData) -> InformationCoboundary:
-    return InformationCoboundary(float(np.log(eig.lam)), np.log(eig.u))
-
-
 def information_mean(mu: MarkovMeasure, eig: PerronData) -> float:
-    """Integral of the information function against mu.
+    """Integral against mu of the information function of the Parry measure,
+    in coboundary form iota(x) = log(lam) + g(x1) - g(x0) with g = log u.
 
     Equals log(lam) for every stationary mu: the coboundary part cancels.
     """
-    iota = information_coboundary(eig).as_function(mu.support)
-    return integrate(iota, mu)
+    g = np.log(eig.u)
+    W = word_array(mu.support, 2)
+    iota = float(np.log(eig.lam)) + g[W[:, 1]] - g[W[:, 0]]
+    return integrate(LocallyConstantFunction(mu.support, 2, iota), mu)
 
 
 def conditional_vectors(mu: MarkovMeasure, eig: PerronData, j: int):

@@ -59,10 +59,6 @@ class ExpandingModel:
     def branch_count(self) -> int:
         return len(self.branches)
 
-    @property
-    def partition(self) -> tuple[tuple[float, float], ...]:
-        return tuple((b.lo, b.hi) for b in self.branches)
-
 
 @dataclass(frozen=True)
 class CylinderInterval:

@@ -22,13 +22,6 @@ WORD_CEILING = 10_000_000
 
 
 @dataclass(frozen=True)
-class StructureFlags:
-    irreducible: bool
-    primitive: bool
-    diagonal_ones: bool
-
-
-@dataclass(frozen=True)
 class MetricParams:
     """Word metric d(x, y) = theta ** -t with t the length of the common prefix."""
 
@@ -96,8 +89,9 @@ def _is_primitive(arr: np.ndarray) -> bool:
         n *= 2
 
 
-def validate_structure(entries) -> StructureFlags:
-    """Validate a 0/1 transition matrix and report its structure flags.
+def transition_matrix(entries) -> TransitionMatrix:
+    """Validate a 0/1 matrix and build an immutable TransitionMatrix with its
+    structure flags.
 
     Raises
     ------
@@ -105,10 +99,7 @@ def validate_structure(entries) -> StructureFlags:
         for non-square input, size < 2, entries outside {0, 1}, or an all-zero
         row or column (a symbol with no continuation or no predecessor).
     """
-    if isinstance(entries, TransitionMatrix):
-        arr = np.asarray(entries.array)
-    else:
-        arr = np.asarray(entries)
+    arr = np.asarray(entries)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise InputError(f"transition matrix must be square, got shape {arr.shape}")
     s = int(arr.shape[0])
@@ -128,15 +119,7 @@ def validate_structure(entries) -> StructureFlags:
     irreducible = bool((_strong_components(np.where(arr > 0, np.arange(s), -1)) == 0).all())
     primitive = irreducible and _is_primitive(arr)
     diagonal_ones = bool((np.diag(arr) == 1).all())
-    return StructureFlags(irreducible, primitive, diagonal_ones)
-
-
-def transition_matrix(entries) -> TransitionMatrix:
-    """Validate entries and build an immutable TransitionMatrix with flags."""
-    flags = validate_structure(entries)
-    arr = np.asarray(entries, dtype=np.int64)
-    rows = tuple(tuple(int(x) for x in row) for row in arr)
-    return TransitionMatrix(rows, flags.irreducible, flags.primitive, flags.diagonal_ones)
+    return TransitionMatrix(tuple(map(tuple, arr.tolist())), irreducible, primitive, diagonal_ones)
 
 
 def full_shift(s: int) -> TransitionMatrix:
@@ -287,14 +270,3 @@ def word_str(word, size: int) -> str:
         return "".join(str(int(c)) for c in word)
     return ".".join(str(int(c)) for c in word)
 
-
-def parse_word(text: str, size: int) -> Word:
-    if size <= 10 and "." not in text:
-        symbols = tuple(int(c) for c in text.strip())
-    else:
-        symbols = tuple(int(part) for part in text.strip().split("."))
-    if not symbols:
-        raise InputError("empty word")
-    if any(not (0 <= c < size) for c in symbols):
-        raise InputError(f"word {text!r} has symbols outside 0..{size - 1}")
-    return symbols

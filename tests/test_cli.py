@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -318,3 +319,59 @@ def test_hole_json_is_strict_with_null_gap(capsys, golden_path):
     # forbidding 0 in the golden mean shift leaves no orbit: the gap is infinite
     assert next(h for h in report["holes"] if h["word"] == "0")["gap"] is None
     assert report["meta"]["seed"] is None
+
+
+def test_write_json_is_strict_with_null_for_non_finite(tmp_path):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    path = tmp_path / "summary.json"
+    sftbounds.io.write_json(path, {"a": math.nan, "b": [math.inf]})
+    assert json.loads(path.read_text(), parse_constant=reject) == {"a": None, "b": [None]}
+
+
+PIN_MATRICES = {
+    "golden": [[1, 1], [1, 0]],
+    "full3": [[1, 1, 1], [1, 1, 1], [1, 1, 1]],
+    "wide3": [[1, 1, 0], [0, 1, 1], [1, 0, 1]],
+}
+# argv (a PIN_MATRICES key stands for its file), then the sha256 of the CSV
+# body and of the JSON summary without `meta`, dumped with sorted keys.
+OUTPUT_PINS = {
+    "hole": (["hole", "--matrix", "golden", "--max-hole-depth", "6"],
+             "6310ada1fe68d421f7f89e77c9ddc220aa14cfa23fe34e30e7c7270eb51aa155",
+             "4836e3abea3c076f8705d6c23de104559f607abfe24626be4b64a87143385cd7"),
+    "model-dim": (["model-dim", "--model", "doubling", "--x0", "0.125", "--delta", "1e-3"],
+                  "a0b749ee2b64d3fc7c20791889a47479391c97db452c500d07460570620b5e6f",
+                  "31dc82563633cde0399da4468d4be84c9c38a377494de891fc1de39d24bdcd04"),
+    "transfer-decay": (["transfer-decay", "--matrix", "golden", "--depth", "8"],
+                       "d787177dc7107f9585687afd482a1a984249f8c56b6b09bc30ad5e74b566a846",
+                       "7a08122f104de6366c535334b5b3845731b2994a984451d5b1bfc5e4c0cb6fc5"),
+    "analyze": (["analyze", "--matrix", "golden", "--depth", "4"],
+                "813b7b657ad6229b3b92a90dbf59b3058ff598d0bd349d4abf9a28e330b9fff9",
+                "1f2b20997ebc158b8b46459f44d6820f9e9c9a175c65540b252df75e60684855"),
+    "entropy": (["entropy", "--matrix", "full3", "--samples", "20"],
+                "479b4368cf7bcf607eed3c1c49bb4531f6f3df414f17f7cef314e9e37bf14662",
+                "237e561430330a1b664ac3fbfe7f1d1ad0e4447a58983aad98487e43b5001b2a"),
+    "verify": (["verify", "--matrix", "wide3", "--depth", "3", "--samples", "20"],
+               "21a98b72a1cee92a6b4f708eb92f419d0556490c72f75dcf1ad5aaf0010e7f3a",
+               "029dbcff10fc2a52397cbc96156ee77989f12fdc53e8bb5f189bdf7731a40cd9"),
+    "pinsker": (["pinsker", "--samples", "50"],
+                "7adfdd9a9dd1cc9012e4ed04e8f63cd5a75d5a011064f02c14a1b2f5fce5d8ec",
+                "4bc73d1b68838d831efb2c69f9d1db4233bb5cf8e4a6c8a9105dad9d8ee119b0"),
+}
+
+
+@pytest.mark.parametrize("command", OUTPUT_PINS)
+def test_cli_outputs_are_pinned(capsys, tmp_path, command):
+    argv, csv_sha, json_sha = OUTPUT_PINS[command]
+    for name, rows in PIN_MATRICES.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps({"rows": rows}))
+    argv = [str(tmp_path / f"{a}.json") if a in PIN_MATRICES else a for a in argv]
+    out = tmp_path / "out.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    summary = json.loads(out.read_text())
+    summary.pop("meta")
+    assert hashlib.sha256(out.with_suffix(".csv").read_bytes()).hexdigest() == csv_sha
+    assert hashlib.sha256(json.dumps(summary, sort_keys=True).encode()).hexdigest() == json_sha

@@ -36,21 +36,18 @@ def test_prune_11_gives_golden_survivor(full2):
     assert len(ps.states) == 3
     assert abs(ps.survivor_lambda - PHI) <= 1e-9
     assert abs(survivor_entropy(ps) - math.log(PHI)) <= 1e-9
-    assert not ps.empty
 
 
 def test_prune_depth1_single_fixed_point(full2):
     ps = higher_block_prune(full2, (1,))
     assert ps.states == ((0,),)
     assert ps.survivor_lambda == 1.0
-    assert not ps.empty
 
 
 def test_prune_to_empty_survivor(golden):
     # removing symbol 0 leaves only state 1, which has no self loop
     ps = higher_block_prune(golden, (0,))
     assert ps.survivor_lambda == 0.0
-    assert ps.empty
     assert survivor_entropy(ps) == float("-inf")
 
 
@@ -276,7 +273,7 @@ def test_pruning_matches_brute_force(case):
     ).reshape(len(states), len(states))
     np.testing.assert_array_equal(ps.matrix, expected)
     assert abs(ps.survivor_lambda - block_radius(expected)) <= 1e-9
-    assert ps.empty == (ps.survivor_lambda == 0.0)
+    assert (survivor_entropy(ps) == -math.inf) == (ps.survivor_lambda == 0.0)
     for f in forb:
         single = higher_block_prune(A, f)
         for n in range(len(f), 6):

@@ -17,7 +17,6 @@ from sftbounds import (
     cylinder_measure,
     entropy,
     enumerate_words,
-    function_from_dict,
     indicator,
     information_mean,
     integrate,
@@ -192,11 +191,6 @@ def test_sampler_single_allowed_entry_is_point_mass(golden):
     assert mu.transition[1, 0] == 1.0  # row 1 allows only symbol 0
 
 
-def test_sampler_concentration_limit(full2):
-    mu = sample_markov(full2, seed=0, concentration=1e7)
-    assert np.allclose(mu.transition, 0.5, atol=1e-3)
-
-
 def test_sampler_outputs_validate(golden, full3):
     for A in (golden, full3):
         for seed in range(20):
@@ -259,23 +253,6 @@ def test_measure_json_rejects_unsupported_transition(golden):
     }))
     with pytest.raises(InputError):
         markov_measure(data["stationary"], data["transition"], golden)
-
-
-def test_function_json_requires_every_word(golden):
-    with pytest.raises(InputError, match="missing"):
-        function_from_dict(golden, 2, json.loads('{"00": 1.0, "01": 2.0}'))
-
-
-def test_function_json_roundtrip(golden):
-    f = random_function(golden, 2, seed=8)
-    loaded = function_from_dict(golden, 2, json.loads(json.dumps(f.as_dict())))
-    assert np.array_equal(loaded.values, f.values)
-
-
-def test_function_from_dict_rejects_inadmissible_word(golden):
-    vals = {"00": 1.0, "01": 2.0, "10": 3.0, "11": 4.0}
-    with pytest.raises(InputError):
-        function_from_dict(golden, 2, vals)
 
 
 def test_stationarity_enforced(golden):
@@ -465,6 +442,16 @@ def test_solver_bits_are_pinned(golden):
     assert hashlib.sha256(stationary.tobytes()).hexdigest() == GOLDEN_VERIFY_ROWS_SHA256
 
 
+
+def test_stationary_bits_do_not_depend_on_memory_layout():
+    # A transposed view and its contiguous copy hold the same matrix, so they
+    # must give the same bits.
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        Q = rng.dirichlet(np.ones(3), size=3)
+        assert np.array_equal(stationary_vector(Q.T), stationary_vector(np.ascontiguousarray(Q.T)))
+
+
 def test_sampler_batch_equals_one_seed_draws(golden, full3):
     for A in (golden, full3):
         seeds = [3, 2**62 + 11, 0, 77]
@@ -472,18 +459,6 @@ def test_sampler_batch_equals_one_seed_draws(golden, full3):
             one = sample_markov(A, seed)
             assert np.array_equal(mu.stationary, one.stationary)
             assert np.array_equal(mu.transition, one.transition)
-
-
-@pytest.mark.parametrize("concentration", [math.nan, math.inf, -math.inf, 0.0, -1.0])
-def test_sampler_rejects_bad_concentration_before_drawing(golden, monkeypatch, concentration):
-    def no_draw(*args, **kwargs):
-        raise AssertionError("drew before validating the concentration")
-
-    monkeypatch.setattr(np.random, "default_rng", no_draw)
-    with pytest.raises(InputError, match="concentration"):
-        sample_markov(golden, seed=1, concentration=concentration)
-    with pytest.raises(InputError, match="concentration"):
-        sample_markov_batch(golden, [1, 2], concentration=concentration)
 
 
 WIDE3 = transition_matrix([[1, 1, 0], [0, 1, 1], [1, 0, 1]])

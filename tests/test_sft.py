@@ -14,9 +14,8 @@ from sftbounds import (
     full_shift,
     golden_mean_shift,
     is_admissible,
-    parse_word,
     predecessors,
-    validate_structure,
+    transition_matrix,
     word_array,
     word_codes,
     word_count,
@@ -29,46 +28,46 @@ FULL2 = full_shift(2)
 
 
 def test_full_shift_flags():
-    flags = validate_structure([[1, 1], [1, 1]])
+    flags = transition_matrix([[1, 1], [1, 1]])
     assert flags.irreducible and flags.primitive and flags.diagonal_ones
 
 
 def test_golden_mean_flags():
-    flags = validate_structure([[1, 1], [1, 0]])
+    flags = transition_matrix([[1, 1], [1, 0]])
     assert flags.irreducible
     assert flags.primitive  # A^2 is strictly positive
     assert not flags.diagonal_ones
 
 
 def test_period_two_cycle_not_primitive():
-    flags = validate_structure([[0, 1], [1, 0]])
+    flags = transition_matrix([[0, 1], [1, 0]])
     assert flags.irreducible
     assert not flags.primitive
 
 
 def test_rejects_entries_outside_zero_one():
     with pytest.raises(InputError, match="0 or 1"):
-        validate_structure([[1, 2], [1, 1]])
+        transition_matrix([[1, 2], [1, 1]])
 
 
 def test_rejects_zero_row_distinctly():
     with pytest.raises(InputError, match="row 1"):
-        validate_structure([[1, 1], [0, 0]])
+        transition_matrix([[1, 1], [0, 0]])
 
 
 def test_rejects_zero_column_distinctly():
     with pytest.raises(InputError, match="column 1"):
-        validate_structure([[1, 0], [1, 0]])
+        transition_matrix([[1, 0], [1, 0]])
 
 
 def test_rejects_singleton_alphabet():
     with pytest.raises(InputError, match="at least 2"):
-        validate_structure([[1]])
+        transition_matrix([[1]])
 
 
 def test_rejects_non_square():
     with pytest.raises(InputError, match="square"):
-        validate_structure([[1, 1, 0], [1, 1, 0]])
+        transition_matrix([[1, 1, 0], [1, 1, 0]])
 
 
 def test_full2_depth3_enumeration():
@@ -231,15 +230,11 @@ def test_irreducible_flag_matches_csgraph():
         if not (arr.any(axis=0).all() and arr.any(axis=1).all()):
             continue
         want = connected_components(csr_matrix(arr), directed=True, connection="strong")[0] == 1
-        assert validate_structure(arr).irreducible == want, arr
+        assert transition_matrix(arr).irreducible == want, arr
         seen.add(bool(want))
     assert seen == {True, False}
 
 
 def test_word_rendering_roundtrip():
     assert word_str((0, 1, 1), 2) == "011"
-    assert parse_word("011", 2) == (0, 1, 1)
     assert word_str((3, 11), 12) == "3.11"
-    assert parse_word("3.11", 12) == (3, 11)
-    with pytest.raises(InputError):
-        parse_word("021", 2)
