@@ -13,12 +13,21 @@ Coding, Ch. 4). The components come from `sft._strong_components`, a numpy
 forward-backward colouring of the same table, so no sparse-matrix library is
 needed.
 
-A hole scan builds the k-block table once per depth k. Every hole word of
-depth k is one state of it, so the graph for that hole is the table minus one
-state. The scan stacks these graphs, up to HOLE_CHUNK_STATES states at a time,
-into one block-diagonal table and solves it in a single batched iteration; a
-word's radius is the max over its block, the same bits a separate
-`higher_block_prune` gives.
+A hole scan never builds a block table. The sequences that avoid one word w
+of depth k are the paths of w's prefix automaton: a state is (l, a), with l the
+length of the longest suffix of the block read so far that is a prefix of w
+(at most k - 1) and a its last symbol, so there are k + s - 1 states, and
+symbol c moves along the Knuth-Morris-Pratt transition. Mapping each state of
+the k-block graph minus w onto its (l, a) is an exact lumping: every symbol
+leads states of one class into one class, each cycle of the automaton lifts to
+a cycle of the block graph (after k symbols a block state is its last k
+symbols), and an edge from a state on a cycle stays in its strongly connected
+component exactly when its image does. So each component on a cycle iterates
+on the same bits, in the same order, on both graphs, states on no cycle give 0
+on both, and the radii are bit-identical to `higher_block_prune`. The scan
+stacks the automata of a depth's words, up to HOLE_CHUNK_STATES automaton
+states at a time, into one block-diagonal table and solves it in a single
+batched iteration; a word's radius is the max over its block.
 """
 
 from __future__ import annotations
@@ -44,8 +53,8 @@ from .sft import (
 from .spectral import perron_eigendata
 
 PRUNE_STATE_CEILING = 50_000
-# Most block-table states one batched solve in hole_family_scan stacks; it
-# bounds that solve's working set.
+# Most automaton states one batched solve in hole_family_scan stacks (a word
+# of depth k has k + s - 1); it bounds that solve's working set.
 HOLE_CHUNK_STATES = 4096
 
 
@@ -178,26 +187,42 @@ def prune_words(A: TransitionMatrix, words, block_length: int | None = None) -> 
     return PrunedSystem(k, states, succ, radius)
 
 
-def _hole_radii(succ: np.ndarray) -> np.ndarray:
-    """Entry j: the spectral radius of the table's graph with state j removed.
+def _hole_radii(A: TransitionMatrix, words: np.ndarray) -> np.ndarray:
+    """Entry i: the spectral radius of A's sequences that avoid the word
+    `words[i]`, one row per word of a common depth k, from its prefix
+    automaton (see the module docstring).
 
-    Up to HOLE_CHUNK_STATES states' worth of these graphs are stacked into one
-    block-diagonal table and solved together; a word's radius is the max over
-    its block, as `prune_words` would give for that graph alone.
+    States (0, a) come first, in symbol order, then l = 1..k-1. Symbol c leads
+    from (l, a) to (delta(l, c), c), delta the Knuth-Morris-Pratt transition,
+    with no edge when A[a, c] = 0 or delta(l, c) = k. The automata of up to
+    HOLE_CHUNK_STATES states' worth of words are built only when their chunk
+    is solved.
     """
-    n, s = succ.shape
-    m = max(1, HOLE_CHUNK_STATES // (n - 1))
+    n, k = words.shape
+    s = A.size
+    q = k + s - 1
+    length = np.concatenate([np.zeros(s, dtype=np.intp), np.arange(1, k)])
+    sym = np.arange(s)
+    m = max(1, HOLE_CHUNK_STATES // q)
     out = []
-    rest = np.arange(n - 1)
     for first in range(0, n, m):
-        hole = np.arange(first, min(first + m, n))[:, None]
-        # Block i keeps every state but hole[i], renumbered from i * (n - 1);
-        # edges into the hole become -1 padding.
-        table = succ[rest + (rest >= hole)]
-        hole, base = hole[:, :, None], (n - 1) * np.arange(len(hole))[:, None, None]
-        table = np.where((table < 0) | (table == hole), -1, table - (table > hole) + base)
-        radii = _component_radii(table.reshape(-1, s))
-        out.append(radii.reshape(len(hole), n - 1).max(axis=1))
+        w = words[first:first + m]
+        rows = np.arange(len(w))
+        # KMP: delta[i, l, c] for l < k; border is the longest proper border
+        # of w[:l], so delta(l, c) = delta(border, c) unless c = w[l].
+        delta = np.zeros((len(w), k, s), dtype=np.intp)
+        delta[rows, 0, w[:, 0]] = 1
+        border = np.zeros(len(w), dtype=np.intp)
+        for ell in range(1, k):
+            delta[:, ell] = delta[rows, border]
+            delta[rows, ell, w[:, ell]] = ell + 1
+            border = delta[rows, border, w[:, ell]]
+        # State j of a word is (length[j], last[:, j]).
+        last = np.concatenate([np.broadcast_to(sym, (len(w), s)), w[:, :k - 1]], axis=1)
+        step = delta[:, length]
+        target = np.where(step == 0, sym, s - 1 + step) + q * rows[:, None, None]
+        table = np.where((step < k) & (A.array[last] == 1), target, -1)
+        out.append(_component_radii(table.reshape(-1, s)).reshape(len(w), q).max(axis=1))
     return np.concatenate(out)
 
 
@@ -271,29 +296,30 @@ def hole_family_scan(
     if max_depth < 1:
         raise InputError(f"max depth must be at least 1, got {max_depth}")
     # Counts never decrease with depth (every word has a successor): refuse the
-    # deepest table before any shallower depth is solved.
+    # deepest word array before any shallower depth is solved.
     word_codes(A, max_depth, ceiling=PRUNE_STATE_CEILING)
     eig = perron_eigendata(A)
     m = parry_measure(A, eig)
     log_lam = float(np.log(eig.lam))
+    outdegree = A.array.sum(axis=1)
     rows = []
-    radius: dict[Word, float] = {}
+    violations = []
     for k in range(1, max_depth + 1):
-        # The k-block table once; each hole word is one state of it.
-        table = prune_words(A, [], block_length=k)
-        radii = _hole_radii(table.successors).tolist()
+        words = word_array(A, k, PRUNE_STATE_CEILING)
+        radii = _hole_radii(A, words)
         measures = cylinder_measure_vector(m, k).tolist()
-        for w, lam, meas in zip(table.states, radii, measures):
-            radius[w] = lam
+        start = len(rows)
+        for w, lam, meas in zip(map(tuple, words.tolist()), radii.tolist(), measures):
             gap = log_lam - float(np.log(lam)) if lam > 0.0 else math.inf
             delta = params.theta ** (-k)
             rows.append(HoleRow(w, k, delta, meas, lam, gap, gap / (delta**2 * meas**2)))
-    violations = []
-    for w, lam_w in radius.items():
-        for c in A.successor_sets[w[-1]]:
-            ext = w + (c,)
-            if ext in radius and radius[ext] < lam_w - 1e-10:
-                violations.append((w, ext))
+        if k > 1:
+            # The extensions of each depth-(k-1) word are contiguous rows of
+            # this depth's lexicographic array, in ascending last symbol.
+            parent = np.repeat(np.arange(len(up_radii)), outdegree[up_last])
+            for i in np.flatnonzero(radii < up_radii[parent] - 1e-10).tolist():
+                violations.append((rows[up_start + parent[i]].word, rows[start + i].word))
+        up_start, up_last, up_radii = start, words[:, -1], radii
     fitted_c = min(r.per_hole_c for r in rows)
     argmin = min(rows, key=lambda r: r.per_hole_c).word
     return HoleFamilyScan(tuple(rows), fitted_c, argmin, tuple(violations),

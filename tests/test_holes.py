@@ -167,22 +167,76 @@ def scan_cases(draw):
 @given(scan_cases())
 @example((golden_mean_shift(), 1))  # hole 0 leaves an empty survivor set
 @example((full_shift(2), 2))  # hole 01 leaves reducible survivors
+@example((full_shift(2), 4))  # self-overlapping holes 0000, 0101 and 0110
+@example((golden_mean_shift(), 6))  # holds 100101
+# Rows 1, 2 and 3 exclude a symbol, so a word starting with it has a state
+# (0, a) with no edge on w[0].
+@example((transition_matrix([[1, 1, 1, 1], [0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1]]), 3))
 def test_family_scan_matches_per_word_pruning(case):
     A, depth = case
     for row in hole_family_scan(A, depth).rows:
         assert row.survivor_lambda == higher_block_prune(A, row.word).survivor_lambda
 
 
-@pytest.mark.parametrize("budget", [1, 50])  # one word per solve; two 26-state graphs
+@pytest.mark.parametrize("budget", [1, 50])  # one word per solve; ten 5-state automata
 def test_family_scan_rows_do_not_depend_on_chunking(monkeypatch, full3, budget):
     rows = hole_family_scan(full3, 3).rows
     monkeypatch.setattr(holes, "HOLE_CHUNK_STATES", budget)
     assert hole_family_scan(full3, 3).rows == rows
 
 
+@pytest.mark.parametrize("budget", [1, 50])
+def test_family_scan_solves_respect_state_budget(monkeypatch, full3, budget):
+    # A word of depth k has a (k + s - 1)-state automaton; no solve may stack
+    # more states than the budget, or than one word's automaton.
+    sizes = []
+    solve = holes._component_radii
+
+    def spy(succ):
+        sizes.append(succ.shape[0])
+        return solve(succ)
+
+    monkeypatch.setattr(holes, "_component_radii", spy)
+    monkeypatch.setattr(holes, "HOLE_CHUNK_STATES", budget)
+    max_depth, s = 4, full3.size
+    hole_family_scan(full3, max_depth)
+    assert max(sizes) <= max(budget, max_depth + s - 1)
+    assert sum(sizes) == sum(s**k * (k + s - 1) for k in range(1, max_depth + 1))
+
+
+def test_family_scan_full2_depth_12_completes(full2):
+    scan = hole_family_scan(full2, 12)
+    assert len(scan.rows) == 2**13 - 2
+    assert not scan.monotonicity_violations
+
+
+def test_family_scan_monotonicity_matches_dict_loop(monkeypatch, golden, full3):
+    # Perturbed radii make violations; the scan must report the ones, in the
+    # order, that a loop over every word and its one-symbol extensions finds.
+    solve = holes._hole_radii
+    rng = np.random.default_rng(5)
+
+    def perturbed(A, words):
+        return solve(A, words) * rng.uniform(0.9, 1.1, len(words))
+
+    monkeypatch.setattr(holes, "_hole_radii", perturbed)
+    mats = [(golden, 8), (full3, 4)] + [(A, 3) for A in random_primitive_matrices(2, (4,), seed=21)]
+    for A, depth in mats:
+        scan = hole_family_scan(A, depth)
+        radius = {r.word: r.survivor_lambda for r in scan.rows}
+        expected = []
+        for w, lam_w in radius.items():
+            for c in A.successor_sets[w[-1]]:
+                ext = w + (c,)
+                if ext in radius and radius[ext] < lam_w - 1e-10:
+                    expected.append((w, ext))
+        assert expected
+        assert scan.monotonicity_violations == tuple(expected)
+
+
 def test_family_scan_refuses_state_ceiling_before_solving(monkeypatch, full2):
     # Depth 17 has 131072 > 50000 states; no shallower depth may be solved first.
-    def solve(succ):
+    def solve(A, words):
         raise AssertionError("a depth was solved before the ceiling check")
 
     monkeypatch.setattr(holes, "_hole_radii", solve)
