@@ -6,6 +6,11 @@ end-to-end integral-discrepancy certificate
 with c_hat = sqrt(2) (sum of the per-step decay bounds + their tail) read from
 the proven decay certificate (`DecayEstimate.c_hat`). It is verified with the
 oscillation max f - min f <= |f|_theta, which implies the stated bound.
+
+Sampled measures are checked as stacks: the divergence, the gap identity and
+the bound take k measures (and k functions) at once and return arrays, one
+entry per measure, with the bits of each one-measure check. `ratio_scan`
+solves its samples and its slope families in one batch.
 """
 
 from __future__ import annotations
@@ -16,18 +21,18 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InputError, VerificationError
+from .errors import InputError, VerificationError, first_failure
 from .measures import (
     LocallyConstantFunction,
     MarkovMeasure,
     centered,
     conditional_vectors,
+    dirichlet_kernels,
     entropy,
     integrate,
     markov_measure,
     parry_measure,
     random_function,
-    sample_markov_batch,
     stationary_vector,
 )
 from .sft import TransitionMatrix
@@ -47,27 +52,35 @@ FAMILIES = 5
 FAMILY_POINTS = 8
 
 
-def phi_divergence(p, q) -> float:
-    """KL divergence sum q_i log(q_i / p_i), with 0 log(. / 0) = 0 when q_i = 0.
+def phi_divergence(p, q):
+    """KL divergence sum q_i log(q_i / p_i), with 0 log(. / 0) = 0 when q_i = 0;
+    for (k, n) stacks of pairs, an array with one divergence per row.
 
     Rejects pairs where q charges a point of p-mass zero (the divergence would
-    be infinite, signalling a support violation upstream).
+    be infinite, signalling a support violation upstream); a stack is rejected
+    for its first bad pair's first failed check.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    if p.shape != q.shape or p.ndim != 1:
-        raise InputError(f"probability vectors must share a 1-d shape, got {p.shape} and {q.shape}")
-    if float(p.min()) < 0 or float(q.min()) < 0:
-        raise InputError("probability vectors must be nonnegative")
-    for vec, name in ((p, "p"), (q, "q")):
-        if abs(float(vec.sum()) - 1.0) > 1e-9:
-            raise InputError(f"{name} sums to {vec.sum()}, not 1")
-    if bool(((q > 0) & (p == 0)).any()):
-        raise InputError("q has mass where p vanishes; divergence is infinite")
-    terms = np.zeros_like(q)
-    pos = q > 0
-    terms[pos] = q[pos] * np.log(q[pos] / p[pos])
-    return max(float(terms.sum()), 0.0)
+    if p.shape != q.shape or p.ndim not in (1, 2):
+        raise InputError(
+            f"probability vectors must share a 1-d or (k, n) shape, got {p.shape} and {q.shape}"
+        )
+    P, Qv = np.atleast_2d(p), np.atleast_2d(q)
+    p_sum, q_sum = P.sum(axis=1), Qv.sum(axis=1)
+    pos = Qv > 0
+    failure = first_failure((
+        ((P.min(axis=1) < 0) | (Qv.min(axis=1) < 0),
+         lambda i: "probability vectors must be nonnegative"),
+        (np.abs(p_sum - 1.0) > 1e-9, lambda i: f"p sums to {p_sum[i]}, not 1"),
+        (np.abs(q_sum - 1.0) > 1e-9, lambda i: f"q sums to {q_sum[i]}, not 1"),
+        ((pos & (P == 0)).any(axis=1), lambda i: "q has mass where p vanishes; divergence is infinite"),
+    ))
+    if failure:
+        raise InputError(failure[1])
+    ratio = np.divide(Qv, P, out=np.ones_like(Qv), where=pos)
+    phi = np.maximum(np.where(pos, Qv * np.log(ratio), 0.0).sum(axis=1), 0.0)
+    return float(phi[0]) if p.ndim == 1 else phi
 
 
 class PinskerResult(NamedTuple):
@@ -92,20 +105,23 @@ class GapIdentity(NamedTuple):
 
 
 def gap_identity_check(mu: MarkovMeasure, eig: PerronData) -> GapIdentity:
-    """Fiberwise-divergence integral versus the entropy gap log lam - h_mu.
+    """Fiberwise-divergence integral versus the entropy gap log lam - h_mu; for a
+    stack of measures, each field is an array with one entry per measure.
 
     The integrand depends only on the second coordinate, so the integral is
-    sum_j r_j * phi(p_j, q_j) over symbols with r_j > 0.
+    sum_j r_j * phi(p_j, q_j) over symbols with r_j > 0, added up one symbol j
+    at a time across the stack.
     """
-    lhs = 0.0
+    stack = mu if mu.stationary.ndim == 2 else mu[None]
+    r = stack.stationary
+    lhs = np.zeros(len(r))
     for j in range(mu.support.size):
-        rj = float(mu.stationary[j])
-        if rj <= 0.0:
-            continue
-        p, q = conditional_vectors(mu, eig, j)
-        lhs += rj * phi_divergence(p, q)
-    rhs = float(np.log(eig.lam)) - entropy(mu)
-    return GapIdentity(lhs, rhs, abs(lhs - rhs))
+        live = np.flatnonzero(r[:, j] > 0.0)
+        p, q = conditional_vectors(stack[live], eig, j)
+        lhs[live] += r[live, j] * phi_divergence(np.broadcast_to(p, q.shape), q)
+    rhs = float(np.log(eig.lam)) - entropy(stack)
+    ident = GapIdentity(lhs, rhs, np.abs(lhs - rhs))
+    return ident if stack is mu else GapIdentity(*(float(x[0]) for x in ident))
 
 
 class StepBound(NamedTuple):
@@ -151,31 +167,40 @@ def effective_bound_verify(
     decay: DecayEstimate,
     m: MarkovMeasure | None = None,
 ) -> BoundReport:
-    """Verify the integral-discrepancy bound for one (f, mu) pair.
+    """Verify the integral-discrepancy bound for one (f, mu) pair, or for each
+    pair of a stack of k functions and a stack of k measures (either may be a
+    single one, broadcast); the report's fields other than c_hat are then
+    arrays, one entry per pair.
 
     f is centered against the Parry measure first (pass `m` to reuse one). A gap
     below -1e-9 means the measure claims more entropy than log lam and is
-    treated as a hard error. The ratio field is lhs / (seminorm sqrt(gap)),
-    with the oscillation `lip_seminorm`, NaN when the gap or the seminorm is
-    too small to divide by.
+    treated as a hard error, raised for the first such pair of a stack. The
+    ratio field is lhs / (seminorm sqrt(gap)), with the oscillation
+    `lip_seminorm`, NaN when the gap or the seminorm is too small to divide by.
     """
+    single = f.values.ndim == 1 and mu.stationary.ndim == 1
     if m is None:
         m = parry_measure(f.matrix, eig)
     fc = centered(f, m)
-    gap = float(np.log(eig.lam)) - entropy(mu)
-    if gap < -1e-9:
+    gap = float(np.log(eig.lam)) - np.atleast_1d(entropy(mu))
+    lhs = np.abs(integrate(fc, mu) - integrate(fc, m))
+    gap, lhs, sem = np.broadcast_arrays(gap, lhs, lip_seminorm(fc))
+    broken = np.flatnonzero(gap < -1e-9)
+    if broken.size:
+        i = broken[0]
         raise VerificationError(
-            f"entropy exceeds log lambda by {-gap:.3e}; measure or eigendata is broken"
+            f"{'' if single else f'pair {i}: '}entropy exceeds log lambda by {-gap[i]:.3e}; "
+            "measure or eigendata is broken"
         )
-    gap_pos = max(gap, 0.0)
-    lhs = abs(integrate(fc, mu) - integrate(fc, m))
-    sem = lip_seminorm(fc)
+    gap_pos = np.maximum(gap, 0.0)
+    root = np.sqrt(gap_pos)
     c_hat = decay.c_hat
-    holds = lhs <= c_hat * sem * float(np.sqrt(gap_pos)) + EFFECTIVE_BOUND_SLACK
-    if gap_pos > GAP_FLOOR and sem > 0.0:
-        ratio = lhs / (sem * float(np.sqrt(gap_pos)))
-    else:
-        ratio = float("nan")
+    holds = lhs <= c_hat * sem * root + EFFECTIVE_BOUND_SLACK
+    usable = (gap_pos > GAP_FLOOR) & (sem > 0.0)
+    ratio = np.divide(lhs, sem * root, out=np.full(gap.shape, np.nan), where=usable)
+    if single:
+        return BoundReport(float(lhs[0]), float(sem[0]), float(gap[0]), c_hat,
+                           float(ratio[0]), bool(holds[0]))
     return BoundReport(lhs, sem, gap, c_hat, ratio, holds)
 
 
@@ -193,31 +218,25 @@ class ScanSummary:
     all_hold: bool
 
 
-def _family_slope(
-    A: TransitionMatrix,
-    eig: PerronData,
-    m: MarkovMeasure,
+def _family_slopes(
     fc: LocallyConstantFunction,
-    q_direction: np.ndarray,
-    t_grid: np.ndarray,
-) -> float:
-    """Least-squares slope of log lhs against log gap along the segment from the
-    Parry kernel towards q_direction. NaN when too few usable points."""
-    log_gap = []
-    log_lhs = []
-    base = integrate(fc, m)
-    t = t_grid[:, None, None]
-    Qs = (1.0 - t) * m.transition + t * q_direction
-    for r, Q in zip(stationary_vector(Qs), Qs):
-        mu = markov_measure(r, Q, A)
-        gap = float(np.log(eig.lam)) - entropy(mu)
-        lhs = abs(integrate(fc, mu) - base)
-        if gap > GAP_FLOOR and lhs > 1e-13:
-            log_gap.append(float(np.log(gap)))
-            log_lhs.append(float(np.log(lhs)))
-    if len(log_gap) < 3:
-        return float("nan")
-    return float(np.polyfit(log_gap, log_lhs, 1)[0])
+    family: MarkovMeasure,
+    m: MarkovMeasure,
+    eig: PerronData,
+) -> list[float]:
+    """Least-squares slope of log lhs against log gap along each family: the
+    centred function fc[i] against its FAMILY_POINTS measures family[i *
+    FAMILY_POINTS:(i + 1) * FAMILY_POINTS]. NaN for a family with fewer than 3
+    usable points."""
+    pairs = LocallyConstantFunction(fc.matrix, fc.depth, np.repeat(fc.values, FAMILY_POINTS, axis=0))
+    gap = float(np.log(eig.lam)) - entropy(family)
+    lhs = np.abs(integrate(pairs, family) - integrate(pairs, m))
+    slopes = []
+    for g, h in zip(gap.reshape(-1, FAMILY_POINTS), lhs.reshape(-1, FAMILY_POINTS)):
+        use = (g > GAP_FLOOR) & (h > 1e-13)
+        slope = np.polyfit(np.log(g[use]), np.log(h[use]), 1)[0] if use.sum() >= 3 else np.nan
+        slopes.append(float(slope))
+    return slopes
 
 
 def ratio_scan(
@@ -232,6 +251,10 @@ def ratio_scan(
 
     Purely observational beyond the per-sample verification: the slope is
     evidence about the gap exponent, not an asserted inequality.
+
+    The sampled kernels and the family kernels (the first FAMILIES samples'
+    segments) are solved in one batch and validated as one stack; every
+    sample is verified in one stacked `effective_bound_verify` call.
     """
     if samples < 1:
         raise InputError(f"need at least one sample, got {samples}")
@@ -241,15 +264,18 @@ def ratio_scan(
 
     master = np.random.default_rng(seed)
     sub_seeds = master.integers(0, 2**63 - 1, size=2 * samples)
-    rows = []
-    slopes = []
-    t_grid = np.geomspace(1e-3, 1e-1, FAMILY_POINTS)
-    for i, mu in enumerate(sample_markov_batch(A, sub_seeds[0::2])):
-        f = random_function(A, depth, int(sub_seeds[2 * i + 1]))
-        rows.append(effective_bound_verify(f, mu, eig, decay, m=m))
-        if i < FAMILIES:
-            fc = centered(f, m)
-            slopes.append(_family_slope(A, eig, m, fc, mu.transition, t_grid))
+    kernels = dirichlet_kernels(A, sub_seeds[0::2])
+    t = np.geomspace(1e-3, 1e-1, FAMILY_POINTS)[:, None, None]
+    segments = (1.0 - t) * m.transition + t * kernels[:FAMILIES, None]
+    Qs = np.concatenate([kernels, segments.reshape(-1, A.size, A.size)])
+    mu = markov_measure(stationary_vector(Qs), Qs, A)
+    f = random_function(A, depth, sub_seeds[1::2])
+    report = effective_bound_verify(f, mu[:samples], eig, decay, m=m)
+    fields = (report.lhs, report.seminorm, report.gap, report.ratio, report.holds)
+    rows = [BoundReport(lhs, sem, gap, decay.c_hat, ratio, holds)
+            for lhs, sem, gap, ratio, holds in zip(*(x.tolist() for x in fields))]
+    head = LocallyConstantFunction(A, depth, f.values[:FAMILIES])
+    slopes = _family_slopes(centered(head, m), mu[samples:], m, eig)
 
     finite = [(r.ratio, i) for i, r in enumerate(rows) if np.isfinite(r.ratio)]
     if finite:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import math
 import sys
 from pathlib import Path
@@ -119,16 +120,16 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
     log_lam = float(np.log(eig.lam))
     master = np.random.default_rng(args.seed)
     seeds = master.integers(0, 2**63 - 1, size=args.samples)
-    rows = []
-    worst_info = 0.0
-    worst_gap = 0.0
-    for i, mu in enumerate(sample_markov_batch(A, seeds)):
-        h = entropy(mu)
-        info = information_mean(mu, eig)
-        ident = gap_identity_check(mu, eig)
-        worst_info = max(worst_info, abs(info - log_lam))
-        worst_gap = max(worst_gap, ident.discrepancy)
-        rows.append([i, h, log_lam - h, info, abs(info - log_lam), ident.discrepancy])
+    mu = sample_markov_batch(A, seeds)
+    h = entropy(mu)
+    info = information_mean(mu, eig)
+    info_error = np.abs(info - log_lam).tolist()
+    gap_error = gap_identity_check(mu, eig).discrepancy.tolist()
+    columns = (h.tolist(), (log_lam - h).tolist(), info.tolist(), info_error, gap_error)
+    rows = [[i, *row] for i, row in enumerate(zip(*columns))]
+    # max over 0 and each sample in turn, as a running max takes it
+    worst_info = max([0.0, *info_error])
+    worst_gap = max([0.0, *gap_error])
     summary = {
         "lambda": eig.lam,
         "log_lambda": log_lam,
@@ -289,7 +290,10 @@ _FLAGS_OF = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on the first call and shared for the life of the
+    process: callers parse with it and never add to it."""
     parser = argparse.ArgumentParser(
         prog="sftbounds",
         description="Entropy gaps, transfer-operator decay, and dimension bounds "

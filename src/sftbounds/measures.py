@@ -3,6 +3,11 @@ the mean of the information function, conditional probability vectors, and a
 Dirichlet sampler for test measures.
 
 All integrals of depth-d functions are exact finite sums over admissible d-words.
+Sampled measures are handled as stacks: a MarkovMeasure may hold k measures,
+(k, s) stationary vectors and (k, s, s) kernels, and a LocallyConstantFunction
+k functions, (k, n) values. Validation, entropy, cylinder vectors and integrals
+take a stack in a few array calls and give each row the bits of its own
+one-measure computation; a single measure is the k = 1 case of the same code.
 Stationary vectors of many kernels are solved in one batch, a block of power
 steps at a time, each chain returning the iterate of its own stopping step;
 cylinder vectors are products over columns of the word array. Both give the
@@ -17,7 +22,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 import numpy.random  # numpy loads it lazily; load it here, not in the first sampling call
 
-from .errors import ConvergenceError, InputError
+from .errors import ConvergenceError, InputError, first_failure
 from .sft import (
     TransitionMatrix,
     Word,
@@ -43,40 +48,55 @@ _BLOCK_CAP = 64
 
 @dataclass(frozen=True)
 class MarkovMeasure:
-    """Stationary vector r and stochastic matrix Q supported on a transition matrix."""
+    """Stationary vector r and stochastic matrix Q supported on a transition
+    matrix, or a stack of k measures: r of shape (k, s), Q of shape (k, s, s)."""
 
     stationary: np.ndarray
     transition: np.ndarray
     support: TransitionMatrix
 
+    def __getitem__(self, index) -> MarkovMeasure:
+        """Index the measure axis of a stack: an int gives one measure, a slice
+        or an index array a sub-stack, and None makes one measure a stack of one."""
+        return MarkovMeasure(self.stationary[index], self.transition[index], self.support)
+
 
 def markov_measure(stationary, transition, support: TransitionMatrix) -> MarkovMeasure:
-    """Validate (r, Q) and freeze them into a MarkovMeasure.
+    """Validate (r, Q), or a stack of k pairs, and freeze them into a MarkovMeasure.
 
     Checks: r >= 0 summing to 1, Q rows summing to 1, Q supported inside the
-    0/1 matrix, and stationarity rQ = r, all to STATIONARITY_TOL.
+    0/1 matrix, and stationarity rQ = r, all to STATIONARITY_TOL. A stack is
+    checked in a few array calls; a failure names its first bad measure and
+    that measure's first failed check, as a loop over the stack would.
     """
-    r = np.array(stationary, dtype=float)
-    Q = np.array(transition, dtype=float)
+    r = np.array(stationary, dtype=float, order="C")
+    Q = np.array(transition, dtype=float, order="C")
     s = support.size
-    if r.shape != (s,) or Q.shape != (s, s):
+    if r.ndim not in (1, 2) or r.shape[-1] != s or Q.shape != r.shape + (s,):
         raise InputError(f"measure dimensions {r.shape}, {Q.shape} do not match alphabet size {s}")
-    if float(r.min()) < -STATIONARITY_TOL or float(Q.min()) < -STATIONARITY_TOL:
-        raise InputError("negative probabilities")
-    r = np.maximum(r, 0.0)
-    Q = np.maximum(Q, 0.0)
-    if abs(float(r.sum()) - 1.0) > STATIONARITY_TOL:
-        raise InputError(f"stationary vector sums to {r.sum()}, not 1")
-    row_sums = Q.sum(axis=1)
-    if float(np.max(np.abs(row_sums - 1.0))) > STATIONARITY_TOL:
-        raise InputError("transition matrix rows must sum to 1")
-    off = Q[support.array == 0]
-    if off.size and float(np.max(off)) > STATIONARITY_TOL:
-        raise InputError("transition probabilities positive outside the allowed support")
-    Q[support.array == 0] = 0.0
-    drift = float(np.max(np.abs(r @ Q - r)))
-    if drift > STATIONARITY_TOL:
-        raise InputError(f"vector is not stationary: max |rQ - r| = {drift}")
+    rs, Qs = r.reshape(-1, s), Q.reshape(-1, s, s)  # views: one measure is a stack of one
+    negative = (rs.min(axis=1) < -STATIONARITY_TOL) | (Qs.min(axis=(1, 2)) < -STATIONARITY_TOL)
+    np.maximum(r, 0.0, out=r)
+    np.maximum(Q, 0.0, out=Q)
+    total = rs.sum(axis=1)
+    row_error = np.abs(Qs.sum(axis=2) - 1.0).max(axis=1)
+    outside = support.array == 0
+    off = Qs[:, outside].max(axis=1, initial=0.0)
+    Qs[:, outside] = 0.0
+    drift = np.abs((rs[:, None, :] @ Qs)[:, 0, :] - rs).max(axis=1)
+    failure = first_failure((
+        (negative, lambda i: "negative probabilities"),
+        (np.abs(total - 1.0) > STATIONARITY_TOL,
+         lambda i: f"stationary vector sums to {total[i]}, not 1"),
+        (row_error > STATIONARITY_TOL, lambda i: "transition matrix rows must sum to 1"),
+        (off > STATIONARITY_TOL,
+         lambda i: "transition probabilities positive outside the allowed support"),
+        (drift > STATIONARITY_TOL,
+         lambda i: f"vector is not stationary: max |rQ - r| = {drift[i]}"),
+    ))
+    if failure:
+        i, message = failure
+        raise InputError(f"measure {i} of the stack: {message}" if r.ndim == 2 else message)
     r.setflags(write=False)
     Q.setflags(write=False)
     return MarkovMeasure(r, Q, support)
@@ -161,12 +181,10 @@ def stationary_vector(Q: np.ndarray, tol: float = 1e-14, max_iter: int = 1_000_0
     )
 
 
-def sample_markov_batch(A: TransitionMatrix, seeds) -> list[MarkovMeasure]:
-    """Random Markov measures on A, one per seed: each row of Q is a flat
-    Dirichlet draw (all concentrations 1) over that row's allowed entries, from
-    default_rng(seed). Deterministic in (A, seed); the stationary vectors are
-    solved in one batch.
-    """
+def dirichlet_kernels(A: TransitionMatrix, seeds) -> np.ndarray:
+    """Random stochastic matrices on A as a (k, s, s) stack, one per seed: each
+    row is a flat Dirichlet draw (all concentrations 1) over that row's allowed
+    entries, from default_rng(seed). Deterministic in (A, seed)."""
     s = A.size
     Qs = np.zeros((len(seeds), s, s))
     for Q, seed in zip(Qs, seeds):
@@ -177,7 +195,14 @@ def sample_markov_batch(A: TransitionMatrix, seeds) -> list[MarkovMeasure]:
                 Q[i, allowed[0]] = 1.0
             else:
                 Q[i, list(allowed)] = rng.dirichlet(np.ones(len(allowed)))
-    return [markov_measure(r, Q, A) for r, Q in zip(stationary_vector(Qs), Qs)]
+    return Qs
+
+
+def sample_markov_batch(A: TransitionMatrix, seeds) -> MarkovMeasure:
+    """Random Markov measures on A as a stack, one per seed: the
+    `dirichlet_kernels` with their stationary vectors, solved in one batch."""
+    Qs = dirichlet_kernels(A, seeds)
+    return markov_measure(stationary_vector(Qs), Qs, A)
 
 
 def sample_markov(A: TransitionMatrix, seed: int) -> MarkovMeasure:
@@ -198,18 +223,23 @@ def cylinder_measure(mu: MarkovMeasure, word) -> float:
     return p
 
 
-def entropy(mu: MarkovMeasure) -> float:
-    """Kolmogorov-Sinai entropy -sum r_i Q_ij log Q_ij in nats (0 log 0 = 0)."""
+def entropy(mu: MarkovMeasure):
+    """Kolmogorov-Sinai entropy -sum r_i Q_ij log Q_ij in nats (0 log 0 = 0); an
+    array with one entropy per measure for a stack."""
     Q = mu.transition
     mask = Q > 0.0
     terms = np.where(mask, Q * np.log(np.where(mask, Q, 1.0)), 0.0)
-    return float(-(mu.stationary[:, None] * terms).sum())
+    weighted = mu.stationary[..., :, None] * terms
+    # each measure's s * s terms summed as one flat row, as a lone measure's are
+    h = -weighted.reshape(*weighted.shape[:-2], -1).sum(axis=-1)
+    return float(h) if h.ndim == 0 else h
 
 
 @dataclass(frozen=True)
 class LocallyConstantFunction:
     """A function depending on the first `depth` coordinates, stored as one value
-    per admissible depth-word in lexicographic order."""
+    per admissible depth-word in lexicographic order; values of shape (k, n)
+    hold a stack of k such functions, one per row."""
 
     matrix: TransitionMatrix
     depth: int
@@ -220,7 +250,7 @@ class LocallyConstantFunction:
             raise InputError(f"depth must be at least 1, got {self.depth}")
         vals = np.array(self.values, dtype=float)
         expected = word_count(self.matrix, self.depth)
-        if vals.shape != (expected,):
+        if vals.ndim not in (1, 2) or vals.shape[-1] != expected:
             raise InputError(
                 f"need {expected} values for depth {self.depth}, got shape {vals.shape}"
             )
@@ -252,38 +282,51 @@ def indicator(A: TransitionMatrix, word) -> LocallyConstantFunction:
     return LocallyConstantFunction(A, len(w), vals)
 
 
-def random_function(A: TransitionMatrix, depth: int, seed: int) -> LocallyConstantFunction:
-    """Standard normal values on the depth-words, from default_rng(seed)."""
-    rng = np.random.default_rng(seed)
-    return LocallyConstantFunction(A, depth, rng.standard_normal(word_count(A, depth)))
+def random_function(A: TransitionMatrix, depth: int, seed) -> LocallyConstantFunction:
+    """Standard normal values on the depth-words, from default_rng(seed); a
+    sequence of seeds gives a stack, one function per seed."""
+    n = word_count(A, depth)
+    seeds = seed if np.ndim(seed) else [seed]
+    values = np.array([np.random.default_rng(int(s)).standard_normal(n) for s in seeds])
+    return LocallyConstantFunction(A, depth, values if np.ndim(seed) else values[0])
 
 
 def cylinder_measure_vector(mu: MarkovMeasure, depth: int) -> np.ndarray:
     """Measures of all admissible depth-words, aligned with the rows of
     `word_array`: the left-to-right product of cylinder_measure, one column at
-    a time."""
+    a time; (k, n), one row per measure, for a stack."""
     W = word_array(mu.support, depth)
-    p = mu.stationary[W[:, 0]]
+    p = mu.stationary[..., W[:, 0]]
     for t in range(1, depth):
-        p = p * mu.transition[W[:, t - 1], W[:, t]]
-    return p
+        p = p * mu.transition[..., W[:, t - 1], W[:, t]]
+    # a stack's gathers come out word-major; integrals need each row unit-stride
+    return np.ascontiguousarray(p)
 
 
-def integrate(f: LocallyConstantFunction, mu: MarkovMeasure) -> float:
-    """Exact integral of f: the measure-weighted sum over admissible depth-words."""
+def integrate(f: LocallyConstantFunction, mu: MarkovMeasure):
+    """Exact integral of f: the measure-weighted sum over admissible depth-words.
+
+    Stacks of functions or of measures broadcast against each other, giving an
+    array with one integral per row. Each is the matmul (1, n) @ (n, 1), which
+    numpy takes to the same dot product as a lone f @ p, so every row has its
+    one-pair bits (einsum and a (k, n) @ (n,) matmul do not)."""
     if f.matrix != mu.support:
         raise InputError("function and measure live on different transition matrices")
-    return float(f.values @ cylinder_measure_vector(mu, f.depth))
+    p = cylinder_measure_vector(mu, f.depth)
+    out = (f.values[..., None, :] @ p[..., :, None])[..., 0, 0]
+    return float(out) if out.ndim == 0 else out
 
 
 def centered(f: LocallyConstantFunction, mu: MarkovMeasure) -> LocallyConstantFunction:
-    """f minus its mu-integral."""
-    return LocallyConstantFunction(f.matrix, f.depth, f.values - integrate(f, mu))
+    """f minus its mu-integral, row by row for stacks."""
+    mean = np.asarray(integrate(f, mu))[..., None]
+    return LocallyConstantFunction(f.matrix, f.depth, f.values - mean)
 
 
-def information_mean(mu: MarkovMeasure, eig: PerronData) -> float:
+def information_mean(mu: MarkovMeasure, eig: PerronData):
     """Integral against mu of the information function of the Parry measure,
-    in coboundary form iota(x) = log(lam) + g(x1) - g(x0) with g = log u.
+    in coboundary form iota(x) = log(lam) + g(x1) - g(x0) with g = log u; one
+    per measure of a stack.
 
     Equals log(lam) for every stationary mu: the coboundary part cancels.
     """
@@ -297,14 +340,15 @@ def conditional_vectors(mu: MarkovMeasure, eig: PerronData, j: int):
     """Conditional distributions over the predecessor set S_j of symbol j.
 
     Returns (p, q): p_i = u_i / (lam u_j) is the Parry conditional, and
-    q_i = r_i Q[i, j] / r_j the conditional of mu. Both sum to 1; q needs r_j > 0.
+    q_i = r_i Q[i, j] / r_j the conditional of mu, one row per measure of a
+    stack. Both sum to 1; q needs r_j > 0 (in every measure of a stack).
     """
     A = mu.support
     S = predecessors(A, j)
     idx = list(S)
     p = eig.u[idx] / (eig.lam * eig.u[j])
-    rj = float(mu.stationary[j])
-    if rj <= 0.0:
+    rj = mu.stationary[..., j]
+    if np.any(rj <= 0.0):
         raise InputError(f"symbol {j} has zero stationary mass; conditional undefined")
-    q = mu.stationary[idx] * mu.transition[idx, j] / rj
+    q = mu.stationary[..., idx] * mu.transition[..., idx, j] / rj[..., None]
     return p, q

@@ -36,12 +36,13 @@ def supnorm(f: LocallyConstantFunction) -> float:
     return float(np.max(np.abs(f.values)))
 
 
-def lip_seminorm(f: LocallyConstantFunction) -> float:
+def lip_seminorm(f: LocallyConstantFunction):
     """The oscillation max f - min f: the n = 0 term of the Lipschitz seminorm
     |f|_theta = max over n of var_n(f) theta**n (var_n the largest change of f
     between words agreeing on n leading symbols), so at most |f|_theta for
-    every theta."""
-    return float(max(0.0, f.values.max() - f.values.min()))
+    every theta. An array with one oscillation per function for a stack."""
+    osc = np.maximum(0.0, f.values.max(axis=-1) - f.values.min(axis=-1))
+    return float(osc) if osc.ndim == 0 else osc
 
 
 def _kernel(A: TransitionMatrix, eig: PerronData, depth: int) -> tuple[np.ndarray, np.ndarray]:

@@ -219,6 +219,26 @@ def run_python(probe):
     return out.stdout.strip()
 
 
+def test_parser_is_built_once_and_survives_a_usage_error(capsys, full2_path):
+    argv = ["verify", "--matrix", str(full2_path), "--samples", "8", "--seed", "4"]
+    summaries = []
+    for call in range(2):
+        assert main(argv) == 0
+        summaries.append(json.loads(capsys.readouterr().out))
+        summaries[-1].pop("meta")
+        if call == 0:
+            with pytest.raises(SystemExit) as exc:
+                main(["verify", "--matrix", str(full2_path), "--max-hole-depth", "2"])
+            assert exc.value.code == 2
+            assert "--max-hole-depth" in capsys.readouterr().err
+    assert summaries[0] == summaries[1]
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_parser_is_not_built_at_import():
+    assert run_python("import sftbounds.cli as c; print(c.build_parser.cache_info().currsize)") == "0"
+
+
 def test_import_leaves_scipy_special_out():
     probe = "import sys, sftbounds.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     assert run_python(probe) == "[]"
