@@ -1,33 +1,43 @@
-"""Forbidden-cylinder holes: higher-block pruning, survivor entropy as a spectral
-radius, and dimension upper bounds for the set of orbits avoiding the hole.
+"""Forbidden-cylinder holes: pruning on suffix automata, survivor entropy as a
+spectral radius, and dimension upper bounds for the set of orbits avoiding the
+hole.
 
 A cylinder of a depth-k word is exactly the theta-metric ball of radius
 theta**-k about any of its points, so symbolic holes are cylinders.
 
-The pruned k-block graph is stored as a successor table (each state has at
-most one successor per symbol), never as a dense float matrix. Its spectral
-radius comes from a power iteration over all strongly connected components at
-once; each component stops on the width of its own Collatz-Wielandt bracket,
-a proven enclosure of the Perron root (Lind-Marcus, Symbolic Dynamics and
-Coding, Ch. 4). The components come from `sft._strong_components`, a numpy
-forward-backward colouring of the same table, so no sparse-matrix library is
-needed.
+Forbidding a set F of words is done on the Aho-Corasick automaton of F (Aho and
+Corasick, CACM 1975), never on a block table. Its states are the one-symbol
+words and the nonempty proper prefixes of the words of F, less those that
+contain a word of F; a state is the longest such suffix of the sequence read
+so far. Symbol c leads state p to the longest such suffix of p + (c,), and
+there is no edge where A forbids the last symbol of p -> c or where p + (c,)
+ends in a word of F. For one word of length k this is the Knuth-Morris-Pratt
+prefix automaton, with s + k - 2 states.
 
-A hole scan never builds a block table. The sequences that avoid one word w
-of depth k are the paths of w's prefix automaton: a state is (l, a), with l the
-length of the longest suffix of the block read so far that is a prefix of w
-(at most k - 1) and a its last symbol, so there are k + s - 1 states, and
-symbol c moves along the Knuth-Morris-Pratt transition. Mapping each state of
-the k-block graph minus w onto its (l, a) is an exact lumping: every symbol
-leads states of one class into one class, each cycle of the automaton lifts to
-a cycle of the block graph (after k symbols a block state is its last k
-symbols), and an edge from a state on a cycle stays in its strongly connected
-component exactly when its image does. So each component on a cycle iterates
-on the same bits, in the same order, on both graphs, states on no cycle give 0
-on both, and the radii are bit-identical to `higher_block_prune`. The scan
-stacks the automata of a depth's words, up to HOLE_CHUNK_STATES automaton
-states at a time, into one block-diagonal table and solves it in a single
-batched iteration; a word's radius is the max over its block.
+Each k-block state (k at least the longest word of F) maps onto the state its
+k symbols lead to; this lumping is exact (Lind-Marcus, Symbolic Dynamics and
+Coding, Ch. 2-4). Every symbol leads states of one class into one class. Each
+cycle of the automaton lifts to a cycle of the block graph, since after k
+symbols a block state is its last k symbols. An edge from a state on a cycle
+stays in its strongly connected component exactly when its image does. So each
+component on a cycle runs the same iteration on the same bits, in the same
+symbol order, on both graphs; min and max over a component do not depend on
+how its states are numbered; states on no cycle give 0 on both; and the radii
+are bit-identical to the block table's.
+
+The successor table (each state has at most one successor per symbol) is the
+whole graph; no dense float matrix is built. Its spectral radius comes from a
+power iteration over all strongly connected components at once; each component
+stops on the width of its own Collatz-Wielandt bracket, a proven enclosure of
+the Perron root (Lind-Marcus, Ch. 4). The components come from
+`sft._strong_components`, a numpy forward-backward colouring of the same table,
+so no sparse-matrix library is needed.
+
+One builder, `_automata`, makes the automata of a batch of word sets as one
+block-diagonal table. `prune_words` passes one set; a hole scan passes one
+set per hole word, stacking the words of every depth, up to HOLE_CHUNK_STATES
+automaton states at a time, and solves each stack in a single batched
+iteration; a word's radius is the max over its block.
 """
 
 from __future__ import annotations
@@ -38,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, InputError
+from .errors import CeilingError, ConvergenceError, InputError
 from .measures import cylinder_measure_vector, parry_measure
 from .sft import (
     MetricParams,
@@ -48,35 +58,44 @@ from .sft import (
     _strong_components,
     is_admissible,
     word_array,
-    word_codes,
 )
 from .spectral import perron_eigendata
 
+# Most automaton states prune_words builds, and most hole words of one depth.
 PRUNE_STATE_CEILING = 50_000
 # Most automaton states one batched solve in hole_family_scan stacks (a word
-# of depth k has k + s - 1); it bounds that solve's working set.
+# of depth k has s + k - 2); it bounds that solve's working set.
 HOLE_CHUNK_STATES = 4096
 
 
 @dataclass(frozen=True)
 class PrunedSystem:
-    """Higher-block presentation on k-words with the forbidden states removed.
+    """The suffix automaton of a forbidden word set (see the module docstring).
 
-    `states` are the surviving k-words in lexicographic order. The read-only
-    `(len(states), size)` table `successors` is the whole graph: entry [i, c] is
-    the index of state `states[i][1:] + (c,)`, or -1 when there is none.
+    The read-only `(n, size)` table `successors` is the whole graph: entry
+    [i, c] is the state symbol c leads state i to, or -1 when there is none.
     `survivor_lambda` is its spectral radius, 0.0 when no orbit survives.
-    `matrix` is the dense read-only int8 adjacency, built on first use.
+    State i's word is the word of state `parents[i]` (none when -1) followed
+    by `symbols[i]`. `states`, those words by length and then in lexicographic
+    order (so the one-symbol states come first), and `matrix`, the dense
+    read-only int8 adjacency, are built on first use.
     """
 
-    block_length: int
-    states: tuple[Word, ...]
     successors: np.ndarray
     survivor_lambda: float
+    parents: np.ndarray
+    symbols: np.ndarray
+
+    @functools.cached_property
+    def states(self) -> tuple[Word, ...]:
+        words: list[Word] = []
+        for p, c in zip(self.parents.tolist(), self.symbols.tolist()):
+            words.append((words[p] if p >= 0 else ()) + (c,))
+        return tuple(words)
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
-        n = len(self.states)
+        n = len(self.successors)
         mat = np.zeros((n, n), dtype=np.int8)
         rows, cols = np.nonzero(self.successors >= 0)
         mat[rows, self.successors[rows, cols]] = 1
@@ -127,107 +146,131 @@ def _component_radii(succ: np.ndarray, tol: float = 1e-13, max_iter: int = 100_0
         lo = np.minimum.reduceat(ratio, starts)
         hi = np.maximum.reduceat(ratio, starts)
         done = hi - lo <= tol * hi
-        radii[comp[done]] = 0.5 * (lo[done] + hi[done]) - 1.0
-        if done.all():
-            return radii[labels]
-        y /= np.repeat(hi, sizes)
         if done.any():
+            radii[comp[done]] = 0.5 * (lo[done] + hi[done]) - 1.0
+            if done.all():
+                return radii[labels]
             alive = np.repeat(~done, sizes)
             # Whole components leave, so live states point only at live ones.
             renumber = np.append(np.cumsum(alive) - 1, -1)
             cols = [renumber[c[alive]] for c in cols]
-            y = y[alive]
+            y, hi = y[alive], hi[~done]
             comp, sizes = comp[~done], sizes[~done]
             starts = np.cumsum(sizes) - sizes
             x = np.empty(len(y) + 1)
             x[-1] = 0.0
-        x[:-1] = y
+        np.divide(y, np.repeat(hi, sizes), out=x[:-1])
     raise ConvergenceError(
         f"spectral radius iteration stalled on {len(comp)} of {ncomp} components",
         residual=float((hi - lo)[~done].max()),
     )
 
 
-def prune_words(A: TransitionMatrix, words, block_length: int | None = None) -> PrunedSystem:
-    """Forbid the cylinders of `words` via the k-block presentation.
+def _automata(A: TransitionMatrix, words: np.ndarray, owner: np.ndarray, sets: int):
+    """The suffix automata of `sets` forbidden-word sets as one block-diagonal
+    successor table (see the module docstring).
 
-    States are admissible k-words minus those starting with a forbidden word;
-    a -> b is allowed when the windows overlap in k-1 symbols. With no words
-    this is the plain k-block presentation (block_length then required).
-    Refused when there are more than PRUNE_STATE_CEILING admissible k-words.
+    Row i of `words` is a word of set owner[i] (owner ascending), padded with -1
+    past its end. Returns the table and, per state, its set, its parent (the
+    state of its word less the last symbol; -1 for a one-symbol state) and its
+    last symbol. States come by set, then by length, then in lexicographic
+    order.
+
+    The trie is built one depth at a time, with a root per set whose children
+    are all s symbols. A node's failure link, its longest proper suffix in the
+    trie, is the transition of its parent's failure link on its symbol; a
+    node's transition on c is its child on c, else its failure link's. Both
+    look only at shallower nodes, which are done. A node is dead when it
+    contains a forbidden word: when it is one, or its parent or its failure
+    link is dead.
+    """
+    s = A.size
+    lengths = np.count_nonzero(words >= 0, axis=1)
+    total = sets * (1 + s) + int(np.maximum(lengths - 1, 0).sum())
+    parent = np.empty(total, dtype=np.intp)
+    sym = np.empty(total, dtype=np.intp)
+    own = np.empty(total, dtype=np.intp)
+    fail = np.empty(total, dtype=np.intp)
+    dead = np.zeros(total, dtype=bool)
+    delta = np.empty((total, s), dtype=np.intp)
+    roots = np.arange(sets)
+    lo, hi = sets, sets * (1 + s)  # the nodes of the current depth
+    delta[:lo] = lo + roots[:, None] * s + np.arange(s)
+    parent[lo:hi] = fail[lo:hi] = own[lo:hi] = np.repeat(roots, s)
+    sym[lo:hi] = np.tile(np.arange(s), sets)
+    node = lo + owner * s + words[:, 0]  # each word's node at the current depth
+    dead[node[lengths == 1]] = True
+    for d in range(2, int(lengths.max(initial=1)) + 1):
+        rows = np.flatnonzero(lengths >= d)
+        keys, inv = np.unique(node[rows] * s + words[rows, d - 1], return_inverse=True)
+        new = np.arange(hi, hi + len(keys))
+        par, c = keys // s, keys % s
+        child = np.full((hi - lo, s), -1, dtype=np.intp)
+        child[par - lo, c] = new
+        delta[lo:hi] = np.where(child >= 0, child, delta[fail[lo:hi]])
+        parent[new], sym[new], own[new] = par, c, own[par]
+        fail[new] = delta[fail[par], c]
+        dead[new] = dead[par] | dead[fail[new]]
+        node[rows] = new[inv]
+        dead[node[rows[lengths[rows] == d]]] = True
+        lo, hi = hi, hi + len(keys)
+    delta[lo:hi] = delta[fail[lo:hi]]
+    alive = np.flatnonzero(~dead[sets:hi]) + sets
+    order = alive[np.argsort(own[alive], kind="stable")]
+    renumber = np.full(hi, -1, dtype=np.intp)
+    renumber[order] = np.arange(len(order))
+    succ = np.where(A.array[sym[order]] == 1, renumber[delta[order]], -1)
+    return succ, own[order], renumber[parent[order]], sym[order]
+
+
+def prune_words(A: TransitionMatrix, words) -> PrunedSystem:
+    """Forbid the cylinders of `words` on their suffix automaton.
+
+    With no words this is A's own graph on the one-symbol states. Refused when
+    the automaton could have more than PRUNE_STATE_CEILING states.
     """
     forb = [tuple(w) for w in words]
     for w in forb:
         if not is_admissible(A, w):
             raise InputError(f"forbidden word {w} is not admissible")
-    if block_length is None:
-        if not forb:
-            raise InputError("block_length is required when no words are pruned")
-        block_length = max(len(w) for w in forb)
-    k = block_length
-    if k < 1:
-        raise InputError(f"block length must be at least 1, got {k}")
-    if any(len(w) > k for w in forb):
-        raise InputError("forbidden words longer than the block length")
-    s = A.size
-    codes = word_codes(A, k, ceiling=PRUNE_STATE_CEILING)
-    weights = s ** np.arange(k - 1, -1, -1)
-    keep = np.ones(len(codes), dtype=bool)
-    for w in forb:
-        keep &= codes // weights[len(w) - 1] != np.dot(w, weights[k - len(w):])
-    states = tuple(map(tuple, word_array(A, k, PRUNE_STATE_CEILING)[keep].tolist()))
-    codes = codes[keep]
-    # Successor of a by c is a[1:] + c; a -1 sentinel marks codes not found.
-    targets = (codes % s ** (k - 1) * s)[:, None] + np.arange(s)
-    pos = np.searchsorted(codes, targets)
-    found = (np.append(codes, -1)[pos] == targets) & (A.array[codes % s] == 1)
-    succ = np.where(found, pos, -1)
-    succ.setflags(write=False)
-    radius = float(_component_radii(succ).max(initial=0.0))
-    return PrunedSystem(k, states, succ, radius)
+    bound = A.size + sum(len(w) - 1 for w in forb)
+    if bound > PRUNE_STATE_CEILING:
+        raise CeilingError(
+            f"{bound} automaton states exceed the ceiling {PRUNE_STATE_CEILING}"
+        )
+    padded = np.full((len(forb), max(map(len, forb), default=1)), -1, dtype=np.intp)
+    for i, w in enumerate(forb):
+        padded[i, :len(w)] = w
+    succ, _, parents, symbols = _automata(A, padded, np.zeros(len(forb), dtype=np.intp), 1)
+    for a in (succ, parents, symbols):
+        a.setflags(write=False)
+    return PrunedSystem(succ, float(_component_radii(succ).max(initial=0.0)), parents, symbols)
 
 
 def _hole_radii(A: TransitionMatrix, words: np.ndarray) -> np.ndarray:
     """Entry i: the spectral radius of A's sequences that avoid the word
-    `words[i]`, one row per word of a common depth k, from its prefix
-    automaton (see the module docstring).
+    `words[i]` (a row padded with -1 past its end), from its own automaton.
 
-    States (0, a) come first, in symbol order, then l = 1..k-1. Symbol c leads
-    from (l, a) to (delta(l, c), c), delta the Knuth-Morris-Pratt transition,
-    with no edge when A[a, c] = 0 or delta(l, c) = k. The automata of up to
-    HOLE_CHUNK_STATES states' worth of words are built only when their chunk
-    is solved.
+    The automata of up to HOLE_CHUNK_STATES states' worth of consecutive words
+    are built, stacked and solved at once; a chunk's table is built only when
+    it is solved.
     """
-    n, k = words.shape
-    s = A.size
-    q = k + s - 1
-    length = np.concatenate([np.zeros(s, dtype=np.intp), np.arange(1, k)])
-    sym = np.arange(s)
-    m = max(1, HOLE_CHUNK_STATES // q)
-    out = []
-    for first in range(0, n, m):
-        w = words[first:first + m]
-        rows = np.arange(len(w))
-        # KMP: delta[i, l, c] for l < k; border is the longest proper border
-        # of w[:l], so delta(l, c) = delta(border, c) unless c = w[l].
-        delta = np.zeros((len(w), k, s), dtype=np.intp)
-        delta[rows, 0, w[:, 0]] = 1
-        border = np.zeros(len(w), dtype=np.intp)
-        for ell in range(1, k):
-            delta[:, ell] = delta[rows, border]
-            delta[rows, ell, w[:, ell]] = ell + 1
-            border = delta[rows, border, w[:, ell]]
-        # State j of a word is (length[j], last[:, j]).
-        last = np.concatenate([np.broadcast_to(sym, (len(w), s)), w[:, :k - 1]], axis=1)
-        step = delta[:, length]
-        target = np.where(step == 0, sym, s - 1 + step) + q * rows[:, None, None]
-        table = np.where((step < k) & (A.array[last] == 1), target, -1)
-        out.append(_component_radii(table.reshape(-1, s)).reshape(len(w), q).max(axis=1))
-    return np.concatenate(out)
+    n = len(words)
+    sizes = np.count_nonzero(words >= 0, axis=1) + A.size - 2
+    ends = np.cumsum(sizes)
+    out = np.zeros(n)
+    first = 0
+    while first < n:
+        stop = int(np.searchsorted(ends, ends[first] - sizes[first] + HOLE_CHUNK_STATES, "right"))
+        stop = max(stop, first + 1)
+        succ, owner, _, _ = _automata(A, words[first:stop], np.arange(stop - first), stop - first)
+        np.maximum.at(out[first:stop], owner, _component_radii(succ))
+        first = stop
+    return out
 
 
 def higher_block_prune(A: TransitionMatrix, w) -> PrunedSystem:
-    """Remove the single state of `w` from its own block presentation."""
+    """Forbid the single word `w`: its prefix automaton."""
     return prune_words(A, [tuple(w)])
 
 
@@ -239,15 +282,14 @@ def survivor_entropy(ps: PrunedSystem) -> float:
 
 
 def pruned_word_count(ps: PrunedSystem, n: int) -> int:
-    """Exact number of admissible n-symbol words avoiding the pruned cylinders.
-
-    An n-word corresponds to a path on n - k + 1 block states, so n >= k.
+    """Exact number of admissible n-symbol words avoiding the pruned cylinders:
+    the paths of n - 1 steps from the one-symbol states, which come first.
     Integer arithmetic throughout.
     """
-    k = ps.block_length
-    if n < k:
-        raise InputError(f"need n >= block length {k}, got {n}")
-    return _path_count(ps.successors, n - k)
+    if n < 1:
+        raise InputError(f"word length must be at least 1, got {n}")
+    ones = int(np.count_nonzero(ps.parents < 0))
+    return int(_path_count(ps.successors, n - 1)[:ones].sum())
 
 
 def dim_upper_bound(h: float, log_lambda: float, dim_m: float, log_theta_cap: float) -> float:
@@ -296,19 +338,23 @@ def hole_family_scan(
     if max_depth < 1:
         raise InputError(f"max depth must be at least 1, got {max_depth}")
     # Counts never decrease with depth (every word has a successor): refuse the
-    # deepest word array before any shallower depth is solved.
-    word_codes(A, max_depth, ceiling=PRUNE_STATE_CEILING)
+    # deepest word array before any shallower depth is built.
+    word_array(A, max_depth, PRUNE_STATE_CEILING)
     eig = perron_eigendata(A)
     m = parry_measure(A, eig)
     log_lam = float(np.log(eig.lam))
     outdegree = A.array.sum(axis=1)
+    arrays = [word_array(A, k, PRUNE_STATE_CEILING) for k in range(1, max_depth + 1)]
+    all_radii = _hole_radii(A, np.concatenate([
+        np.pad(words, ((0, 0), (0, max_depth - k)), constant_values=-1)
+        for k, words in enumerate(arrays, 1)
+    ]))
     rows = []
     violations = []
-    for k in range(1, max_depth + 1):
-        words = word_array(A, k, PRUNE_STATE_CEILING)
-        radii = _hole_radii(A, words)
-        measures = cylinder_measure_vector(m, k).tolist()
+    for k, words in enumerate(arrays, 1):
         start = len(rows)
+        radii = all_radii[start:start + len(words)]
+        measures = cylinder_measure_vector(m, k).tolist()
         for w, lam, meas in zip(map(tuple, words.tolist()), radii.tolist(), measures):
             gap = log_lam - float(np.log(lam)) if lam > 0.0 else math.inf
             delta = params.theta ** (-k)

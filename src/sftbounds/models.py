@@ -288,7 +288,7 @@ def exceptional_dimension_bound(model: ExpandingModel, x0: float, delta: float,
             survivor_lambda=eig.lam, h_plus=log_lam, bound=1.0,
             implied_c=0.0, shape_bound=1.0, trivial=True, pruned=None,
         )
-    ps = prune_words(A, cover.inner, block_length=cover.depth)
+    ps = prune_words(A, cover.inner)
     h_plus = survivor_entropy(ps)
     raw = 1.0 - (log_lam - h_plus) / log_cap
     bound = max(raw, 0.0)

@@ -140,15 +140,15 @@ def is_admissible(A: TransitionMatrix, word) -> bool:
     return all(A.rows[a][b] == 1 for a, b in zip(word, word[1:]))
 
 
-def _path_count(succ: np.ndarray, steps: int) -> int:
-    """Exact number of paths of `steps` edges on a successor table, in Python
-    ints: entry [i, c] of `succ` is a successor of state i, or -1 for none.
-    The -1 padding gathers the zero kept at the end of the counts."""
+def _path_count(succ: np.ndarray, steps: int) -> np.ndarray:
+    """Exact number of paths of `steps` edges from each state of a successor
+    table, as Python ints: entry [i, c] of `succ` is a successor of state i, or
+    -1 for none. The -1 padding gathers the zero kept at the end of the counts."""
     counts = np.ones(succ.shape[0] + 1, dtype=object)
     counts[-1] = 0
     for _ in range(steps):
         counts[:-1] = counts[succ].sum(axis=1)
-    return int(counts.sum())
+    return counts[:-1]
 
 
 def _strong_components(succ: np.ndarray) -> np.ndarray:
@@ -211,7 +211,7 @@ def word_count(A: TransitionMatrix, k: int) -> int:
 
 @functools.lru_cache(maxsize=512)
 def _word_count_cached(A: TransitionMatrix, k: int) -> int:
-    return _path_count(np.where(A.array > 0, np.arange(A.size), -1), k - 1)
+    return int(_path_count(np.where(A.array > 0, np.arange(A.size), -1), k - 1).sum())
 
 
 def word_array(A: TransitionMatrix, k: int, ceiling: int = WORD_CEILING) -> np.ndarray:

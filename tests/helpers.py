@@ -75,6 +75,32 @@ def dp_avoid_count(A: TransitionMatrix, forbidden: tuple[int, ...], n: int) -> i
     return sum(counts.values())
 
 
+def suffix_automaton(A: TransitionMatrix, forbidden) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """States and dense 0/1 adjacency of the automaton of A's sequences that
+    avoid every word of `forbidden`, by tuple suffix search.
+
+    States are the one-symbol words and the proper prefixes of forbidden
+    words, less those with a forbidden factor, by length then lexicographic.
+    Symbol c leads p to the longest state that is a suffix of p + (c,), with
+    no edge where A forbids p[-1] -> c or p + (c,) ends in a forbidden word.
+    """
+    forb = {tuple(f) for f in forbidden}
+
+    def clean(w):
+        return not any(w[i:j] in forb for i in range(len(w)) for j in range(i + 1, len(w) + 1))
+
+    cands = {(a,) for a in range(A.size)} | {f[:j] for f in forb for j in range(1, len(f))}
+    states = sorted((w for w in cands if clean(w)), key=lambda w: (len(w), w))
+    index = {w: i for i, w in enumerate(states)}
+    mat = np.zeros((len(states), len(states)), dtype=np.int8)
+    for p in states:
+        for c in range(A.size):
+            t = p + (c,)
+            if A.rows[p[-1]][c] and not any(t[i:] in forb for i in range(len(t))):
+                mat[index[p], index[next(t[i:] for i in range(len(t)) if t[i:] in index)]] = 1
+    return states, mat
+
+
 def random_primitive_matrices(count: int, sizes, seed: int) -> list[TransitionMatrix]:
     """Seeded stream of primitive 0/1 matrices with the given size choices."""
     rng = np.random.default_rng(seed)

@@ -9,7 +9,14 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
-from helpers import PHI, brute_avoid_count, brute_words, dp_avoid_count, random_primitive_matrices
+from helpers import (
+    PHI,
+    brute_avoid_count,
+    brute_words,
+    dp_avoid_count,
+    random_primitive_matrices,
+    suffix_automaton,
+)
 from sftbounds import (
     CeilingError,
     ConvergenceError,
@@ -27,13 +34,29 @@ from sftbounds import (
     pruned_word_count,
     survivor_entropy,
     transition_matrix,
+    word_count,
 )
 from sftbounds import holes
 
 
+def block_table(A, k, forb):
+    """The k-block presentation that pruning used before automata, from
+    tuples: admissible k-words not starting with a word of `forb` (k at least
+    the longest), and the successor table of the k-1 symbol overlaps."""
+    states = [w for w in brute_words(A, k) if not any(w[: len(f)] == f for f in forb)]
+    index = {w: i for i, w in enumerate(states)}
+    succ = [[index.get(a[1:] + (c,), -1) if A.rows[a[-1]][c] else -1 for c in range(A.size)]
+            for a in states]
+    return states, np.array(succ, dtype=np.intp).reshape(len(states), A.size)
+
+
+def block_table_radius(A, k, forb):
+    return holes._component_radii(block_table(A, k, forb)[1]).max(initial=0.0)
+
+
 def test_prune_11_gives_golden_survivor(full2):
     ps = higher_block_prune(full2, (1, 1))
-    assert len(ps.states) == 3
+    assert ps.states == ((0,), (1,))
     assert abs(ps.survivor_lambda - PHI) <= 1e-9
     assert abs(survivor_entropy(ps) - math.log(PHI)) <= 1e-9
 
@@ -52,10 +75,11 @@ def test_prune_to_empty_survivor(golden):
 
 
 def test_block_presentation_preserves_lambda(full2, eig_full2, golden, eig_golden):
+    # With nothing forbidden the automaton is A's own graph on its symbols.
     for A, eig in ((full2, eig_full2), (golden, eig_golden)):
-        for k in range(1, 5):
-            ps = prune_words(A, [], block_length=k)
-            assert abs(ps.survivor_lambda - eig.lam) <= 1e-10
+        ps = prune_words(A, [])
+        assert ps.states == tuple((a,) for a in range(A.size))
+        assert abs(ps.survivor_lambda - eig.lam) <= 1e-10
 
 
 def test_prune_requires_admissible_word(golden):
@@ -167,18 +191,19 @@ def scan_cases(draw):
 @given(scan_cases())
 @example((golden_mean_shift(), 1))  # hole 0 leaves an empty survivor set
 @example((full_shift(2), 2))  # hole 01 leaves reducible survivors
-@example((full_shift(2), 4))  # self-overlapping holes 0000, 0101 and 0110
+@example((full_shift(2), 6))  # self-overlapping holes 0000, 0101 and 0110
 @example((golden_mean_shift(), 6))  # holds 100101
-# Rows 1, 2 and 3 exclude a symbol, so a word starting with it has a state
-# (0, a) with no edge on w[0].
+# Rows 1, 2 and 3 exclude a symbol, so a word starting with it has a
+# one-symbol state with no edge on w[0].
 @example((transition_matrix([[1, 1, 1, 1], [0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1]]), 3))
 def test_family_scan_matches_per_word_pruning(case):
     A, depth = case
+    # Bit-equal to the k-block graph minus the word: the automaton is its exact lumping.
     for row in hole_family_scan(A, depth).rows:
-        assert row.survivor_lambda == higher_block_prune(A, row.word).survivor_lambda
+        assert row.survivor_lambda == block_table_radius(A, row.depth, [row.word])
 
 
-@pytest.mark.parametrize("budget", [1, 50])  # one word per solve; ten 5-state automata
+@pytest.mark.parametrize("budget", [1, 50])  # one word per solve; about ten automata per solve
 def test_family_scan_rows_do_not_depend_on_chunking(monkeypatch, full3, budget):
     rows = hole_family_scan(full3, 3).rows
     monkeypatch.setattr(holes, "HOLE_CHUNK_STATES", budget)
@@ -187,7 +212,7 @@ def test_family_scan_rows_do_not_depend_on_chunking(monkeypatch, full3, budget):
 
 @pytest.mark.parametrize("budget", [1, 50])
 def test_family_scan_solves_respect_state_budget(monkeypatch, full3, budget):
-    # A word of depth k has a (k + s - 1)-state automaton; no solve may stack
+    # A word of depth k has an (s + k - 2)-state automaton; no solve may stack
     # more states than the budget, or than one word's automaton.
     sizes = []
     solve = holes._component_radii
@@ -200,8 +225,22 @@ def test_family_scan_solves_respect_state_budget(monkeypatch, full3, budget):
     monkeypatch.setattr(holes, "HOLE_CHUNK_STATES", budget)
     max_depth, s = 4, full3.size
     hole_family_scan(full3, max_depth)
-    assert max(sizes) <= max(budget, max_depth + s - 1)
-    assert sum(sizes) == sum(s**k * (k + s - 1) for k in range(1, max_depth + 1))
+    assert max(sizes) <= max(budget, s + max_depth - 2)
+    assert sum(sizes) == sum(s**k * (s + k - 2) for k in range(1, max_depth + 1))
+
+
+def test_family_scan_stacks_every_depth_in_one_solve(monkeypatch, full2):
+    # full2 to depth 8: 3586 automaton states, under HOLE_CHUNK_STATES.
+    sizes = []
+    solve = holes._component_radii
+
+    def spy(succ):
+        sizes.append(succ.shape[0])
+        return solve(succ)
+
+    monkeypatch.setattr(holes, "_component_radii", spy)
+    hole_family_scan(full2, 8)
+    assert sizes == [sum(2**k * k for k in range(1, 9))]
 
 
 def test_family_scan_full2_depth_12_completes(full2):
@@ -251,10 +290,20 @@ def test_family_scan_includes_empty_survivors(golden):
     assert row0.gap == float("inf")
 
 
-def test_pruned_word_count_needs_full_window(full2):
-    ps = higher_block_prune(full2, (1, 1))
+def test_pruned_word_count_below_word_length(full2, golden):
+    # Shorter than the word, every admissible n-word avoids it.
+    ps = higher_block_prune(full2, (1, 1, 0, 1))
+    for n in range(1, 4):
+        assert pruned_word_count(ps, n) == len(brute_words(full2, n))
+    for A, forb in ((full2, [(1, 1, 0, 1)]), (golden, [(0, 1, 0, 0), (1, 0)]),
+                    (full2, [(0, 1, 1, 0, 1), (1, 1, 1)])):
+        ps = prune_words(A, forb)
+        for n in range(1, 8):
+            expected = sum(1 for w in brute_words(A, n)
+                           if not any(w[i:i + len(f)] == f for f in forb for i in range(n)))
+            assert pruned_word_count(ps, n) == expected, (forb, n)
     with pytest.raises(InputError):
-        pruned_word_count(ps, 1)
+        pruned_word_count(ps, 0)
 
 
 def block_radius(mat):
@@ -295,12 +344,18 @@ def test_successor_table_is_read_only(full2):
     assert ps.matrix.dtype == np.int8 and not ps.matrix.flags.writeable
 
 
-def test_word_code_overflow_is_refused():
-    # Few admissible 32-words, but base-4 codes of 32 symbols overflow int64.
+def test_long_words_need_no_word_codes():
+    # Base-4 codes of 32 symbols overflow int64; the automaton reads symbols,
+    # not codes, so a 32-word is pruned like any other.
     A = transition_matrix([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 1, 0, 0]])
-    assert len(enumerate_words(A, 32)) < 2000
-    with pytest.raises(CeilingError, match="overflow"):
-        prune_words(A, [], block_length=32)
+    w = enumerate_words(A, 32)[-1]
+    ps = prune_words(A, [w])
+    states, mat = suffix_automaton(A, [w])
+    assert ps.states == tuple(states) and len(states) == A.size + 30
+    np.testing.assert_array_equal(ps.matrix, mat)
+    assert abs(ps.survivor_lambda - block_radius(mat)) <= 1e-9
+    assert pruned_word_count(ps, 31) == word_count(A, 31)
+    assert pruned_word_count(ps, 32) == word_count(A, 32) - 1
 
 
 @st.composite
@@ -318,15 +373,18 @@ def pruning_cases(draw):
 @example((full_shift(2), 2, [(0, 1)]))  # reducible: three one-state components
 def test_pruning_matches_brute_force(case):
     A, k, forb = case
-    ps = prune_words(A, forb, block_length=k)
-    states = [w for w in brute_words(A, k) if not any(w[: len(f)] == f for f in forb)]
-    assert ps.states == tuple(states)
+    ps = prune_words(A, forb)
+    states, succ = block_table(A, k, forb)
+    # Bit-equal to the k-block table: the automaton is its exact lumping.
+    assert ps.survivor_lambda == holes._component_radii(succ).max(initial=0.0)
     expected = np.array(
         [[a[1:] == b[:-1] and A.rows[a[-1]][b[-1]] == 1 for b in states] for a in states],
         dtype=np.int8,
     ).reshape(len(states), len(states))
-    np.testing.assert_array_equal(ps.matrix, expected)
     assert abs(ps.survivor_lambda - block_radius(expected)) <= 1e-9
+    auto_states, auto = suffix_automaton(A, forb)
+    assert ps.states == tuple(auto_states)
+    np.testing.assert_array_equal(ps.matrix, auto)
     assert (survivor_entropy(ps) == -math.inf) == (ps.survivor_lambda == 0.0)
     for f in forb:
         single = higher_block_prune(A, f)
@@ -347,6 +405,17 @@ def test_doubling_delta_1e4_completes():
     graph = scipy.sparse.csr_matrix((np.ones(ok.sum()), (src[ok], dst[ok])), shape=(2**k, 2**k))
     truth = float(np.abs(scipy.sparse.linalg.eigs(graph, k=1, which="LM", return_eigenvectors=False)).max())
     assert abs(rep.survivor_lambda - truth) <= 1e-9
+
+
+def test_doubling_delta_1e6_completes():
+    # 2^21 block states once refused this cover; its automaton has a few dozen.
+    model = model_preset("doubling")
+    rep = exceptional_dimension_bound(model, 0.125, 1e-6)
+    assert rep.depth == 21
+    states, mat = suffix_automaton(model.transition, rep.inner)
+    assert rep.pruned.states == tuple(states) and len(states) < 100
+    assert 0.0 < rep.survivor_lambda < 2.0 and rep.bound < 1.0
+    assert abs(rep.survivor_lambda - block_radius(mat)) <= 1e-9
 
 
 @functools.lru_cache(maxsize=None)

@@ -244,8 +244,9 @@ def test_descent_reaches_every_word_near_the_ball(x0, delta):
 
 @pytest.mark.parametrize("delta", [1e-6, 1e-20])
 def test_model_dim_ceiling_trips_before_cover_work(monkeypatch, tmp_path, delta):
-    # delta=1e-6: 2^21 block states exceed the 50 000-state ceiling, and the
-    # cover must not build the 2^21 cylinder intervals before it refuses them.
+    # delta=1e-6: depth 21, 2^21 words; the descent builds O(depth) cylinder
+    # intervals, not 2^21, and the pruned automaton has a few dozen states,
+    # so no ceiling trips and the bound is finite.
     # delta=1e-20: 2^68 words exceed the word ceiling, which must refuse before
     # the descent, whose prefixes grow like s^depth once cylinders are shorter
     # than ENDPOINT_TOL.
@@ -259,8 +260,14 @@ def test_model_dim_ceiling_trips_before_cover_work(monkeypatch, tmp_path, delta)
     monkeypatch.setattr(models, "cylinder_interval", counting)
     status = main(["model-dim", "--model", "doubling", "--x0", "0.125", "--delta", str(delta),
                    "--out", str(tmp_path / "dim.json")])
-    assert status == 2
     assert len(calls) < 1000
+    if delta == 1e-20:
+        assert status == 2
+    else:
+        assert status == 0
+        summary = json.loads((tmp_path / "dim.json").read_text())
+        assert summary["depth"] == 21 and math.isfinite(summary["bound"])
+        assert 0.0 < summary["bound"] < 1.0
 
 
 def test_ball_cover_rejects_bad_inputs():
@@ -289,7 +296,7 @@ def test_dimension_bound_hole_00():
 
 def test_dimension_report_carries_pruned_cover():
     rep = exceptional_dimension_bound(DOUBLING, 0.125, 0.125)
-    ps = prune_words(DOUBLING.transition, rep.inner, block_length=rep.depth)
+    ps = prune_words(DOUBLING.transition, rep.inner)
     assert rep.pruned.states == ps.states
     assert np.array_equal(rep.pruned.successors, ps.successors)
     assert rep.pruned.survivor_lambda == rep.survivor_lambda
