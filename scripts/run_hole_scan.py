@@ -38,11 +38,11 @@ def main() -> None:
         summary[name] = {
             "fitted_c": scan.fitted_c,
             "argmin_word": word_str(scan.argmin_word, A.size),
-            "holes": len(scan.rows),
+            "holes": len(scan.depth),
             "monotonicity_violations": len(scan.monotonicity_violations),
         }
         print(f"{name:8s} fitted_c={scan.fitted_c:.4f} "
-              f"argmin={word_str(scan.argmin_word, A.size)} holes={len(scan.rows)}")
+              f"argmin={word_str(scan.argmin_word, A.size)} holes={len(scan.depth)}")
     write_json(out / "holes_summary.json", summary)
 
 

@@ -46,7 +46,7 @@ def main() -> None:
               f"bound={rep.bound:.5f} box_count={box:.5f}")
     write_csv(out / "model_dim.csv",
               ["delta", "depth", "inner_count", "outer_measure", "bound",
-               "box_count_estimate", "trivial"], rows)
+               "box_count_estimate", "trivial"], list(zip(*rows)))
     write_json(out / "model_dim_summary.json", {
         "model": args.model,
         "x0": args.x0,

@@ -23,7 +23,6 @@ from .errors import (
 )
 from .holes import (
     HoleFamilyScan,
-    HoleRow,
     PrunedSystem,
     dim_upper_bound,
     higher_block_prune,

@@ -33,7 +33,7 @@ from .measures import (
     sample_markov_batch,
 )
 from .models import cylinder_interval, exceptional_dimension_bound
-from .sft import MetricParams, TransitionMatrix, enumerate_words, word_count, word_str
+from .sft import MetricParams, TransitionMatrix, word_array, word_count, word_str, word_strs
 from .spectral import perron_eigendata
 from .transfer import decay_estimate
 
@@ -56,7 +56,7 @@ _FLAGS = {
 }
 
 
-def _emit(args: argparse.Namespace, summary: dict, header: list[str], rows: list[list]) -> None:
+def _emit(args: argparse.Namespace, summary: dict, header: list[str], columns: list) -> None:
     meta = {
         "command": args.command,
         "seed": getattr(args, "seed", None),
@@ -67,24 +67,22 @@ def _emit(args: argparse.Namespace, summary: dict, header: list[str], rows: list
     if args.out:
         out = Path(args.out)
         out.write_text(text + "\n")
-        io.write_csv(out.with_suffix(".csv"), header, rows)
+        io.write_csv(out.with_suffix(".csv"), header, columns)
 
 
-def verify_table(scan: ScanSummary) -> tuple[list[str], list[list]]:
-    """Header and rows of the `verify` detail CSV."""
+def verify_table(scan: ScanSummary) -> tuple[list[str], list]:
+    """Header and columns of the `verify` detail CSV."""
     header = ["sample_id", "gap", "lhs", "seminorm", "ratio", "holds"]
-    return header, [[i, r.gap, r.lhs, r.seminorm, r.ratio, r.holds] for i, r in enumerate(scan.rows)]
+    columns = [[getattr(r, name) for r in scan.rows] for name in header[1:]]
+    return header, [range(len(scan.rows)), *columns]
 
 
-def hole_table(A: TransitionMatrix, scan: HoleFamilyScan) -> tuple[list[str], list[list]]:
-    """Header and rows of the `hole` detail CSV; the JSON `holes` entries share its keys."""
+def hole_table(A: TransitionMatrix, scan: HoleFamilyScan) -> tuple[list[str], list]:
+    """Header and columns of the `hole` detail CSV; the JSON `holes` records share its keys."""
     header = ["word", "depth", "delta", "hole_measure", "survivor_lambda", "gap", "per_hole_c"]
-    rows = [
-        [word_str(r.word, A.size), r.depth, r.delta, r.measure,
-         r.survivor_lambda, r.gap, r.per_hole_c]
-        for r in scan.rows
-    ]
-    return header, rows
+    columns = [word_strs(scan.words, A.size), scan.depth, scan.delta, scan.measure,
+               scan.survivor_lambda, scan.gap, scan.per_hole_c]
+    return header, columns
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -92,9 +90,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     A = io.load_matrix(args.matrix)
     eig = perron_eigendata(A)
     m = parry_measure(A, eig)
-    words = enumerate_words(A, args.depth)
-    measures = cylinder_measure_vector(m, args.depth).tolist()
-    rows = [[word_str(w, A.size), p] for w, p in zip(words, measures)]
+    words = word_strs(word_array(A, args.depth), A.size)
+    measures = cylinder_measure_vector(m, args.depth)
     summary = {
         "size": A.size,
         "irreducible": A.irreducible,
@@ -109,7 +106,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         "transition": [[float(x) for x in row] for row in m.transition],
         "word_counts": {str(k): word_count(A, k) for k in range(1, args.depth + 1)},
     }
-    _emit(args, summary, ["word", "parry_measure"], rows)
+    _emit(args, summary, ["word", "parry_measure"], [words, measures])
     return 0
 
 
@@ -123,13 +120,12 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
     mu = sample_markov_batch(A, seeds)
     h = entropy(mu)
     info = information_mean(mu, eig)
-    info_error = np.abs(info - log_lam).tolist()
-    gap_error = gap_identity_check(mu, eig).discrepancy.tolist()
-    columns = (h.tolist(), (log_lam - h).tolist(), info.tolist(), info_error, gap_error)
-    rows = [[i, *row] for i, row in enumerate(zip(*columns))]
+    info_error = np.abs(info - log_lam)
+    gap_error = gap_identity_check(mu, eig).discrepancy
+    columns = [range(args.samples), h, log_lam - h, info, info_error, gap_error]
     # max over 0 and each sample in turn, as a running max takes it
-    worst_info = max([0.0, *info_error])
-    worst_gap = max([0.0, *gap_error])
+    worst_info = max([0.0, *info_error.tolist()])
+    worst_gap = max([0.0, *gap_error.tolist()])
     summary = {
         "lambda": eig.lam,
         "log_lambda": log_lam,
@@ -141,7 +137,7 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
     }
     header = ["sample_id", "entropy", "gap", "information_mean",
               "information_discrepancy", "gap_identity_discrepancy"]
-    _emit(args, summary, header, rows)
+    _emit(args, summary, header, columns)
     return 0 if max(worst_info, worst_gap) <= args.tol else 1
 
 
@@ -169,7 +165,8 @@ def _cmd_pinsker(args: argparse.Namespace) -> int:
         "samples_per_dimension": args.samples,
         "violations": total_violations,
     }
-    _emit(args, summary, ["dimension", "samples", "violations", "max_l1", "min_slack"], rows)
+    header = ["dimension", "samples", "violations", "max_l1", "min_slack"]
+    _emit(args, summary, header, list(zip(*rows)))
     return 0 if total_violations == 0 else 1
 
 
@@ -184,7 +181,7 @@ def _cmd_transfer_decay(args: argparse.Namespace) -> int:
         "tail": est.tail,
         "c_hat": est.c_hat,
     }
-    _emit(args, summary, ["step", "bound"], [[n, b] for n, b in enumerate(est.steps)])
+    _emit(args, summary, ["step", "bound"], [range(len(est.steps)), est.steps])
     return 0
 
 
@@ -211,14 +208,11 @@ def _cmd_hole(args: argparse.Namespace) -> int:
     A = io.load_matrix(args.matrix)
     params = MetricParams(args.theta)
     scan = hole_family_scan(A, args.max_hole_depth, params=params)
-    header, rows = hole_table(A, scan)
-    log_theta = float(np.log(params.theta))
-    holes = []
-    for row in rows:
-        entry = dict(zip(header, row))
-        lam = entry["survivor_lambda"]
-        entry["dim"] = float(np.log(lam) / log_theta) if lam > 0 else 0.0
-        holes.append(entry)
+    header, columns = hole_table(A, scan)
+    lam = scan.survivor_lambda
+    dim = np.zeros(len(lam))
+    alive = lam > 0
+    dim[alive] = np.log(lam[alive]) / float(np.log(params.theta))
     summary = {
         "fitted_c": scan.fitted_c,
         "argmin_word": word_str(scan.argmin_word, A.size),
@@ -228,9 +222,9 @@ def _cmd_hole(args: argparse.Namespace) -> int:
             [word_str(a, A.size), word_str(b, A.size)]
             for a, b in scan.monotonicity_violations
         ],
-        "holes": holes,
+        "holes": io.Records({**dict(zip(header, columns)), "dim": dim}),
     }
-    _emit(args, summary, header, rows)
+    _emit(args, summary, header, columns)
     ok = scan.fitted_c > 0 and not scan.monotonicity_violations
     return 0 if ok else 1
 
@@ -246,7 +240,7 @@ def _cmd_model_dim(args: argparse.Namespace) -> int:
     for role, words in (("inner", report.inner), ("outer", report.outer)):
         for w in words:
             ci = cylinder_interval(model, w)
-            rows.append([word_str(w, s), role, ci.lo, ci.hi, cylinder_measure(m, w)])
+            rows.append((word_str(w, s), role, ci.lo, ci.hi, cylinder_measure(m, w)))
     summary = {
         "x0": report.x0,
         "delta": report.delta,
@@ -264,7 +258,8 @@ def _cmd_model_dim(args: argparse.Namespace) -> int:
         "Theta": model.cap_theta,
         "log_lambda": float(np.log(eig.lam)),
     }
-    _emit(args, summary, ["word", "role", "interval_lo", "interval_hi", "parry_measure"], rows)
+    header = ["word", "role", "interval_lo", "interval_hi", "parry_measure"]
+    _emit(args, summary, header, list(zip(*rows)))
     return 0 if report.h_plus <= float(np.log(eig.lam)) + 1e-12 else 1
 
 

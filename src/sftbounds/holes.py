@@ -305,20 +305,22 @@ def dim_upper_bound(h: float, log_lambda: float, dim_m: float, log_theta_cap: fl
     return dim_m - (log_lambda - h) / log_theta_cap
 
 
-@dataclass(frozen=True)
-class HoleRow:
-    word: Word
-    depth: int
-    delta: float
-    measure: float
-    survivor_lambda: float
-    gap: float
-    per_hole_c: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HoleFamilyScan:
-    rows: tuple[HoleRow, ...]
+    """Every admissible hole word up to a depth, as read-only columns aligned
+    row by row: the words by depth and then in lexicographic order, as an
+    (n, max_depth) int array padded with -1 past each word's end; each
+    word's depth, radius delta = theta**-depth, Parry measure, survivor
+    radius, entropy gap (inf when nothing survives) and per-hole constant
+    gap / (delta**2 * measure**2)."""
+
+    words: np.ndarray
+    depth: np.ndarray
+    delta: np.ndarray
+    measure: np.ndarray
+    survivor_lambda: np.ndarray
+    gap: np.ndarray
+    per_hole_c: np.ndarray
     fitted_c: float
     argmin_word: Word
     monotonicity_violations: tuple[tuple[Word, Word], ...]
@@ -332,9 +334,11 @@ def hole_family_scan(
     params: MetricParams = MetricParams(),
 ) -> HoleFamilyScan:
     """Prune every admissible hole word up to max_depth; report per-hole entropy
-    gaps, the largest c with gap >= c * delta^2 * measure^2 across the family,
-    and any extension-monotonicity violations (none expected: forbidding an
-    extension removes less)."""
+    gaps, the largest c with gap >= c * delta^2 * measure^2 across the family
+    (the first minimising word), and any extension-monotonicity violations
+    (none expected: forbidding an extension removes less), in row order.
+    Refuses a theta for which delta^2 * measure^2 underflows so far that a
+    finite gap would get a non-finite per-hole constant."""
     if max_depth < 1:
         raise InputError(f"max depth must be at least 1, got {max_depth}")
     # Counts never decrease with depth (every word has a successor): refuse the
@@ -343,30 +347,51 @@ def hole_family_scan(
     eig = perron_eigendata(A)
     m = parry_measure(A, eig)
     log_lam = float(np.log(eig.lam))
-    outdegree = A.array.sum(axis=1)
     arrays = [word_array(A, k, PRUNE_STATE_CEILING) for k in range(1, max_depth + 1)]
-    all_radii = _hole_radii(A, np.concatenate([
-        np.pad(words, ((0, 0), (0, max_depth - k)), constant_values=-1)
-        for k, words in enumerate(arrays, 1)
-    ]))
-    rows = []
-    violations = []
-    for k, words in enumerate(arrays, 1):
-        start = len(rows)
-        radii = all_radii[start:start + len(words)]
-        measures = cylinder_measure_vector(m, k).tolist()
-        for w, lam, meas in zip(map(tuple, words.tolist()), radii.tolist(), measures):
-            gap = log_lam - float(np.log(lam)) if lam > 0.0 else math.inf
-            delta = params.theta ** (-k)
-            rows.append(HoleRow(w, k, delta, meas, lam, gap, gap / (delta**2 * meas**2)))
-        if k > 1:
-            # The extensions of each depth-(k-1) word are contiguous rows of
-            # this depth's lexicographic array, in ascending last symbol.
-            parent = np.repeat(np.arange(len(up_radii)), outdegree[up_last])
-            for i in np.flatnonzero(radii < up_radii[parent] - 1e-10).tolist():
-                violations.append((rows[up_start + parent[i]].word, rows[start + i].word))
-        up_start, up_last, up_radii = start, words[:, -1], radii
-    fitted_c = min(r.per_hole_c for r in rows)
-    argmin = min(rows, key=lambda r: r.per_hole_c).word
-    return HoleFamilyScan(tuple(rows), fitted_c, argmin, tuple(violations),
+    counts = [len(w) for w in arrays]
+    words = np.concatenate([
+        np.pad(w, ((0, 0), (0, max_depth - k)), constant_values=-1) for k, w in enumerate(arrays, 1)
+    ])
+    lam = _hole_radii(A, words)
+    depth = np.repeat(np.arange(1, max_depth + 1), counts)
+    deltas = [params.theta ** (-k) for k in range(1, max_depth + 1)]
+    delta = np.repeat(deltas, counts)
+    measure = np.concatenate([cylinder_measure_vector(m, k) for k in range(1, max_depth + 1)])
+    gap = np.full(len(lam), math.inf)
+    alive = lam > 0.0
+    gap[alive] = log_lam - np.log(lam[alive])
+    # gap / (delta**2 * measure**2) with Python's float **, the C pow, whose
+    # square is not always the correctly rounded x * x that numpy would take.
+    squares = np.array([x ** 2 for x in measure.tolist()])
+    scale = np.repeat([d ** 2 for d in deltas], counts) * squares
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        per_hole_c = gap / scale
+    lost = np.flatnonzero(np.isfinite(gap) & ~np.isfinite(per_hole_c))
+    if len(lost):
+        i = int(lost[0])
+        raise InputError(
+            f"theta {params.theta} is too large for depth {int(depth[i])}: delta**2 * measure**2 "
+            f"= {float(scale[i])!r} for hole {_word(words, i)}, so its per-hole constant is not finite")
+    # The extensions of each word of depth k - 1 are contiguous rows of the
+    # depth-k array, in ascending last symbol: each row's parent, its prefix,
+    # is repeated by the out-degree of the parent's last symbol.
+    outdegree = A.array.sum(axis=1)
+    starts = np.cumsum(counts) - counts
+    parent = np.concatenate([np.full(counts[0], -1)] + [
+        start + np.repeat(np.arange(len(up)), outdegree[up[:, -1]])
+        for start, up in zip(starts, arrays[:-1])
+    ])
+    bad = np.flatnonzero((parent >= 0) & (lam < lam[parent] - 1e-10))
+    violations = tuple((_word(words, parent[i]), _word(words, i)) for i in bad.tolist())
+    argmin = int(np.argmin(per_hole_c))
+    columns = (words, depth, delta, measure, lam, gap, per_hole_c)
+    for a in columns:
+        a.setflags(write=False)
+    return HoleFamilyScan(*columns, float(per_hole_c[argmin]), _word(words, argmin), violations,
                           log_lam, params.theta)
+
+
+def _word(words: np.ndarray, i: int) -> Word:
+    """Row i of a -1-padded word array as a tuple."""
+    row = words[i]
+    return tuple(row[row >= 0].tolist())

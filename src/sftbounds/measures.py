@@ -184,17 +184,30 @@ def stationary_vector(Q: np.ndarray, tol: float = 1e-14, max_iter: int = 1_000_0
 def dirichlet_kernels(A: TransitionMatrix, seeds) -> np.ndarray:
     """Random stochastic matrices on A as a (k, s, s) stack, one per seed: each
     row is a flat Dirichlet draw (all concentrations 1) over that row's allowed
-    entries, from default_rng(seed). Deterministic in (A, seed)."""
+    entries, from default_rng(seed). Deterministic in (A, seed).
+
+    Generator.dirichlet with unit concentrations draws standard_gamma(1), which
+    is standard_exponential, for each entry of a row in turn, then scales them
+    by 1 / (their sum, added left to right). So one standard_exponential call
+    per seed, for every entry of the rows with more than one allowed symbol
+    (a one-symbol row draws nothing), gives the same bits, normalised across
+    the stack a row at a time."""
     s = A.size
+    draws = np.empty((len(seeds), sum(len(row) for row in A.successor_sets if len(row) > 1)))
+    for out, seed in zip(draws, seeds):
+        np.random.default_rng(int(seed)).standard_exponential(out=out)
     Qs = np.zeros((len(seeds), s, s))
-    for Q, seed in zip(Qs, seeds):
-        rng = np.random.default_rng(int(seed))
-        for i in range(s):
-            allowed = A.successor_sets[i]
-            if len(allowed) == 1:
-                Q[i, allowed[0]] = 1.0
-            else:
-                Q[i, list(allowed)] = rng.dirichlet(np.ones(len(allowed)))
+    start = 0
+    for i, row in enumerate(A.successor_sets):
+        if len(row) == 1:
+            Qs[:, i, row[0]] = 1.0
+            continue
+        e = draws[:, start:start + len(row)]
+        acc = e[:, 0].copy()
+        for j in range(1, len(row)):
+            acc += e[:, j]
+        Qs[:, i, list(row)] = e * (1.0 / acc)[:, None]
+        start += len(row)
     return Qs
 
 

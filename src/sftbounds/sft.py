@@ -264,9 +264,23 @@ def predecessors(A: TransitionMatrix, j: int) -> tuple[int, ...]:
     return A.predecessor_sets[j]
 
 
-def word_str(word, size: int) -> str:
-    """Render a word: digit string for alphabets up to 10, dot-separated otherwise."""
-    if size <= 10:
-        return "".join(str(int(c)) for c in word)
-    return ".".join(str(int(c)) for c in word)
+def _separator(size: int) -> str:
+    """What stands between the symbols of a written word: nothing for
+    alphabets up to 10 symbols, a dot otherwise."""
+    return "" if size <= 10 else "."
 
+
+def word_str(word, size: int) -> str:
+    """Render a word: its symbols in decimal, joined by `_separator(size)`."""
+    return _separator(size).join(str(int(c)) for c in word)
+
+
+def word_strs(words: np.ndarray, size: int) -> list[str]:
+    """`word_str` of each row of an int array of words, padded with -1 past
+    each word's end, built a symbol column at a time."""
+    first = np.array([word_str((c,), size) for c in range(size)])
+    rest = np.array([_separator(size) + t for t in first.tolist()] + [""])  # -1 reads ""
+    out = first[words[:, 0]]
+    for column in words.T[1:]:
+        out = np.char.add(out, rest[column])
+    return out.tolist()

@@ -204,6 +204,19 @@ def test_infinite_theta_exits_two(capsys, full2_path):
     assert "theta" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("theta, depth", [("1e80", 3), ("1e20", 8)])
+def test_underflowing_hole_scale_exits_two(capsys, full2_path, tmp_path, theta, depth):
+    # delta**2 * measure**2 falls below the smallest normal double, so some
+    # per-hole constant gap / (delta**2 * measure**2) would not be finite.
+    out = tmp_path / "h.json"
+    code = main(["hole", "--matrix", str(full2_path), "--theta", theta,
+                 "--max-hole-depth", str(depth), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"theta {float(theta)!r} is too large" in err and "Traceback" not in err
+    assert not out.exists() and not out.with_suffix(".csv").exists()
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
 def test_bad_tol_exits_two(capsys, golden_path, tol):
     code = main(["entropy", "--matrix", str(golden_path), "--samples", "2", "--tol", tol])
@@ -391,7 +404,10 @@ def test_cli_outputs_are_pinned(capsys, tmp_path, command):
     out = tmp_path / "out.json"
     assert main(argv + ["--out", str(out)]) == 0
     capsys.readouterr()
-    summary = json.loads(out.read_text())
+    text = out.read_text()
+    summary = json.loads(text)
+    # the pin hashes values; the file text must also be json.dumps' own
+    assert text == json.dumps(summary, indent=2, sort_keys=True) + "\n"
     summary.pop("meta")
     assert hashlib.sha256(out.with_suffix(".csv").read_bytes()).hexdigest() == csv_sha
     assert hashlib.sha256(json.dumps(summary, sort_keys=True).encode()).hexdigest() == json_sha

@@ -21,6 +21,7 @@ from sftbounds import (
     CeilingError,
     ConvergenceError,
     InputError,
+    MetricParams,
     dim_upper_bound,
     enumerate_words,
     exceptional_dimension_bound,
@@ -29,6 +30,7 @@ from sftbounds import (
     higher_block_prune,
     hole_family_scan,
     model_preset,
+    parry_measure,
     perron_eigendata,
     prune_words,
     pruned_word_count,
@@ -37,6 +39,7 @@ from sftbounds import (
     word_count,
 )
 from sftbounds import holes
+from sftbounds.measures import cylinder_measure_vector
 
 
 def block_table(A, k, forb):
@@ -52,6 +55,14 @@ def block_table(A, k, forb):
 
 def block_table_radius(A, k, forb):
     return holes._component_radii(block_table(A, k, forb)[1]).max(initial=0.0)
+
+
+def hole_words(scan):
+    """The hole words of a scan's rows as tuples, from its -1-padded word column."""
+    return [tuple(w[:k]) for w, k in zip(scan.words.tolist(), scan.depth.tolist())]
+
+
+SCAN_COLUMNS = ("words", "depth", "delta", "measure", "survivor_lambda", "gap", "per_hole_c")
 
 
 def test_prune_11_gives_golden_survivor(full2):
@@ -165,12 +176,12 @@ def test_family_scan_full_shift(full2):
     scan = hole_family_scan(full2, 4)
     assert scan.fitted_c > 0.0
     assert not scan.monotonicity_violations
-    row11 = next(r for r in scan.rows if r.word == (1, 1))
-    assert abs(row11.survivor_lambda - PHI) <= 1e-9
-    assert abs(row11.gap - (math.log(2) - math.log(PHI))) <= 1e-9
+    i = hole_words(scan).index((1, 1))
+    assert abs(scan.survivor_lambda[i] - PHI) <= 1e-9
+    assert abs(scan.gap[i] - (math.log(2) - math.log(PHI))) <= 1e-9
     # oracle: gap * 256 from delta = m = 1/4
-    assert abs(row11.per_hole_c - (math.log(2) - math.log(PHI)) * 256) <= 1e-6
-    assert row11.per_hole_c <= 54.26
+    assert abs(scan.per_hole_c[i] - (math.log(2) - math.log(PHI)) * 256) <= 1e-6
+    assert scan.per_hole_c[i] <= 54.26
 
 
 def test_family_scan_positive_c_everywhere(golden, full3):
@@ -179,7 +190,7 @@ def test_family_scan_positive_c_everywhere(golden, full3):
         scan = hole_family_scan(A, 3)
         assert scan.fitted_c > 0.0
         assert not scan.monotonicity_violations
-        assert scan.argmin_word in {r.word for r in scan.rows}
+        assert scan.argmin_word in set(hole_words(scan))
 
 
 @st.composite
@@ -199,15 +210,19 @@ def scan_cases(draw):
 def test_family_scan_matches_per_word_pruning(case):
     A, depth = case
     # Bit-equal to the k-block graph minus the word: the automaton is its exact lumping.
-    for row in hole_family_scan(A, depth).rows:
-        assert row.survivor_lambda == block_table_radius(A, row.depth, [row.word])
+    scan = hole_family_scan(A, depth)
+    for word, lam in zip(hole_words(scan), scan.survivor_lambda.tolist()):
+        assert lam == block_table_radius(A, len(word), [word])
 
 
 @pytest.mark.parametrize("budget", [1, 50])  # one word per solve; about ten automata per solve
 def test_family_scan_rows_do_not_depend_on_chunking(monkeypatch, full3, budget):
-    rows = hole_family_scan(full3, 3).rows
+    scan = hole_family_scan(full3, 3)
     monkeypatch.setattr(holes, "HOLE_CHUNK_STATES", budget)
-    assert hole_family_scan(full3, 3).rows == rows
+    chunked = hole_family_scan(full3, 3)
+    for name in SCAN_COLUMNS:
+        assert getattr(chunked, name).tobytes() == getattr(scan, name).tobytes(), name
+    assert (chunked.fitted_c, chunked.argmin_word) == (scan.fitted_c, scan.argmin_word)
 
 
 @pytest.mark.parametrize("budget", [1, 50])
@@ -245,7 +260,7 @@ def test_family_scan_stacks_every_depth_in_one_solve(monkeypatch, full2):
 
 def test_family_scan_full2_depth_12_completes(full2):
     scan = hole_family_scan(full2, 12)
-    assert len(scan.rows) == 2**13 - 2
+    assert len(scan.depth) == 2**13 - 2
     assert not scan.monotonicity_violations
 
 
@@ -262,7 +277,7 @@ def test_family_scan_monotonicity_matches_dict_loop(monkeypatch, golden, full3):
     mats = [(golden, 8), (full3, 4)] + [(A, 3) for A in random_primitive_matrices(2, (4,), seed=21)]
     for A, depth in mats:
         scan = hole_family_scan(A, depth)
-        radius = {r.word: r.survivor_lambda for r in scan.rows}
+        radius = dict(zip(hole_words(scan), scan.survivor_lambda.tolist()))
         expected = []
         for w, lam_w in radius.items():
             for c in A.successor_sets[w[-1]]:
@@ -285,9 +300,9 @@ def test_family_scan_refuses_state_ceiling_before_solving(monkeypatch, full2):
 
 def test_family_scan_includes_empty_survivors(golden):
     scan = hole_family_scan(golden, 1)
-    row0 = next(r for r in scan.rows if r.word == (0,))
-    assert row0.survivor_lambda == 0.0
-    assert row0.gap == float("inf")
+    i = hole_words(scan).index((0,))
+    assert scan.survivor_lambda[i] == 0.0
+    assert scan.gap[i] == float("inf")
 
 
 def test_pruned_word_count_below_word_length(full2, golden):
@@ -440,9 +455,35 @@ def test_single_word_radii_match_correlation_polynomial(s, max_depth):
     # (z - s) * c_w(z) + 1, c_w(z) = sum_j [w[j:] == w[:k-j]] z^(k-1-j) being
     # w's autocorrelation polynomial. w = 01 gives the double root z = 1.
     scan = hole_family_scan(full_shift(s), max_depth)
-    assert len(scan.rows) == sum(s**k for k in range(1, max_depth + 1))
-    for row in scan.rows:
-        w, k = row.word, len(row.word)
+    assert len(scan.depth) == sum(s**k for k in range(1, max_depth + 1))
+    for w, lam in zip(hole_words(scan), scan.survivor_lambda.tolist()):
+        k = len(w)
         correlation = tuple(int(w[j:] == w[: k - j]) for j in range(k))
         truth = _correlation_root(s, correlation)
-        assert abs(row.survivor_lambda - truth) <= 1e-12 * truth, w
+        assert abs(lam - truth) <= 1e-12 * truth, w
+
+
+@pytest.mark.parametrize("theta", [2.0, 3.7])
+def test_family_scan_columns_equal_per_row_formulas(golden, full3, theta):
+    # Each row from Python floats, one at a time. The constant squares with
+    # float ** (the C pow), which is not always the correctly rounded x * x
+    # that an array square takes: on the two random matrices, 3 measures differ.
+    cases = [(golden, 9), (full3, 4)]
+    cases += [(random_primitive_matrices(1, (4,), seed=seed)[0], 4) for seed in (21, 31)]
+    for A, depth in cases:
+        scan = hole_family_scan(A, depth, params=MetricParams(theta))
+        eig = perron_eigendata(A)
+        m = parry_measure(A, eig)
+        log_lam = float(np.log(eig.lam))
+        measures = np.concatenate([cylinder_measure_vector(m, k) for k in range(1, depth + 1)])
+        expected = []
+        for w, lam, meas in zip(hole_words(scan), scan.survivor_lambda.tolist(), measures.tolist()):
+            gap = log_lam - float(np.log(lam)) if lam > 0.0 else math.inf
+            delta = theta ** (-len(w))
+            expected.append((len(w), delta, meas, gap, gap / (delta**2 * meas**2)))
+        columns = (scan.depth, scan.delta, scan.measure, scan.gap, scan.per_hole_c)
+        assert list(zip(*(c.tolist() for c in columns))) == expected
+        assert not any(getattr(scan, name).flags.writeable for name in SCAN_COLUMNS)
+        constants = [row[-1] for row in expected]
+        first = constants.index(min(constants))
+        assert (scan.fitted_c, scan.argmin_word) == (constants[first], hole_words(scan)[first])

@@ -29,7 +29,13 @@ from sftbounds import (
     stationary_vector,
     transition_matrix,
 )
-from sftbounds.measures import _BLOCK_CAP, _BLOCK_MIN, ROUNDING_ULPS, cylinder_measure_vector
+from sftbounds.measures import (
+    _BLOCK_CAP,
+    _BLOCK_MIN,
+    ROUNDING_ULPS,
+    cylinder_measure_vector,
+    dirichlet_kernels,
+)
 
 
 def bernoulli(p, A):
@@ -474,3 +480,35 @@ def test_cylinder_vector_equals_per_word_products(name, request):
             words = enumerate_words(A, depth)
             assert vec.shape == (len(words),)
             assert all(vec[i] == cylinder_measure(mu, w) for i, w in enumerate(words))
+
+
+@st.composite
+def kernel_cases(draw):
+    """A 0/1 matrix with no empty row or column, some rows with one allowed
+    symbol, and a few seeds."""
+    s = draw(st.integers(2, 5))
+    rows = draw(st.lists(st.lists(st.booleans(), min_size=s, max_size=s), min_size=s, max_size=s))
+    M = np.array(rows, dtype=int)
+    for i in range(s):
+        if draw(st.booleans()) or not M[i].any():
+            M[i] = 0
+            M[i, draw(st.integers(0, s - 1))] = 1
+    M[draw(st.integers(0, s - 1)), ~M.any(axis=0)] = 1
+    seeds = draw(st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=8))
+    return transition_matrix(M), seeds
+
+
+@given(kernel_cases())
+def test_dirichlet_kernels_equal_per_row_draws(case):
+    # The stack's one exponential stream per seed has the bits of drawing
+    # each row with Generator.dirichlet in turn, one-symbol rows drawing nothing.
+    A, seeds = case
+    expected = np.zeros((len(seeds), A.size, A.size))
+    for Q, seed in zip(expected, seeds):
+        rng = np.random.default_rng(seed)
+        for i, allowed in enumerate(A.successor_sets):
+            if len(allowed) == 1:
+                Q[i, allowed[0]] = 1.0
+            else:
+                Q[i, list(allowed)] = rng.dirichlet(np.ones(len(allowed)))
+    assert dirichlet_kernels(A, seeds).tobytes() == expected.tobytes()

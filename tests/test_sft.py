@@ -21,7 +21,7 @@ from sftbounds import (
     word_count,
     word_str,
 )
-from sftbounds.sft import _strong_components
+from sftbounds.sft import _strong_components, word_strs
 
 GOLDEN = golden_mean_shift()
 FULL2 = full_shift(2)
@@ -238,3 +238,12 @@ def test_irreducible_flag_matches_csgraph():
 def test_word_rendering_roundtrip():
     assert word_str((0, 1, 1), 2) == "011"
     assert word_str((3, 11), 12) == "3.11"
+
+
+@given(st.integers(2, 13), st.lists(st.lists(st.integers(0, 12), min_size=1, max_size=6), max_size=8))
+@example(12, [[3, 11], [0], [11, 11, 1]])
+def test_word_strs_equal_word_str(size, words):
+    words = [[c % size for c in w] for w in words]
+    width = max(map(len, words), default=1)
+    padded = np.array([w + [-1] * (width - len(w)) for w in words], dtype=np.intp).reshape(-1, width)
+    assert word_strs(padded, size) == [word_str(w, size) for w in words]
