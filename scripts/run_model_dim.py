@@ -33,16 +33,17 @@ def main() -> None:
     rows = []
     for delta in np.geomspace(args.delta_min, args.delta_max, args.points):
         rep = exceptional_dimension_bound(model, args.x0, float(delta))
+        cover = rep.cover
         if rep.trivial:
             box = 1.0
         else:
-            n = max(args.box_depth, rep.depth)
+            n = max(args.box_depth, cover.depth)
             count = pruned_word_count(rep.pruned, n)
             # no orbit survives when no word does; `bound` is 0 there too
             box = math.log(count) / (n * math.log(model.cap_theta)) if count else 0.0
-        rows.append([rep.delta, rep.depth, len(rep.inner), rep.outer_measure,
+        rows.append([cover.delta, cover.depth, len(cover.inner), rep.outer_measure,
                      rep.bound, box, rep.trivial])
-        print(f"delta={rep.delta:.4f} depth={rep.depth} inner={len(rep.inner):3d} "
+        print(f"delta={cover.delta:.4f} depth={cover.depth} inner={len(cover.inner):3d} "
               f"bound={rep.bound:.5f} box_count={box:.5f}")
     write_csv(out / "model_dim.csv",
               ["delta", "depth", "inner_count", "outer_measure", "bound",

@@ -38,13 +38,13 @@ def main() -> None:
         summary[name] = {
             "max_ratio": scan.max_ratio,
             "slope": scan.slope,
-            "c_hat": scan.c_hat,
-            "C": scan.C,
-            "rho": scan.rho,
+            "c_hat": scan.decay.c_hat,
+            "C": scan.decay.C,
+            "rho": scan.decay.rho,
             "all_hold": scan.all_hold,
         }
         print(f"{name:8s} max_ratio={scan.max_ratio:.4f} slope={scan.slope:.3f} "
-              f"c_hat={scan.c_hat:.4g} all_hold={scan.all_hold}")
+              f"c_hat={scan.decay.c_hat:.4g} all_hold={scan.all_hold}")
     write_json(out / "verify_summary.json", summary)
 
 

@@ -45,6 +45,7 @@ GAP_FLOOR = 1e-12
 # Absolute rounding allowance on the right-hand side of each verified bound.
 EFFECTIVE_BOUND_SLACK = 1e-9
 STEP_BOUND_SLACK = 1e-12
+PINSKER_SLACK = 1e-12
 
 # ratio_scan: the first FAMILIES samples each contribute a log-log slope from
 # FAMILY_POINTS kernels on the segment towards the Parry measure.
@@ -89,13 +90,15 @@ class PinskerResult(NamedTuple):
     holds: bool
 
 
-def pinsker_verify(p, q, slack: float = 1e-12) -> PinskerResult:
-    """Check ||q - p||_1 <= sqrt(2 phi(q)) on one pair."""
+def pinsker_verify(p, q) -> PinskerResult:
+    """Check ||q - p||_1 <= sqrt(2 phi(q)) on one pair; for (k, n) stacks of
+    pairs, each field is an array with one entry per row."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    l1 = float(np.abs(q - p).sum())
-    bound = float(np.sqrt(2.0 * phi_divergence(p, q)))
-    return PinskerResult(l1, bound, l1 <= bound + slack)
+    l1 = np.abs(q - p).sum(axis=-1)
+    bound = np.sqrt(2.0 * phi_divergence(p, q))
+    res = PinskerResult(l1, bound, l1 <= bound + PINSKER_SLACK)
+    return res if p.ndim == 2 else PinskerResult(*(x.item() for x in res))
 
 
 class GapIdentity(NamedTuple):
@@ -206,16 +209,29 @@ def effective_bound_verify(
 
 @dataclass(frozen=True)
 class ScanSummary:
-    """`rows[i]` is the report of sample i."""
+    """The stacked report of every sample (entry i is sample i), the decay
+    certificate it was checked against, and the median family slope."""
 
-    rows: tuple[BoundReport, ...]
-    max_ratio: float
-    argmax_id: int
+    report: BoundReport
+    decay: DecayEstimate
     slope: float
-    c_hat: float
-    C: float
-    rho: float
-    all_hold: bool
+
+    @property
+    def argmax_id(self) -> int:
+        """The sample of largest finite ratio, the last of equal ones; -1 when
+        no ratio is finite."""
+        ratio = self.report.ratio
+        top = np.flatnonzero(ratio == ratio[np.isfinite(ratio)].max(initial=-np.inf))
+        return int(top[-1]) if top.size else -1
+
+    @property
+    def max_ratio(self) -> float:
+        i = self.argmax_id
+        return float(self.report.ratio[i]) if i >= 0 else float("nan")
+
+    @property
+    def all_hold(self) -> bool:
+        return bool(self.report.holds.all())
 
 
 def _family_slopes(
@@ -264,34 +280,17 @@ def ratio_scan(
 
     master = np.random.default_rng(seed)
     sub_seeds = master.integers(0, 2**63 - 1, size=2 * samples)
+    # first, so a depth past the word ceiling is refused before any solve
+    f = random_function(A, depth, sub_seeds[1::2])
     kernels = dirichlet_kernels(A, sub_seeds[0::2])
     t = np.geomspace(1e-3, 1e-1, FAMILY_POINTS)[:, None, None]
     segments = (1.0 - t) * m.transition + t * kernels[:FAMILIES, None]
     Qs = np.concatenate([kernels, segments.reshape(-1, A.size, A.size)])
     mu = markov_measure(stationary_vector(Qs), Qs, A)
-    f = random_function(A, depth, sub_seeds[1::2])
     report = effective_bound_verify(f, mu[:samples], eig, decay, m=m)
-    fields = (report.lhs, report.seminorm, report.gap, report.ratio, report.holds)
-    rows = [BoundReport(lhs, sem, gap, decay.c_hat, ratio, holds)
-            for lhs, sem, gap, ratio, holds in zip(*(x.tolist() for x in fields))]
     head = LocallyConstantFunction(A, depth, f.values[:FAMILIES])
     slopes = _family_slopes(centered(head, m), mu[samples:], m, eig)
-
-    finite = [(r.ratio, i) for i, r in enumerate(rows) if np.isfinite(r.ratio)]
-    if finite:
-        max_ratio, argmax_id = max(finite)
-    else:
-        max_ratio, argmax_id = float("nan"), -1
     usable = [s for s in slopes if np.isfinite(s)]
     # statistics, not np.median: that loads numpy.ma on first use.
     slope = float(statistics.median(usable)) if usable else float("nan")
-    return ScanSummary(
-        rows=tuple(rows),
-        max_ratio=float(max_ratio),
-        argmax_id=int(argmax_id),
-        slope=slope,
-        c_hat=decay.c_hat,
-        C=decay.C,
-        rho=decay.rho,
-        all_hold=all(r.holds for r in rows),
-    )
+    return ScanSummary(report, decay, slope)

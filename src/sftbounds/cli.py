@@ -73,8 +73,8 @@ def _emit(args: argparse.Namespace, summary: dict, header: list[str], columns: l
 def verify_table(scan: ScanSummary) -> tuple[list[str], list]:
     """Header and columns of the `verify` detail CSV."""
     header = ["sample_id", "gap", "lhs", "seminorm", "ratio", "holds"]
-    columns = [[getattr(r, name) for r in scan.rows] for name in header[1:]]
-    return header, [range(len(scan.rows)), *columns]
+    report = scan.report
+    return header, [range(len(report.ratio)), *(getattr(report, name) for name in header[1:])]
 
 
 def hole_table(A: TransitionMatrix, scan: HoleFamilyScan) -> tuple[list[str], list]:
@@ -149,17 +149,11 @@ def _cmd_pinsker(args: argparse.Namespace) -> int:
     for dim in PINSKER_DIMS:
         p = rng.dirichlet(np.ones(dim), size=args.samples)
         q = rng.dirichlet(np.ones(dim), size=args.samples)
-        violations = 0
-        max_l1 = 0.0
-        min_slack = np.inf
-        for pi, qi in zip(p, q):
-            res = pinsker_verify(pi, qi)
-            if not res.holds:
-                violations += 1
-            max_l1 = max(max_l1, res.l1)
-            min_slack = min(min_slack, res.bound - res.l1)
+        res = pinsker_verify(p, q)
+        violations = int(np.count_nonzero(~res.holds))
         total_violations += violations
-        rows.append([dim, args.samples, violations, max_l1, float(min_slack)])
+        rows.append([dim, args.samples, violations, float(res.l1.max()),
+                     float((res.bound - res.l1).min())])
     summary = {
         "dimensions": list(PINSKER_DIMS),
         "samples_per_dimension": args.samples,
@@ -193,9 +187,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "max_ratio": scan.max_ratio,
         "argmax_id": scan.argmax_id,
         "slope": scan.slope,
-        "c_hat": scan.c_hat,
-        "C": scan.C,
-        "rho": scan.rho,
+        "c_hat": scan.decay.c_hat,
+        "C": scan.decay.C,
+        "rho": scan.decay.rho,
         "samples": args.samples,
         "all_hold": scan.all_hold,
     }
@@ -236,17 +230,18 @@ def _cmd_model_dim(args: argparse.Namespace) -> int:
     report = exceptional_dimension_bound(model, args.x0, args.delta, eig=eig)
     m = parry_measure(model.transition, eig)
     s = model.transition.size
+    cover = report.cover
     rows = []
-    for role, words in (("inner", report.inner), ("outer", report.outer)):
+    for role, words in (("inner", cover.inner), ("outer", cover.outer)):
         for w in words:
             ci = cylinder_interval(model, w)
             rows.append((word_str(w, s), role, ci.lo, ci.hi, cylinder_measure(m, w)))
     summary = {
-        "x0": report.x0,
-        "delta": report.delta,
-        "depth": report.depth,
-        "inner_count": len(report.inner),
-        "outer_count": len(report.outer),
+        "x0": cover.x0,
+        "delta": cover.delta,
+        "depth": cover.depth,
+        "inner_count": len(cover.inner),
+        "outer_count": len(cover.outer),
         "outer_measure": report.outer_measure,
         "survivor_lambda": report.survivor_lambda,
         "h_plus": report.h_plus,

@@ -297,8 +297,9 @@ def indicator(A: TransitionMatrix, word) -> LocallyConstantFunction:
 
 def random_function(A: TransitionMatrix, depth: int, seed) -> LocallyConstantFunction:
     """Standard normal values on the depth-words, from default_rng(seed); a
-    sequence of seeds gives a stack, one function per seed."""
-    n = word_count(A, depth)
+    sequence of seeds gives a stack, one function per seed. Refused, as
+    `word_array` refuses, before anything is drawn."""
+    n = len(word_array(A, depth))
     seeds = seed if np.ndim(seed) else [seed]
     values = np.array([np.random.default_rng(int(s)).standard_normal(n) for s in seeds])
     return LocallyConstantFunction(A, depth, values if np.ndim(seed) else values[0])

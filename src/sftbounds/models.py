@@ -248,11 +248,7 @@ def ball_to_cylinders(model: ExpandingModel, x0: float, delta: float) -> BallCov
 
 @dataclass(frozen=True)
 class DimensionReport:
-    x0: float
-    delta: float
-    depth: int
-    inner: tuple[Word, ...]
-    outer: tuple[Word, ...]
+    cover: BallCover
     outer_measure: float
     survivor_lambda: float
     h_plus: float
@@ -284,8 +280,7 @@ def exceptional_dimension_bound(model: ExpandingModel, x0: float, delta: float,
     log_cap = math.log(model.cap_theta)
     if cover.inner_empty:
         return DimensionReport(
-            x0, delta, cover.depth, cover.inner, cover.outer, outer_measure,
-            survivor_lambda=eig.lam, h_plus=log_lam, bound=1.0,
+            cover, outer_measure, survivor_lambda=eig.lam, h_plus=log_lam, bound=1.0,
             implied_c=0.0, shape_bound=1.0, trivial=True, pruned=None,
         )
     ps = prune_words(A, cover.inner)
@@ -298,6 +293,6 @@ def exceptional_dimension_bound(model: ExpandingModel, x0: float, delta: float,
         implied_c = float("inf")
     shape = 1.0 - implied_c * delta**2 * outer_measure**2 if math.isfinite(implied_c) else bound
     return DimensionReport(
-        x0, delta, cover.depth, cover.inner, cover.outer, outer_measure,
-        ps.survivor_lambda, h_plus, bound, implied_c, shape, trivial=False, pruned=ps,
+        cover, outer_measure, ps.survivor_lambda, h_plus, bound, implied_c, shape,
+        trivial=False, pruned=ps,
     )

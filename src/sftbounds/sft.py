@@ -238,18 +238,18 @@ def _word_array_cached(A: TransitionMatrix, k: int) -> np.ndarray:
     return W
 
 
-def word_codes(A: TransitionMatrix, k: int, ceiling: int = WORD_CEILING) -> np.ndarray:
+def word_codes(A: TransitionMatrix, k: int) -> np.ndarray:
     """int64 base-s codes sum w_t s^(k-1-t) of the rows of `word_array`, ascending
-    with them. Refused when s**k overflows int64, or the count exceeds `ceiling`."""
+    with them. Refused when s**k overflows int64, or the count exceeds WORD_CEILING."""
     if A.size**k > np.iinfo(np.int64).max:
         raise CeilingError(f"{k}-words over {A.size} symbols overflow 64-bit word codes")
-    return word_array(A, k, ceiling) @ A.size ** np.arange(k - 1, -1, -1)
+    return word_array(A, k) @ A.size ** np.arange(k - 1, -1, -1)
 
 
-def enumerate_words(A: TransitionMatrix, k: int, ceiling: int = WORD_CEILING) -> tuple[Word, ...]:
+def enumerate_words(A: TransitionMatrix, k: int) -> tuple[Word, ...]:
     """All admissible words of length k, in lexicographic order: the rows of
-    `word_array` as tuples. Refused when their count exceeds `ceiling`."""
-    return tuple(map(tuple, word_array(A, k, ceiling).tolist()))
+    `word_array` as tuples. Refused when their count exceeds WORD_CEILING."""
+    return tuple(map(tuple, word_array(A, k).tolist()))
 
 
 @functools.lru_cache(maxsize=512)

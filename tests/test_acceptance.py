@@ -124,7 +124,7 @@ def test_criterion_4_pinsker():
         p_batch = rng.dirichlet(np.ones(dim), size=10_000)
         q_batch = rng.dirichlet(np.ones(dim), size=10_000)
         for p, q in zip(p_batch, q_batch):
-            res = pinsker_verify(p, q, slack=1e-12)
+            res = pinsker_verify(p, q)
             assert res.holds
         # unique-zero clause
         p = rng.dirichlet(np.ones(dim))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -25,6 +26,7 @@ from sftbounds import (
     sample_markov,
     step_bound_verify,
 )
+from sftbounds import bounds
 from sftbounds.spectral import PerronData
 from sftbounds.transfer import lip_seminorm, transfer_apply
 
@@ -254,7 +256,9 @@ def test_telescoping_consistency(golden, eig_golden):
 def test_ratio_scan_deterministic(full2):
     a = ratio_scan(full2, samples=40, seed=9, depth=2)
     b = ratio_scan(full2, samples=40, seed=9, depth=2)
-    assert a == b
+    assert [np.asarray(x).tobytes() for x in vars(a.report).values()] == [
+        np.asarray(x).tobytes() for x in vars(b.report).values()]
+    assert (a.decay, a.slope) == (b.decay, b.slope)
 
 
 def test_ratio_scan_all_hold_and_slope(full2, golden):
@@ -263,18 +267,31 @@ def test_ratio_scan_all_hold_and_slope(full2, golden):
         assert scan.all_hold
         assert abs(scan.slope - 0.5) <= 0.05
         assert math.isfinite(scan.max_ratio)
-        assert scan.max_ratio <= scan.c_hat
+        assert scan.max_ratio <= scan.decay.c_hat
 
 
 def test_ratio_scan_reads_certificate_c_hat(golden, eig_golden):
-    assert ratio_scan(golden, 20, 0).c_hat == decay_estimate(golden, eig_golden, 2).c_hat
+    assert ratio_scan(golden, 20, 0).decay.c_hat == decay_estimate(golden, eig_golden, 2).c_hat
 
 
 def test_ratio_scan_excludes_degenerate_gaps(golden, eig_golden):
     scan = ratio_scan(golden, samples=30, seed=2, depth=2)
-    for row in scan.rows:
-        if row.gap <= 1e-12:
-            assert math.isnan(row.ratio)
+    for gap, ratio in zip(scan.report.gap, scan.report.ratio):
+        if gap <= 1e-12:
+            assert math.isnan(ratio)
+
+
+def test_ratio_scan_argmax_is_the_last_tied_sample(monkeypatch, golden):
+    # max over (ratio, i) pairs picks the last sample among equal ratios
+    def tied(*args, **kwargs):
+        report = effective_bound_verify(*args, **kwargs)
+        ratio = np.array([0.25, 0.5, np.nan, 0.5, 0.125, 0.5, np.inf])
+        return dataclasses.replace(report, ratio=ratio)
+
+    monkeypatch.setattr(bounds, "effective_bound_verify", tied)
+    scan = ratio_scan(golden, samples=7, seed=0, depth=2)
+    assert (scan.argmax_id, scan.max_ratio) == (5, 0.5)
+    assert type(scan.argmax_id) is int and type(scan.max_ratio) is float
 
 
 def test_bernoulli_family_slope_direct(full2, eig_full2):

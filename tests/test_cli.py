@@ -10,7 +10,7 @@ import pytest
 
 import sftbounds
 from helpers import PHI
-from sftbounds import cli, decay_estimate, golden_mean_shift, perron_eigendata, transfer
+from sftbounds import bounds, cli, decay_estimate, golden_mean_shift, perron_eigendata, transfer
 from sftbounds.cli import main
 from sftbounds.errors import ConvergenceError
 
@@ -196,6 +196,19 @@ def test_deep_certificate_builds_no_depth_operator(capsys, monkeypatch, request,
     code, report = run(capsys, *argv, "--matrix", str(path))
     assert code == 0
     assert math.isfinite(report["c_hat"])
+
+
+@pytest.mark.parametrize("depth", ["30", "100"])
+def test_verify_past_word_ceiling_exits_two(capsys, monkeypatch, full2_path, depth):
+    # 2^30 words would ask for 8 GiB of function values; 2^100 is no array at all
+    def refuse(*args):
+        raise AssertionError("measures were sampled before the word ceiling check")
+
+    monkeypatch.setattr(bounds, "dirichlet_kernels", refuse)
+    code = main(["verify", "--matrix", str(full2_path), "--depth", depth, "--samples", "3"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "exceeds the ceiling" in err
 
 
 def test_infinite_theta_exits_two(capsys, full2_path):

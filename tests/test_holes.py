@@ -410,9 +410,9 @@ def test_pruning_matches_brute_force(case):
 def test_doubling_delta_1e4_completes():
     # 32768 block states: the dense graph once asked for 8 GiB here.
     rep = exceptional_dimension_bound(model_preset("doubling"), 0.125, 1e-4)
-    assert rep.depth == 15
-    k = rep.depth
-    inner = {int("".join(map(str, w)), 2) for w in rep.inner}
+    assert rep.cover.depth == 15
+    k = rep.cover.depth
+    inner = {int("".join(map(str, w)), 2) for w in rep.cover.inner}
     alive = np.array([c not in inner for c in range(2**k)])
     src = np.repeat(np.arange(2**k), 2)
     dst = (src * 2 + np.tile([0, 1], 2**k)) % 2**k
@@ -426,8 +426,8 @@ def test_doubling_delta_1e6_completes():
     # 2^21 block states once refused this cover; its automaton has a few dozen.
     model = model_preset("doubling")
     rep = exceptional_dimension_bound(model, 0.125, 1e-6)
-    assert rep.depth == 21
-    states, mat = suffix_automaton(model.transition, rep.inner)
+    assert rep.cover.depth == 21
+    states, mat = suffix_automaton(model.transition, rep.cover.inner)
     assert rep.pruned.states == tuple(states) and len(states) < 100
     assert 0.0 < rep.survivor_lambda < 2.0 and rep.bound < 1.0
     assert abs(rep.survivor_lambda - block_radius(mat)) <= 1e-9

@@ -115,7 +115,7 @@ def fmt(x) -> str:
 csv_texts = st.text(alphabet=st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00")) \
     | st.sampled_from(["a,b", 'say "hi"', "two\nlines", "cr\r", " lead", ""])
 csv_cells = st.booleans() | st.integers() | floats | csv_texts \
-    | st.integers(-2**31, 2**31).map(np.int32) | st.booleans().map(np.bool_) | floats.map(np.float64)
+    | st.integers(-2**31, 2**31 - 1).map(np.int32) | st.booleans().map(np.bool_) | floats.map(np.float64)
 
 
 @st.composite

@@ -286,7 +286,7 @@ def test_tiny_delta_inner_may_be_empty():
 def test_dimension_bound_hole_00():
     # ball of radius 1/8 at 1/8 is exactly the dyadic cylinder [0, 1/4]
     rep = exceptional_dimension_bound(DOUBLING, 0.125, 0.125)
-    assert {"".join(map(str, w)) for w in rep.inner} == {"0000", "0001", "0010", "0011"}
+    assert {"".join(map(str, w)) for w in rep.cover.inner} == {"0000", "0001", "0010", "0011"}
     assert abs(rep.bound - math.log(PHI) / math.log(2)) <= 1e-8
     assert abs(rep.survivor_lambda - PHI) <= 1e-9
     assert abs(rep.outer_measure - 0.25) <= 1e-12
@@ -296,7 +296,7 @@ def test_dimension_bound_hole_00():
 
 def test_dimension_report_carries_pruned_cover():
     rep = exceptional_dimension_bound(DOUBLING, 0.125, 0.125)
-    ps = prune_words(DOUBLING.transition, rep.inner)
+    ps = prune_words(DOUBLING.transition, rep.cover.inner)
     assert rep.pruned.states == ps.states
     assert np.array_equal(rep.pruned.successors, ps.successors)
     assert rep.pruned.survivor_lambda == rep.survivor_lambda

@@ -136,9 +136,10 @@ def test_zero_length_rejected():
 
 
 def test_word_ceiling_guard():
+    # 2^25 = 3.4e7 words, refused by their count before anything is allocated
     for words in (enumerate_words, word_array, word_codes):
-        with pytest.raises(CeilingError):
-            words(FULL2, 5, ceiling=10)
+        with pytest.raises(CeilingError, match="33554432 admissible words of length 25"):
+            words(FULL2, 25)
 
 
 def test_predecessors_full_shift():

@@ -29,6 +29,7 @@ from sftbounds import (
     markov_measure,
     parry_measure,
     perron_eigendata,
+    pinsker_verify,
     random_function,
     ratio_scan,
     sample_markov,
@@ -178,10 +179,15 @@ def test_ratio_scan_equals_per_sample_loop(matrix, samples, seed, depth):
     A = MATRICES[matrix] if isinstance(matrix, str) else random_primitive_matrices(1, (2, 3, 4), matrix)[0]
     scan = ratio_scan(A, samples, seed, depth=depth)
     rows, (max_ratio, argmax_id, slope, all_hold) = loop_ratio_scan(A, samples, seed, depth)
-    assert [bits(vars(row).values()) for row in scan.rows] == [bits(row) for row in rows]
-    assert all(type(x) in (float, bool) for row in scan.rows for x in vars(row).values())
-    assert bits([scan.max_ratio, scan.argmax_id, scan.slope, scan.all_hold]) == bits(
-        [max_ratio, argmax_id, slope, all_hold])
+    report = scan.report
+    columns = [report.lhs, report.seminorm, report.gap, report.ratio, report.holds]
+    assert [c.dtype for c in columns] == [np.float64] * 4 + [np.bool_]
+    assert [bits(row) for row in zip(*(c.tolist() for c in columns))] == [
+        bits(row[:3] + row[4:]) for row in rows]
+    assert bits([report.c_hat]) == bits({row[3] for row in rows})
+    summary = [scan.max_ratio, scan.argmax_id, scan.slope, scan.all_hold]
+    assert [type(x) for x in summary] == [float, int, float, bool]
+    assert bits(summary) == bits([max_ratio, argmax_id, slope, all_hold])
 
 
 @settings(max_examples=10)
@@ -215,6 +221,18 @@ def test_gap_identity_stack_skips_zero_mass_symbols():
     expected = [loop_gap_identity(ri, Qi, GOLDEN, eig) for ri, Qi in zip(r, Q)]
     assert [bits(row) for row in zip(*(x.tolist() for x in ident))] == [bits(row) for row in expected]
     assert bits(gap_identity_check(markov_measure(r[1], Q[1], GOLDEN), eig)) == bits(expected[1])
+
+
+@settings(max_examples=20)
+@given(st.integers(2, 12), st.integers(1, 40), st.integers(0, 2**32))
+def test_pinsker_stack_equals_per_pair_calls(dim, k, seed):
+    rng = np.random.default_rng(seed)
+    p = rng.dirichlet(np.ones(dim), size=k)
+    q = rng.dirichlet(np.ones(dim), size=k)
+    stack = pinsker_verify(p, q)
+    assert [c.dtype for c in stack] == [np.float64, np.float64, np.bool_]
+    rows = [pinsker_verify(pi, qi) for pi, qi in zip(p, q)]
+    assert [bits(row) for row in zip(*(c.tolist() for c in stack))] == [bits(row) for row in rows]
 
 
 # ---------- error paths of the stacked checks ----------
