@@ -303,6 +303,8 @@ def main(argv=None) -> int:
     try:
         if given.get("samples", 1) < 1:
             raise InputError(f"samples must be at least 1, got {args.samples}")
+        if given.get("seed", 0) < 0:
+            raise InputError(f"seed must be nonnegative, got {args.seed}")
         if given.get("depth", 1) < 1:
             raise InputError(f"depth must be at least 1, got {args.depth}")
         tol = given.get("tol", 1.0)

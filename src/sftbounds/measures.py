@@ -12,6 +12,13 @@ Stationary vectors of many kernels are solved in one batch, a block of power
 steps at a time, each chain returning the iterate of its own stopping step;
 cylinder vectors are products over columns of the word array. Both give the
 same bits as the one-chain and per-word computations.
+
+Per-call overhead is cut where it would dominate, with the same bits. A chain
+left alone in the batch (fewer than 8 states) keeps numpy's product for each
+step and sums and divides on Python floats, in the order numpy uses for fewer
+than 8 terms. Sampled kernels and functions draw from one generator, set in
+turn to the state default_rng(seed) starts in: NumPy's SeedSequence hash and
+PCG64 seeding, computed for all seeds at once.
 """
 
 from __future__ import annotations
@@ -22,8 +29,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 import numpy.random  # numpy loads it lazily; load it here, not in the first sampling call
 
-from .errors import ConvergenceError, InputError, first_failure
+from .errors import CeilingError, ConvergenceError, InputError, first_failure
 from .sft import (
+    WORD_CEILING,
     TransitionMatrix,
     Word,
     enumerate_words,
@@ -44,6 +52,13 @@ ROUNDING_ULPS = 16
 # that later blocks double up to.
 _BLOCK_MIN = 4
 _BLOCK_CAP = 64
+# NumPy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
 
 
 @dataclass(frozen=True)
@@ -131,7 +146,9 @@ def stationary_vector(Q: np.ndarray, tol: float = 1e-14, max_iter: int = 1_000_0
     the stacked matmul is bitwise equal to each chain's own x @ Q (einsum is
     not), the scale-free drift rQ/sum(rQ) is the next step's iterate, the
     stop rules are exact elementwise tests on the same iterates, and the
-    steps a chain runs past its stop are never read.
+    steps a chain runs past its stop are never read. A chain left alone with
+    fewer than 8 states runs its blocks on `_lone_block`, one numpy call per
+    step instead of three, with the same bits.
     """
     Q = np.ascontiguousarray(Q, dtype=float)
     stack = Q if Q.ndim == 3 else Q[None]
@@ -148,14 +165,17 @@ def stationary_vector(Q: np.ndarray, tol: float = 1e-14, max_iter: int = 1_000_0
         b = min(block, max_iter - steps)
         # Y[t + 1] is step t's iterate, Z[t] its product, Y[0] the last iterate
         # before the block and Y[b + 1] the first one after it
-        Y = np.empty((b + 2, len(active), n))
-        Z = np.empty((b, len(active), n))
-        sums = np.empty((b, len(active), 1))
-        Y[0], Y[1] = x, y
-        for y_t, z_t, z_row, sum_t, y_next in zip(Y[1:-1, :, None], Z[:, :, None], Z, sums, Y[2:]):
-            np.matmul(y_t, stack, out=z_t)
-            np.add.reduce(z_row, axis=1, keepdims=True, out=sum_t)
-            np.divide(z_row, sum_t, out=y_next)
+        if len(active) == 1 and n < 8:
+            Y, Z = _lone_block(x[0], y[0], stack[0], b)
+        else:
+            Y = np.empty((b + 2, len(active), n))
+            Z = np.empty((b, len(active), n))
+            sums = np.empty((b, len(active), 1))
+            Y[0], Y[1] = x, y
+            for y_t, z_t, z_row, sum_t, y_next in zip(Y[1:-1, :, None], Z[:, :, None], Z, sums, Y[2:]):
+                np.matmul(y_t, stack, out=z_t)
+                np.add.reduce(z_row, axis=1, keepdims=True, out=sum_t)
+                np.divide(z_row, sum_t, out=y_next)
         update = np.abs(np.diff(Y, axis=0)).max(axis=2)  # update[t] = max |Y[t + 1] - Y[t]|
         inc = update[:b]
         drift = np.abs(Z - Y[1:-1]).max(axis=2)
@@ -181,6 +201,81 @@ def stationary_vector(Q: np.ndarray, tol: float = 1e-14, max_iter: int = 1_000_0
     )
 
 
+def _lone_block(x: np.ndarray, y: np.ndarray, Q: np.ndarray, b: int):
+    """The Y and Z buffers of `stationary_vector`'s block of b steps, for a
+    lone chain on an (n, n) matrix with n < 8: one numpy call per step.
+
+    Each step keeps numpy's own product y @ Q, then sums and divides on
+    Python floats: numpy adds fewer than 8 terms left to right from 0.0, as
+    the loop below does, and a divide is the same IEEE operation either way.
+    (Python's sum() is compensated from 3.12 on, so it is not used.)"""
+    ys, zs = [x.tolist(), y.tolist()], []
+    r = y
+    for _ in range(b):
+        z = np.matmul(r, Q).tolist()
+        total = 0.0
+        for v in z:
+            total += v
+        r = [v / total for v in z]
+        zs.append(z)
+        ys.append(r)
+    return np.array(ys)[:, None], np.array(zs)[:, None]
+
+
+def _hash_stream(const: int, mult: int):
+    """SeedSequence's hashmix on uint32 words held in uint64 arrays: each call
+    xors in the running constant, steps it, multiplies and folds."""
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _generators(seeds):
+    """One Generator for each seed in turn, in the state default_rng(seed)
+    starts in; each is good until the next one is taken.
+
+    default_rng seeds PCG64 from SeedSequence(seed) (NEP 19): the seed's
+    32-bit words are hashed into a pool of four, mixed into one another, and
+    four 64-bit words are drawn; PCG64 takes its seed and increment from them
+    and runs two 128-bit LCG steps (O'Neill, 2014). Here the hash runs on all
+    seeds at once. A seed below 2**64 has at most two words, and a short seed
+    is hashed as if padded with zero words, so no seed needs a
+    remaining-entropy pass. The LCG steps run on Python ints, and the states
+    are set in turn on one PCG64, so only the first seed pays for building a
+    generator. A seed outside [0, 2**64) is refused before any is set."""
+    seeds = [int(seed) for seed in seeds]
+    bad = [seed for seed in seeds if not 0 <= seed < 2**64]
+    if bad:
+        raise InputError(f"seeds must lie in [0, 2**64), got {bad[0]}")
+    words = np.array(seeds, dtype=np.uint64)
+    zero = np.zeros_like(words)
+    hashmix = _hash_stream(_INIT_A, _MULT_A)
+    pool = [hashmix(w) for w in (words & _MASK32, words >> 32, zero, zero)]
+    for i in range(4):
+        for j in range(4):
+            if i != j:
+                mixed = (_MIX_L * pool[j] - _MIX_R * hashmix(pool[i])) & _MASK32
+                pool[j] = mixed ^ mixed >> 16
+    draw = _hash_stream(_INIT_B, _MULT_B)
+    halves = [draw(pool[i % 4]) for i in range(8)]
+    # little-endian pairs of 32-bit words: seed high, seed low, inc high, inc low
+    words64 = [(halves[2 * j] | halves[2 * j + 1] << 32).tolist() for j in range(4)]
+    bits = np.random.PCG64(0)
+    rng = np.random.Generator(bits)
+    for a, b, c, d in zip(*words64):
+        inc = ((c << 64 | d) << 1 | 1) & _MASK128
+        state = ((inc + (a << 64 | b)) * _PCG_MULT + inc) & _MASK128
+        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                      "has_uint32": 0, "uinteger": 0}
+        yield rng
+
+
 def dirichlet_kernels(A: TransitionMatrix, seeds) -> np.ndarray:
     """Random stochastic matrices on A as a (k, s, s) stack, one per seed: each
     row is a flat Dirichlet draw (all concentrations 1) over that row's allowed
@@ -191,11 +286,13 @@ def dirichlet_kernels(A: TransitionMatrix, seeds) -> np.ndarray:
     by 1 / (their sum, added left to right). So one standard_exponential call
     per seed, for every entry of the rows with more than one allowed symbol
     (a one-symbol row draws nothing), gives the same bits, normalised across
-    the stack a row at a time."""
+    the stack a row at a time. Each seed's stream starts in the state of
+    default_rng(seed), from `_generators`; a seed outside [0, 2**64) is
+    refused before anything is drawn."""
     s = A.size
     draws = np.empty((len(seeds), sum(len(row) for row in A.successor_sets if len(row) > 1)))
-    for out, seed in zip(draws, seeds):
-        np.random.default_rng(int(seed)).standard_exponential(out=out)
+    for out, rng in zip(draws, _generators(seeds)):
+        rng.standard_exponential(out=out)
     Qs = np.zeros((len(seeds), s, s))
     start = 0
     for i, row in enumerate(A.successor_sets):
@@ -297,11 +394,21 @@ def indicator(A: TransitionMatrix, word) -> LocallyConstantFunction:
 
 def random_function(A: TransitionMatrix, depth: int, seed) -> LocallyConstantFunction:
     """Standard normal values on the depth-words, from default_rng(seed); a
-    sequence of seeds gives a stack, one function per seed. Refused, as
-    `word_array` refuses, before anything is drawn."""
+    sequence of seeds gives a stack, one function per seed. Each seed's draws
+    are those of default_rng(seed), from the generator state of
+    `_generators`. Refused before anything is drawn when `word_array`
+    refuses, when the stack's values (seeds times words) exceed WORD_CEILING,
+    or when a seed lies outside [0, 2**64)."""
     n = len(word_array(A, depth))
     seeds = seed if np.ndim(seed) else [seed]
-    values = np.array([np.random.default_rng(int(s)).standard_normal(n) for s in seeds])
+    if len(seeds) * n > WORD_CEILING:
+        raise CeilingError(
+            f"{len(seeds)} functions of {n} words: {len(seeds) * n} values "
+            f"exceeds the ceiling {WORD_CEILING}"
+        )
+    values = np.empty((len(seeds), n))
+    for out, rng in zip(values, _generators(seeds)):
+        rng.standard_normal(out=out)
     return LocallyConstantFunction(A, depth, values if np.ndim(seed) else values[0])
 
 

@@ -17,7 +17,8 @@ from .errors import CeilingError, InputError
 
 Word = tuple[int, ...]
 
-# Default cap on the number of words any single enumeration may produce.
+# Default cap on the number of words any single enumeration may produce, and on
+# the values of a stack of sampled functions (samples times words).
 WORD_CEILING = 10_000_000
 
 

@@ -4,13 +4,16 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import sftbounds
 from helpers import PHI
-from sftbounds import bounds, cli, decay_estimate, golden_mean_shift, perron_eigendata, transfer
+from sftbounds import (
+    bounds, cli, decay_estimate, golden_mean_shift, measures, perron_eigendata, transfer,
+)
 from sftbounds.cli import main
 from sftbounds.errors import ConvergenceError
 
@@ -209,6 +212,35 @@ def test_verify_past_word_ceiling_exits_two(capsys, monkeypatch, full2_path, dep
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and "exceeds the ceiling" in err
+
+
+def test_verify_past_value_ceiling_exits_two_at_once(capsys, monkeypatch, full2_path, tmp_path):
+    # 262144 words are under the word ceiling, but 1000 functions on them
+    # would draw 2.6e8 values (2 GiB)
+    def refuse(*args):
+        raise AssertionError("values were drawn before the value ceiling check")
+
+    monkeypatch.setattr(measures, "_generators", refuse)
+    out = tmp_path / "v.json"
+    started = time.perf_counter()
+    code = main(["verify", "--matrix", str(full2_path), "--depth", "18", "--samples", "1000",
+                 "--out", str(out)])
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "262144000 values exceeds the ceiling" in err
+    assert not out.exists() and not out.with_suffix(".csv").exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "entropy", "pinsker"])
+def test_negative_seed_exits_two(capsys, golden_path, tmp_path, command):
+    out = tmp_path / "s.json"
+    matrix = [] if command == "pinsker" else ["--matrix", str(golden_path)]
+    code = main([command, *matrix, "--samples", "3", "--seed", "-1", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "input error: seed must be nonnegative, got -1\n"
+    assert not out.exists() and not out.with_suffix(".csv").exists()
 
 
 def test_infinite_theta_exits_two(capsys, full2_path):

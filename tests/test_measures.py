@@ -33,6 +33,7 @@ from sftbounds.measures import (
     _BLOCK_CAP,
     _BLOCK_MIN,
     ROUNDING_ULPS,
+    _generators,
     cylinder_measure_vector,
     dirichlet_kernels,
 )
@@ -416,6 +417,60 @@ def test_batch_failure_reports_widest_open_drift():
         with pytest.raises(ConvergenceError, match=f"for {len(open_drifts)} of 3 chains") as info:
             stationary_vector(stack, max_iter=max_iter)
         assert info.value.residual == max(open_drifts)
+
+
+def near_cycle(s, p):
+    """The cycle 0 -> 1 -> ... -> s-1 -> 0 with a loop of weight p at 0: a
+    primitive kernel that mixes slowly for small p."""
+    Q = np.roll(np.eye(s), 1, axis=1)
+    Q[0, :2] = p, 1.0 - p
+    return Q
+
+
+@pytest.mark.parametrize("tol", [1e-14, 0.0])
+@pytest.mark.parametrize("s", range(2, 10))
+def test_lone_chain_steps_equal_batched_steps(s, tol):
+    # Alone, Q runs on the lone-chain step from its first step (for s < 8).
+    # Stacked with a slower companion, Q leaves the batch before the
+    # companion does, so it never runs alone. Both must give the same bits.
+    companion = near_cycle(s, 0.2)
+    slow, _, slow_steps = scalar_stationary(companion, tol)
+    for seed in range(4):
+        rng = np.random.default_rng([s, seed])
+        Q = rng.dirichlet(np.ones(s), size=s) if tol else rng.uniform(0.05, 3.0, size=(s, s))
+        assert scalar_stationary(Q, tol)[2] < slow_steps
+        alone = stationary_vector(Q, tol=tol)
+        stacked = stationary_vector(np.stack([Q, companion]), tol=tol)
+        assert alone.tobytes() == stacked[0].tobytes()
+        assert stacked[1].tobytes() == slow.tobytes()
+
+
+# Seeds at the word boundaries of NumPy's seeding: one 32-bit word, two, and
+# the largest 63-bit and 64-bit seeds.
+EDGE_SEEDS = [0, 1, 2, 2**32 - 1, 2**32, 2**63 - 2, 2**63 - 1, 2**64 - 1]
+
+
+def test_generators_start_where_default_rng_starts():
+    sampled = np.random.default_rng(20).integers(0, 2**63, size=10_000, dtype=np.uint64)
+    seeds = EDGE_SEEDS + sampled.tolist()
+    count = 0
+    for seed, rng in zip(seeds, _generators(seeds)):
+        ref = np.random.default_rng(seed)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert rng.standard_normal(7).tobytes() == ref.standard_normal(7).tobytes()
+        assert rng.standard_exponential(7).tobytes() == ref.standard_exponential(7).tobytes()
+        count += 1
+    assert count == len(seeds)
+
+
+@pytest.mark.parametrize("bad", [-1, 2**64])
+def test_seeds_outside_64_bits_are_refused(golden, bad):
+    with pytest.raises(InputError, match=f"seeds must lie in \\[0, 2\\*\\*64\\), got {bad}"):
+        next(_generators([5, bad]))
+    with pytest.raises(InputError):
+        dirichlet_kernels(golden, [bad])
+    with pytest.raises(InputError):
+        random_function(golden, 2, [3, bad])
 
 
 # Bits of the one-step-at-a-time power iteration, recorded on x86-64 with
