@@ -274,6 +274,8 @@ def ratio_scan(
     """
     if samples < 1:
         raise InputError(f"need at least one sample, got {samples}")
+    if seed < 0:
+        raise InputError(f"seed must be nonnegative, got {seed}")
     eig = perron_eigendata(A)
     m = parry_measure(A, eig)
     decay = decay_estimate(A, eig, depth)

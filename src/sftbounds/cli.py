@@ -32,7 +32,7 @@ from .measures import (
     parry_measure,
     sample_markov_batch,
 )
-from .models import cylinder_interval, exceptional_dimension_bound
+from .models import exceptional_dimension_bound
 from .sft import MetricParams, TransitionMatrix, word_array, word_count, word_str, word_strs
 from .spectral import perron_eigendata
 from .transfer import decay_estimate
@@ -231,11 +231,8 @@ def _cmd_model_dim(args: argparse.Namespace) -> int:
     m = parry_measure(model.transition, eig)
     s = model.transition.size
     cover = report.cover
-    rows = []
-    for role, words in (("inner", cover.inner), ("outer", cover.outer)):
-        for w in words:
-            ci = cylinder_interval(model, w)
-            rows.append((word_str(w, s), role, ci.lo, ci.hi, cylinder_measure(m, w)))
+    rows = [(word_str(c.word, s), role, c.lo, c.hi, cylinder_measure(m, c.word))
+            for role, cells in (("inner", cover.inner), ("outer", cover.outer)) for c in cells]
     summary = {
         "x0": cover.x0,
         "delta": cover.delta,

@@ -27,11 +27,11 @@ are bit-identical to the block table's.
 
 The successor table (each state has at most one successor per symbol) is the
 whole graph; no dense float matrix is built. Its spectral radius comes from a
-power iteration over all strongly connected components at once; each component
-stops on the width of its own Collatz-Wielandt bracket, a proven enclosure of
-the Perron root (Lind-Marcus, Ch. 4). The components come from
-`sft._strong_components`, a numpy forward-backward colouring of the same table,
-so no sparse-matrix library is needed.
+power iteration over all strongly connected components at once; a component's
+radius is read when the width of its own Collatz-Wielandt bracket, a proven
+enclosure of the Perron root, is small enough (Lind-Marcus, Ch. 4). The
+components come from `sft._strong_components`, a numpy forward-backward
+colouring of the same table, so no sparse-matrix library is needed.
 
 One builder, `_automata`, makes the automata of a batch of word sets as one
 block-diagonal table. `prune_words` passes one set; a hole scan passes one
@@ -66,6 +66,8 @@ PRUNE_STATE_CEILING = 50_000
 # Most automaton states one batched solve in hole_family_scan stacks (a word
 # of depth k has s + k - 2); it bounds that solve's working set.
 HOLE_CHUNK_STATES = 4096
+# Relative Collatz-Wielandt bracket width at which a spectral radius is read.
+RADIUS_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -103,7 +105,7 @@ class PrunedSystem:
         return mat
 
 
-def _component_radii(succ: np.ndarray, tol: float = 1e-13, max_iter: int = 100_000) -> np.ndarray:
+def _component_radii(succ: np.ndarray, max_iter: int = 100_000) -> np.ndarray:
     """Perron root of the strongly connected component of each state of a
     successor table's graph (0 for a state on no cycle).
 
@@ -111,30 +113,31 @@ def _component_radii(succ: np.ndarray, tol: float = 1e-13, max_iter: int = 100_0
     y = (M + I) x is one gather per symbol, and M + I is primitive there
     whatever the period of M. For positive x the Collatz-Wielandt bracket
     min(y/x) <= lambda + 1 <= max(y/x) over the component holds and shrinks
-    to a point. A component stops at the first step its bracket width is at
-    most tol * max(y/x), with the midpoint minus 1, and leaves the iteration;
-    the others go on with x = y / max(y/x). Each component thus takes the
-    same steps, and ends on the same bits, as when iterated alone.
+    to a point. Each step sets x = y / max(y/x). A component's radius is the
+    midpoint minus 1 at the first step its bracket width is at most
+    RADIUS_TOL * max(y/x); it keeps stepping, unread, until every bracket has
+    closed. No edge joins two components, so each takes the same steps, and
+    ends on the same bits, as when iterated alone.
     """
     n = succ.shape[0]
     if n == 0:
         return np.zeros(0)
     labels = _strong_components(succ)
     ncomp = int(labels.max()) + 1
-    # Sorted by component, the active states form one run per component.
-    # Edges that leave a component, like the -1 padding, gather the zero kept
-    # at the end of the iterate. Each symbol's targets are one contiguous
-    # column, so the gathers read them in order.
+    # Sorted by component, the states form one run per component. Edges that
+    # leave a component, like the -1 padding, gather the zero kept at the end
+    # of the iterate. Each symbol's targets are one contiguous column, so the
+    # gathers read them in order.
     order = np.argsort(labels, kind="stable")
     pos = np.empty(n, dtype=np.int64)
     pos[order] = np.arange(n)
     nxt = succ[order]
     sub = np.where((nxt >= 0) & (labels[nxt] == labels[order, None]), pos[nxt], -1)
     cols = [np.ascontiguousarray(c) for c in sub.T]
-    comp = np.arange(ncomp)  # the active components, in run order
     sizes = np.bincount(labels, minlength=ncomp)
     starts = np.cumsum(sizes) - sizes
     radii = np.empty(ncomp)
+    unread = np.ones(ncomp, dtype=bool)
     x = np.ones(n + 1)
     x[-1] = 0.0
     for _ in range(max_iter):
@@ -145,24 +148,16 @@ def _component_radii(succ: np.ndarray, tol: float = 1e-13, max_iter: int = 100_0
         ratio = y / x[:-1]
         lo = np.minimum.reduceat(ratio, starts)
         hi = np.maximum.reduceat(ratio, starts)
-        done = hi - lo <= tol * hi
-        if done.any():
-            radii[comp[done]] = 0.5 * (lo[done] + hi[done]) - 1.0
-            if done.all():
+        closing = unread & (hi - lo <= RADIUS_TOL * hi)
+        if closing.any():
+            radii[closing] = 0.5 * (lo[closing] + hi[closing]) - 1.0
+            unread &= ~closing
+            if not unread.any():
                 return radii[labels]
-            alive = np.repeat(~done, sizes)
-            # Whole components leave, so live states point only at live ones.
-            renumber = np.append(np.cumsum(alive) - 1, -1)
-            cols = [renumber[c[alive]] for c in cols]
-            y, hi = y[alive], hi[~done]
-            comp, sizes = comp[~done], sizes[~done]
-            starts = np.cumsum(sizes) - sizes
-            x = np.empty(len(y) + 1)
-            x[-1] = 0.0
         np.divide(y, np.repeat(hi, sizes), out=x[:-1])
     raise ConvergenceError(
-        f"spectral radius iteration stalled on {len(comp)} of {ncomp} components",
-        residual=float((hi - lo)[~done].max()),
+        f"spectral radius iteration stalled on {np.count_nonzero(unread)} of {ncomp} components",
+        residual=float((hi - lo)[unread].max()),
     )
 
 

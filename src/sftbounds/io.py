@@ -21,10 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError
-from .models import ExpandingModel, build_model, model_preset
+from .models import PRESETS, ExpandingModel, build_model, model_preset
 from .sft import TransitionMatrix, transition_matrix
-
-MODEL_PRESETS = ("doubling", "triadic", "golden")
 
 
 def _load_json(path: str | Path) -> dict:
@@ -65,7 +63,7 @@ def load_model(path_or_preset: str | Path) -> ExpandingModel:
     """A preset name, or a path to {"branches": [{"domain": [a, b], "slope": s,
     "intercept": c}, ...], "circle": bool?}."""
     name = str(path_or_preset)
-    if name in MODEL_PRESETS:
+    if name in PRESETS:
         return model_preset(name)
     data = _load_json(path_or_preset)
     if "branches" not in data:

@@ -120,28 +120,22 @@ def build_model(branch_specs, circle: bool = False) -> ExpandingModel:
     return ExpandingModel(tuple(branches), A, min(slopes), max(slopes), circle)
 
 
+# The built-in models: branches as (lo, hi, slope, intercept), and whether the
+# map is a circle map. "golden" is a repeller coding the golden-mean shift: its
+# second branch maps [1/2, 3/4] onto [0, 1/2], the first domain only.
+PRESETS = {
+    "doubling": (((0.0, 0.5, 2.0, 0.0), (0.5, 1.0, 2.0, -1.0)), True),
+    "triadic": (((0.0, 1 / 3, 3.0, 0.0), (1 / 3, 2 / 3, 3.0, -1.0), (2 / 3, 1.0, 3.0, -2.0)), True),
+    "golden": (((0.0, 0.5, 2.0, 0.0), (0.5, 0.75, 2.0, -1.0)), False),
+}
+
+
 def model_preset(name: str) -> ExpandingModel:
-    """Built-in models: "doubling" (circle, full 2-shift), "triadic" (circle,
-    full 3-shift), "golden" (repeller coding the golden-mean shift)."""
-    if name == "doubling":
-        return build_model(
-            [Branch(0.0, 0.5, 2.0, 0.0), Branch(0.5, 1.0, 2.0, -1.0)], circle=True
-        )
-    if name == "triadic":
-        return build_model(
-            [
-                Branch(0.0, 1 / 3, 3.0, 0.0),
-                Branch(1 / 3, 2 / 3, 3.0, -1.0),
-                Branch(2 / 3, 1.0, 3.0, -2.0),
-            ],
-            circle=True,
-        )
-    if name == "golden":
-        # Second branch maps [1/2, 3/4] onto [0, 1/2] = the first domain only.
-        return build_model(
-            [Branch(0.0, 0.5, 2.0, 0.0), Branch(0.5, 0.75, 2.0, -1.0)], circle=False
-        )
-    raise InputError(f"unknown model preset {name!r}")
+    """The built-in model `name`, one of PRESETS."""
+    if name not in PRESETS:
+        raise InputError(f"unknown model preset {name!r}")
+    branches, circle = PRESETS[name]
+    return build_model([Branch(*b) for b in branches], circle=circle)
 
 
 def cylinder_interval(model: ExpandingModel, word) -> CylinderInterval:
@@ -175,14 +169,14 @@ def _ball_segments(model: ExpandingModel, x0: float, delta: float) -> tuple[tupl
 
 @dataclass(frozen=True)
 class BallCover:
-    """Depth-k cylinder words sandwiching a metric ball: inner words have
-    intervals inside the ball, outer words cover it."""
+    """Depth-k cylinders sandwiching a metric ball, as the cells they were
+    classified on: inner cells lie inside the ball, outer cells cover it."""
 
     x0: float
     delta: float
     depth: int
-    inner: tuple[Word, ...]
-    outer: tuple[Word, ...]
+    inner: tuple[CylinderInterval, ...]
+    outer: tuple[CylinderInterval, ...]
 
     @property
     def inner_empty(self) -> bool:
@@ -210,7 +204,7 @@ def _cover_candidates(model: ExpandingModel, segments, depth: int) -> list[Word]
 
 
 def ball_to_cylinders(model: ExpandingModel, x0: float, delta: float) -> BallCover:
-    """Convert a metric ball into inner and outer depth-k cylinder covers,
+    """Cover a metric ball by inner and outer depth-k cylinder cells,
     k = ceil(log(1/delta) / log(theta0)) + 1, in lexicographic order.
 
     Refused when there are more than WORD_CEILING admissible k-words: below
@@ -240,9 +234,9 @@ def ball_to_cylinders(model: ExpandingModel, x0: float, delta: float) -> BallCov
             for lo, hi in segments
         )
         if overlaps:
-            outer.append(w)
+            outer.append(ci)
         if contained:
-            inner.append(w)
+            inner.append(ci)
     return BallCover(x0, delta, depth, tuple(inner), tuple(outer))
 
 
@@ -275,7 +269,10 @@ def exceptional_dimension_bound(model: ExpandingModel, x0: float, delta: float,
     if eig is None:
         eig = perron_eigendata(A)
     m = parry_measure(A, eig)
-    outer_measure = float(sum(cylinder_measure(m, w) for w in cover.outer))
+    # Left to right: Python's sum() is compensated from 3.12 on.
+    outer_measure = 0.0
+    for c in cover.outer:
+        outer_measure += cylinder_measure(m, c.word)
     log_lam = float(np.log(eig.lam))
     log_cap = math.log(model.cap_theta)
     if cover.inner_empty:
@@ -283,7 +280,7 @@ def exceptional_dimension_bound(model: ExpandingModel, x0: float, delta: float,
             cover, outer_measure, survivor_lambda=eig.lam, h_plus=log_lam, bound=1.0,
             implied_c=0.0, shape_bound=1.0, trivial=True, pruned=None,
         )
-    ps = prune_words(A, cover.inner)
+    ps = prune_words(A, [c.word for c in cover.inner])
     h_plus = survivor_entropy(ps)
     raw = 1.0 - (log_lam - h_plus) / log_cap
     bound = max(raw, 0.0)

@@ -17,8 +17,8 @@ from .errors import CeilingError, InputError
 
 Word = tuple[int, ...]
 
-# Default cap on the number of words any single enumeration may produce, and on
-# the values of a stack of sampled functions (samples times words).
+# Default cap on the words an enumeration may produce, the entries of a word
+# array (words times length) and the values of a function stack (samples times words).
 WORD_CEILING = 10_000_000
 
 
@@ -218,11 +218,15 @@ def _word_count_cached(A: TransitionMatrix, k: int) -> int:
 def word_array(A: TransitionMatrix, k: int, ceiling: int = WORD_CEILING) -> np.ndarray:
     """All admissible k-words as the rows of a cached read-only (n, k) array, in
     lexicographic order; the one word layout the library reads. Refused, before
-    anything is allocated, when the count exceeds `ceiling`."""
+    anything is allocated, when n exceeds `ceiling` or n * k exceeds WORD_CEILING."""
     n = word_count(A, k)
     if n > ceiling:
         raise CeilingError(
             f"{n} admissible words of length {k} exceeds the ceiling {ceiling}"
+        )
+    if n * k > WORD_CEILING:
+        raise CeilingError(
+            f"{n} admissible words of length {k}: {n * k} entries exceeds the ceiling {WORD_CEILING}"
         )
     return _word_array_cached(A, k)
 

@@ -130,8 +130,12 @@ class DecayEstimate:
 
     @property
     def c_hat(self) -> float:
-        """The constant sqrt(2) (sum(steps) + tail) of the integral-discrepancy bound."""
-        return math.sqrt(2.0) * (sum(self.steps) + self.tail)
+        """The constant sqrt(2) (sum(steps) + tail) of the integral-discrepancy bound,
+        the steps added left to right (Python's sum() is compensated from 3.12 on)."""
+        total = 0.0
+        for b in self.steps:
+            total += b
+        return math.sqrt(2.0) * (total + self.tail)
 
 
 def mean_zero_probes(A: TransitionMatrix, eig: PerronData, depth: int) -> list[LocallyConstantFunction]:
@@ -168,13 +172,15 @@ def decay_estimate(A: TransitionMatrix, eig: PerronData, depth: int) -> DecayEst
     M10 = M1 - parry_measure(A, eig).stationary[None, :]
     power = np.eye(A.size)
     norms = []
+    total = 0.0  # the norms added left to right, as DecayEstimate.c_hat adds them
     for _ in range(DECAY_TERM_CAP):
         norms.append(_norm_inf(power))
+        total += norms[-1]
         power = M10 @ power
         q = _norm_inf(power)
         if q < 1.0:
             steps = (1.0,) * (depth - 1) + tuple(norms)
-            return DecayEstimate(depth, steps, sum(norms) * q / (1.0 - q), subdominant_modulus(M1))
+            return DecayEstimate(depth, steps, total * q / (1.0 - q), subdominant_modulus(M1))
     raise ConvergenceError(
         f"||M10^j||_inf stayed at or above 1 for {DECAY_TERM_CAP} terms", residual=q
     )

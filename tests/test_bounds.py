@@ -270,6 +270,12 @@ def test_ratio_scan_all_hold_and_slope(full2, golden):
         assert scan.max_ratio <= scan.decay.c_hat
 
 
+def test_ratio_scan_refuses_a_negative_seed(golden):
+    with pytest.raises(InputError, match="^seed must be nonnegative, got -1$"):
+        ratio_scan(golden, 3, -1)
+    assert ratio_scan(golden, 1, 2**64).all_hold  # default_rng takes any nonnegative seed
+
+
 def test_ratio_scan_reads_certificate_c_hat(golden, eig_golden):
     assert ratio_scan(golden, 20, 0).decay.c_hat == decay_estimate(golden, eig_golden, 2).c_hat
 

@@ -12,7 +12,7 @@ import pytest
 import sftbounds
 from helpers import PHI
 from sftbounds import (
-    bounds, cli, decay_estimate, golden_mean_shift, measures, perron_eigendata, transfer,
+    bounds, cli, decay_estimate, golden_mean_shift, measures, perron_eigendata, sft, transfer,
 )
 from sftbounds.cli import main
 from sftbounds.errors import ConvergenceError
@@ -230,6 +230,26 @@ def test_verify_past_value_ceiling_exits_two_at_once(capsys, monkeypatch, full2_
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and "262144000 values exceeds the ceiling" in err
     assert not out.exists() and not out.with_suffix(".csv").exists()
+
+
+@pytest.mark.parametrize("depth", [20, 22, 23])
+def test_verify_past_word_array_size_exits_two(capsys, monkeypatch, full2_path, depth):
+    # 2^depth words are under the word ceiling, but their array's 2^depth *
+    # depth entries are not (704 MiB at depth 22): no array of that depth is built
+    built = []
+    real = sft._word_array_cached
+
+    def counting(A, k):
+        built.append(k)
+        return real(A, k)
+
+    monkeypatch.setattr(sft, "_word_array_cached", counting)
+    code = main(["verify", "--matrix", str(full2_path), "--depth", str(depth), "--samples", "1"])
+    assert code == 2
+    assert depth not in built
+    assert capsys.readouterr().err == (
+        f"input error: {2**depth} admissible words of length {depth}: "
+        f"{2**depth * depth} entries exceeds the ceiling 10000000\n")
 
 
 @pytest.mark.parametrize("command", ["verify", "entropy", "pinsker"])

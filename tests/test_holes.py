@@ -352,6 +352,104 @@ def test_radius_stall_reports_bracket_width(full2):
     assert info.value.residual > 1e-13
 
 
+def compacting_radii(succ, tol=1e-13, max_iter=100_000):
+    """`holes._component_radii` as it was before it stepped every component
+    to the end: a component whose bracket closes leaves the iteration, and
+    the tables of the rest are compacted. The residual of a stall is the
+    widest open bracket of the last step, taken before that step's
+    compaction (the compacted `hi` once met an uncompacted `lo` there)."""
+    n = succ.shape[0]
+    if n == 0:
+        return np.zeros(0)
+    labels = holes._strong_components(succ)
+    ncomp = int(labels.max()) + 1
+    order = np.argsort(labels, kind="stable")
+    pos = np.empty(n, dtype=np.int64)
+    pos[order] = np.arange(n)
+    nxt = succ[order]
+    sub = np.where((nxt >= 0) & (labels[nxt] == labels[order, None]), pos[nxt], -1)
+    cols = [np.ascontiguousarray(c) for c in sub.T]
+    comp = np.arange(ncomp)
+    sizes = np.bincount(labels, minlength=ncomp)
+    starts = np.cumsum(sizes) - sizes
+    radii = np.empty(ncomp)
+    x = np.ones(n + 1)
+    x[-1] = 0.0
+    for _ in range(max_iter):
+        y = x[cols[0]]
+        for c in cols[1:]:
+            y += x[c]
+        y += x[:-1]
+        ratio = y / x[:-1]
+        lo = np.minimum.reduceat(ratio, starts)
+        hi = np.maximum.reduceat(ratio, starts)
+        done = hi - lo <= tol * hi
+        width = (hi - lo)[~done]
+        if done.any():
+            radii[comp[done]] = 0.5 * (lo[done] + hi[done]) - 1.0
+            if done.all():
+                return radii[labels]
+            alive = np.repeat(~done, sizes)
+            renumber = np.append(np.cumsum(alive) - 1, -1)
+            cols = [renumber[c[alive]] for c in cols]
+            y, hi = y[alive], hi[~done]
+            comp, sizes = comp[~done], sizes[~done]
+            starts = np.cumsum(sizes) - sizes
+            x = np.empty(len(y) + 1)
+            x[-1] = 0.0
+        np.divide(y, np.repeat(hi, sizes), out=x[:-1])
+    raise ConvergenceError(
+        f"spectral radius iteration stalled on {len(comp)} of {ncomp} components",
+        residual=float(width.max()),
+    )
+
+
+def radii_or_stall(solve, succ, max_iter):
+    try:
+        return solve(succ, max_iter=max_iter).tobytes()
+    except ConvergenceError as exc:
+        return str(exc), exc.residual
+
+
+@st.composite
+def successor_tables(draw):
+    """Random successor tables: n states, s symbols, edges reaching at most
+    `spread` states away, a share of -1 entries, and optionally a long cycle
+    through a random subset of states and self-loops."""
+    n = draw(st.integers(1, 300))
+    s = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = draw(st.sampled_from([1, 3, 20, n]))
+    succ = (np.arange(n)[:, None] + rng.integers(-spread, spread + 1, (n, s))) % n
+    succ[rng.random((n, s)) < draw(st.floats(0.0, 0.9))] = -1
+    ring = rng.permutation(n)[:draw(st.integers(0, n))]
+    succ[ring, 0] = np.roll(ring, -1)
+    loops = np.flatnonzero(rng.random(n) < draw(st.floats(0.0, 0.5)))
+    succ[loops, -1] = loops
+    return succ.astype(np.intp)
+
+
+# a self-loop closes at the first step, two golden-mean components stay open
+STALL_AFTER_CLOSING = np.array([[0, -1], [1, 2], [1, -1], [3, 4], [3, -1]], dtype=np.intp)
+
+
+@given(successor_tables())
+@example(STALL_AFTER_CLOSING)
+@example(np.array([[-1]], dtype=np.intp))
+def test_component_radii_equal_the_compacting_loop(succ):
+    # Components that share no edge step alike whether or not closed ones
+    # stay in the batch, so radii, and stalls, keep their bits.
+    for max_iter in (20_000, 2):
+        assert (radii_or_stall(holes._component_radii, succ, max_iter)
+                == radii_or_stall(compacting_radii, succ, max_iter))
+
+
+def test_radius_stall_after_a_component_closes():
+    with pytest.raises(ConvergenceError, match="stalled on 2 of 3 components") as info:
+        holes._component_radii(STALL_AFTER_CLOSING, max_iter=1)
+    assert info.value.residual == 1.0
+
+
 def test_successor_table_is_read_only(full2):
     ps = higher_block_prune(full2, (0, 1, 1))
     assert ps.successors.shape == (len(ps.states), 2)
@@ -412,7 +510,7 @@ def test_doubling_delta_1e4_completes():
     rep = exceptional_dimension_bound(model_preset("doubling"), 0.125, 1e-4)
     assert rep.cover.depth == 15
     k = rep.cover.depth
-    inner = {int("".join(map(str, w)), 2) for w in rep.cover.inner}
+    inner = {int("".join(map(str, c.word)), 2) for c in rep.cover.inner}
     alive = np.array([c not in inner for c in range(2**k)])
     src = np.repeat(np.arange(2**k), 2)
     dst = (src * 2 + np.tile([0, 1], 2**k)) % 2**k
@@ -427,7 +525,7 @@ def test_doubling_delta_1e6_completes():
     model = model_preset("doubling")
     rep = exceptional_dimension_bound(model, 0.125, 1e-6)
     assert rep.cover.depth == 21
-    states, mat = suffix_automaton(model.transition, rep.cover.inner)
+    states, mat = suffix_automaton(model.transition, [c.word for c in rep.cover.inner])
     assert rep.pruned.states == tuple(states) and len(states) < 100
     assert 0.0 < rep.survivor_lambda < 2.0 and rep.bound < 1.0
     assert abs(rep.survivor_lambda - block_radius(mat)) <= 1e-9

@@ -23,7 +23,7 @@ from sftbounds import (
     perron_eigendata,
     prune_words,
 )
-from sftbounds import models
+from sftbounds import cli, models
 from sftbounds.cli import main
 from sftbounds.io import load_model
 from sftbounds.models import ENDPOINT_TOL, _ball_segments, _cover_candidates
@@ -114,8 +114,8 @@ def test_lebesgue_matches_parry_on_doubling(eig_full2):
 def test_ball_cover_wraparound_anchor():
     cover = ball_to_cylinders(DOUBLING, 0.0, 0.125)
     assert cover.depth == 4
-    inner = {"".join(map(str, w)) for w in cover.inner}
-    outer = {"".join(map(str, w)) for w in cover.outer}
+    inner = {"".join(map(str, c.word)) for c in cover.inner}
+    outer = {"".join(map(str, c.word)) for c in cover.outer}
     assert outer == {"0000", "0001", "1110", "1111"}
     assert inner == outer
     assert not cover.inner_empty
@@ -125,14 +125,14 @@ def test_ball_cover_sandwich():
     for x0, delta in ((0.3, 0.07), (0.5, 0.2), (0.9, 0.2), (0.0, 0.11)):
         cover = ball_to_cylinders(DOUBLING, x0, delta)
         segments = _ball_segments(DOUBLING, x0, delta)
-        assert set(cover.inner) <= set(cover.outer)
-        for w in cover.inner:
-            ci = cylinder_interval(DOUBLING, w)
+        assert {c.word for c in cover.inner} <= {c.word for c in cover.outer}
+        for c in cover.inner:
+            ci = cylinder_interval(DOUBLING, c.word)
             assert any(lo - 1e-12 <= ci.lo and ci.hi <= hi + 1e-12 for lo, hi in segments)
         # the outer intervals cover the ball: test on a fine grid
         union = [
-            (cylinder_interval(DOUBLING, w).lo, cylinder_interval(DOUBLING, w).hi)
-            for w in cover.outer
+            (cylinder_interval(DOUBLING, c.word).lo, cylinder_interval(DOUBLING, c.word).hi)
+            for c in cover.outer
         ]
         for lo, hi in segments:
             for x in np.linspace(lo + 1e-9, hi - 1e-9, 101):
@@ -141,7 +141,7 @@ def test_ball_cover_sandwich():
 
 def test_ball_cover_at_partition_endpoint():
     cover = ball_to_cylinders(DOUBLING, 0.5, 0.1)
-    starts = {w[0] for w in cover.outer}
+    starts = {c.word[0] for c in cover.outer}
     assert starts == {0, 1}
 
 
@@ -213,8 +213,39 @@ def test_ball_cover_descent_equals_brute_force(key, x0, delta):
     cover = ball_to_cylinders(COVER_MODELS[key], x0, delta)
     depth, inner, outer = brute_force_cover(key, x0, delta)
     assert cover.depth == depth
-    assert cover.inner == inner
-    assert cover.outer == outer
+    assert tuple(c.word for c in cover.inner) == inner
+    assert tuple(c.word for c in cover.outer) == outer
+
+
+@settings(max_examples=20)
+@given(
+    key=st.sampled_from(sorted(COVER_MODELS)),
+    x0=st.floats(0.0, 1.0),
+    delta=st.floats(1e-4, 0.45),
+)
+def test_ball_cover_cells_are_their_cylinder_intervals(key, x0, delta):
+    model = COVER_MODELS[key]
+    cover = ball_to_cylinders(model, x0, delta)
+    for c in cover.inner + cover.outer:
+        assert c == cylinder_interval(model, c.word)
+
+
+def test_model_dim_pulls_back_only_the_cover_descent(monkeypatch, capsys):
+    # The rows reuse the cover's cells: no interval is pulled back twice.
+    calls = []
+    real = models.cylinder_interval
+
+    def counting(model, word):
+        calls.append(word)
+        return real(model, word)
+
+    for module in (models, cli):
+        monkeypatch.setattr(module, "cylinder_interval", counting, raising=False)
+    ball_to_cylinders(model_preset("triadic"), 0.3, 1e-3)
+    descent = len(calls)
+    calls.clear()
+    assert main(["model-dim", "--model", "triadic", "--x0", "0.3", "--delta", "1e-3"]) == 0
+    assert len(calls) == descent
 
 
 @pytest.mark.parametrize("x0", [0.3, 0.1234567, 0.7071067811865476, 0.6180339887498949])
@@ -286,7 +317,7 @@ def test_tiny_delta_inner_may_be_empty():
 def test_dimension_bound_hole_00():
     # ball of radius 1/8 at 1/8 is exactly the dyadic cylinder [0, 1/4]
     rep = exceptional_dimension_bound(DOUBLING, 0.125, 0.125)
-    assert {"".join(map(str, w)) for w in rep.cover.inner} == {"0000", "0001", "0010", "0011"}
+    assert {"".join(map(str, c.word)) for c in rep.cover.inner} == {"0000", "0001", "0010", "0011"}
     assert abs(rep.bound - math.log(PHI) / math.log(2)) <= 1e-8
     assert abs(rep.survivor_lambda - PHI) <= 1e-9
     assert abs(rep.outer_measure - 0.25) <= 1e-12
@@ -294,9 +325,16 @@ def test_dimension_bound_hole_00():
     assert abs(rep.shape_bound - rep.bound) <= 1e-12
 
 
+def test_outer_measure_is_summed_left_to_right():
+    # Python's sum() is compensated from 3.12 on, and gives
+    # 0.0021338210638622156 on these measures.
+    rep = exceptional_dimension_bound(model_preset("triadic"), 0.3, 1e-3)
+    assert rep.outer_measure == 0.002133821063862215
+
+
 def test_dimension_report_carries_pruned_cover():
     rep = exceptional_dimension_bound(DOUBLING, 0.125, 0.125)
-    ps = prune_words(DOUBLING.transition, rep.cover.inner)
+    ps = prune_words(DOUBLING.transition, [c.word for c in rep.cover.inner])
     assert rep.pruned.states == ps.states
     assert np.array_equal(rep.pruned.successors, ps.successors)
     assert rep.pruned.survivor_lambda == rep.survivor_lambda

@@ -220,6 +220,11 @@ def test_c_hat_is_the_bound_constant(golden, eig_golden, full2, eig_full2):
         assert est.c_hat == math.sqrt(2.0) * (sum(est.steps) + est.tail)
 
 
+def test_c_hat_adds_the_steps_left_to_right():
+    # Python's sum() is compensated from 3.12 on, and makes these 1 + 2**-52.
+    assert DecayEstimate(1, (1.0, 1e-16, 1e-16), 0.0, 0.5).c_hat == math.sqrt(2.0)
+
+
 def test_c_is_infinite_only_past_an_exact_zero_rate():
     assert DecayEstimate(1, (1.0, 0.0), 0.0, 0.0).C == 1.0
     assert DecayEstimate(2, (1.0, 1.0), 0.0, 0.0).C == math.inf
