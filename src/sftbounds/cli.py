@@ -25,7 +25,6 @@ from .bounds import ScanSummary, gap_identity_check, pinsker_verify, ratio_scan
 from .errors import ConvergenceError, InputError, VerificationError
 from .holes import HoleFamilyScan, hole_family_scan
 from .measures import (
-    cylinder_measure,
     cylinder_measure_vector,
     entropy,
     information_mean,
@@ -228,11 +227,11 @@ def _cmd_model_dim(args: argparse.Namespace) -> int:
     model = io.load_model(args.model)
     eig = perron_eigendata(model.transition)
     report = exceptional_dimension_bound(model, args.x0, args.delta, eig=eig)
-    m = parry_measure(model.transition, eig)
-    s = model.transition.size
     cover = report.cover
-    rows = [(word_str(c.word, s), role, c.lo, c.hi, cylinder_measure(m, c.word))
-            for role, cells in (("inner", cover.inner), ("outer", cover.outer)) for c in cells]
+    cells = cover.inner + cover.outer
+    columns = [[word_str(c.word, model.transition.size) for c in cells],
+               ["inner"] * len(cover.inner) + ["outer"] * len(cover.outer),
+               [c.lo for c in cells], [c.hi for c in cells], report.cell_measures]
     summary = {
         "x0": cover.x0,
         "delta": cover.delta,
@@ -243,15 +242,13 @@ def _cmd_model_dim(args: argparse.Namespace) -> int:
         "survivor_lambda": report.survivor_lambda,
         "h_plus": report.h_plus,
         "bound": report.bound,
-        "implied_c": report.implied_c,
-        "shape_bound": report.shape_bound,
         "trivial": report.trivial,
         "theta0": model.theta0,
         "Theta": model.cap_theta,
         "log_lambda": float(np.log(eig.lam)),
     }
     header = ["word", "role", "interval_lo", "interval_hi", "parry_measure"]
-    _emit(args, summary, header, list(zip(*rows)))
+    _emit(args, summary, header, columns)
     return 0 if report.h_plus <= float(np.log(eig.lam)) + 1e-12 else 1
 
 

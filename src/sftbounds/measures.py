@@ -29,11 +29,11 @@ from typing import TYPE_CHECKING
 import numpy as np
 import numpy.random  # numpy loads it lazily; load it here, not in the first sampling call
 
-from .errors import CeilingError, ConvergenceError, InputError, first_failure
+from .errors import ConvergenceError, InputError, first_failure
 from .sft import (
-    WORD_CEILING,
     TransitionMatrix,
     Word,
+    _check_ceiling,
     enumerate_words,
     is_admissible,
     predecessors,
@@ -207,19 +207,28 @@ def _lone_block(x: np.ndarray, y: np.ndarray, Q: np.ndarray, b: int):
 
     Each step keeps numpy's own product y @ Q, then sums and divides on
     Python floats: numpy adds fewer than 8 terms left to right from 0.0, as
-    the loop below does, and a divide is the same IEEE operation either way.
-    (Python's sum() is compensated from 3.12 on, so it is not used.)"""
+    `_left_sum` does, and a divide is the same IEEE operation either way."""
     ys, zs = [x.tolist(), y.tolist()], []
     r = y
     for _ in range(b):
         z = np.matmul(r, Q).tolist()
-        total = 0.0
-        for v in z:
-            total += v
+        total = _left_sum(z)
         r = [v / total for v in z]
         zs.append(z)
         ys.append(r)
     return np.array(ys)[:, None], np.array(zs)[:, None]
+
+
+def _left_sum(terms):
+    """The terms added left to right from 0.0, one IEEE add at a time: the
+    library's one summation order where results keep recorded bits, and
+    numpy's own for fewer than 8 terms. Python's sum() is compensated from
+    3.12 on, so it is not used. Terms may be arrays, added elementwise; the
+    first is copied, never written to."""
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
 
 
 def _hash_stream(const: int, mult: int):
@@ -300,10 +309,7 @@ def dirichlet_kernels(A: TransitionMatrix, seeds) -> np.ndarray:
             Qs[:, i, row[0]] = 1.0
             continue
         e = draws[:, start:start + len(row)]
-        acc = e[:, 0].copy()
-        for j in range(1, len(row)):
-            acc += e[:, j]
-        Qs[:, i, list(row)] = e * (1.0 / acc)[:, None]
+        Qs[:, i, list(row)] = e * (1.0 / _left_sum(e.T))[:, None]
         start += len(row)
     return Qs
 
@@ -321,16 +327,14 @@ def sample_markov(A: TransitionMatrix, seed: int) -> MarkovMeasure:
 
 
 def cylinder_measure(mu: MarkovMeasure, word) -> float:
-    """Measure of the cylinder set of a word: r[w0] * prod Q[w_t, w_t+1].
+    """Measure of the cylinder set of a word: the one-row case of
+    `_cylinder_products`.
 
     Inadmissible words are rejected rather than mapped to 0, to surface caller bugs.
     """
     if not is_admissible(mu.support, word):
         raise InputError(f"word {tuple(word)} is not admissible")
-    p = float(mu.stationary[word[0]])
-    for a, b in zip(word, word[1:]):
-        p *= float(mu.transition[a, b])
-    return p
+    return float(_cylinder_products(mu, np.array([word]))[0])
 
 
 def entropy(mu: MarkovMeasure):
@@ -379,16 +383,22 @@ class LocallyConstantFunction:
 
 
 def constant_function(A: TransitionMatrix, value: float, depth: int = 1) -> LocallyConstantFunction:
-    return LocallyConstantFunction(A, depth, np.full(word_count(A, depth), float(value)))
+    """The constant `value` as a depth-`depth` function. Refused, before
+    anything is allocated, past WORD_CEILING words."""
+    n = word_count(A, depth)
+    _check_ceiling(n, f"{n} admissible words of length {depth}")
+    return LocallyConstantFunction(A, depth, np.full(n, float(value)))
 
 
 def indicator(A: TransitionMatrix, word) -> LocallyConstantFunction:
-    """Indicator of the cylinder of `word`, as a depth-len(word) function."""
+    """Indicator of the cylinder of `word`, as a depth-len(word) function;
+    refused, before anything is allocated, where `word_array` refuses."""
     w = tuple(word)
     if not is_admissible(A, w):
         raise InputError(f"word {w} is not admissible")
-    vals = np.zeros(word_count(A, len(w)))
-    vals[word_index(A, len(w))[w]] = 1.0
+    index = word_index(A, len(w))
+    vals = np.zeros(len(index))
+    vals[index[w]] = 1.0
     return LocallyConstantFunction(A, len(w), vals)
 
 
@@ -401,27 +411,28 @@ def random_function(A: TransitionMatrix, depth: int, seed) -> LocallyConstantFun
     or when a seed lies outside [0, 2**64)."""
     n = len(word_array(A, depth))
     seeds = seed if np.ndim(seed) else [seed]
-    if len(seeds) * n > WORD_CEILING:
-        raise CeilingError(
-            f"{len(seeds)} functions of {n} words: {len(seeds) * n} values "
-            f"exceeds the ceiling {WORD_CEILING}"
-        )
+    _check_ceiling(len(seeds) * n, f"{len(seeds)} functions of {n} words: {len(seeds) * n} values")
     values = np.empty((len(seeds), n))
     for out, rng in zip(values, _generators(seeds)):
         rng.standard_normal(out=out)
     return LocallyConstantFunction(A, depth, values if np.ndim(seed) else values[0])
 
 
-def cylinder_measure_vector(mu: MarkovMeasure, depth: int) -> np.ndarray:
-    """Measures of all admissible depth-words, aligned with the rows of
-    `word_array`: the left-to-right product of cylinder_measure, one column at
-    a time; (k, n), one row per measure, for a stack."""
-    W = word_array(mu.support, depth)
+def _cylinder_products(mu: MarkovMeasure, W: np.ndarray) -> np.ndarray:
+    """Measures r[w0] * prod Q[w_t, w_t+1] of the cylinders of the rows of an
+    (n, k) word array, multiplied left to right one column at a time; (k, n),
+    one row per measure, for a stack. The library's one cylinder product."""
     p = mu.stationary[..., W[:, 0]]
-    for t in range(1, depth):
+    for t in range(1, W.shape[1]):
         p = p * mu.transition[..., W[:, t - 1], W[:, t]]
     # a stack's gathers come out word-major; integrals need each row unit-stride
     return np.ascontiguousarray(p)
+
+
+def cylinder_measure_vector(mu: MarkovMeasure, depth: int) -> np.ndarray:
+    """Measures of all admissible depth-words, aligned with the rows of
+    `word_array`; (k, n), one row per measure, for a stack."""
+    return _cylinder_products(mu, word_array(mu.support, depth))
 
 
 def integrate(f: LocallyConstantFunction, mu: MarkovMeasure):

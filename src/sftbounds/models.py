@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CeilingError, InputError
+from .errors import InputError
 from .holes import PrunedSystem, prune_words, survivor_entropy
-from .measures import cylinder_measure, parry_measure
-from .sft import WORD_CEILING, TransitionMatrix, Word, is_admissible, transition_matrix, word_count
+from .measures import _cylinder_products, _left_sum, parry_measure
+from .sft import TransitionMatrix, Word, _check_ceiling, is_admissible, transition_matrix, word_count
 from .spectral import PerronData, perron_eigendata
 
 ENDPOINT_TOL = 1e-12
@@ -217,10 +217,7 @@ def ball_to_cylinders(model: ExpandingModel, x0: float, delta: float) -> BallCov
     ratio = math.log(1.0 / delta) / math.log(model.theta0)
     depth = math.ceil(ratio - 1e-12) + 1
     n = word_count(model.transition, depth)
-    if n > WORD_CEILING:
-        raise CeilingError(
-            f"{n} admissible words of length {depth} exceeds the ceiling {WORD_CEILING}"
-        )
+    _check_ceiling(n, f"{n} admissible words of length {depth}")
     segments = _ball_segments(model, x0, delta)
     inner = []
     outer = []
@@ -243,12 +240,11 @@ def ball_to_cylinders(model: ExpandingModel, x0: float, delta: float) -> BallCov
 @dataclass(frozen=True)
 class DimensionReport:
     cover: BallCover
+    cell_measures: np.ndarray  # Parry measure of each cell of cover.inner + cover.outer
     outer_measure: float
     survivor_lambda: float
     h_plus: float
     bound: float
-    implied_c: float
-    shape_bound: float
     trivial: bool
     pruned: PrunedSystem | None  # the pruned inner cover; None when trivial
 
@@ -258,38 +254,27 @@ def exceptional_dimension_bound(model: ExpandingModel, x0: float, delta: float,
     """Upper bound on the Hausdorff dimension of the set of points whose orbit
     avoids the ball B(x0, delta).
 
-    Avoiding the ball forces avoiding every inner cylinder, so pruning the inner
-    words bounds the survivor entropy by h_plus and the dimension by
-    1 - (log lam - h_plus) / log Theta. The Parry mass of the outer cover stands
-    in for the ball measure in the reported c and shape bound. An empty inner
-    cover yields the trivial bound 1, flagged.
+    Avoiding the ball forces avoiding every inner cylinder, so the survivors
+    lie in the n-cylinders of the words the pruned inner cover admits: at most
+    poly(n) e^(n h_plus) of them, each shorter than theta0^-n. Box counting
+    (Falconer, Techniques in Fractal Geometry, 1997, Ch. 3) bounds the
+    dimension by min(1, max(h_plus, 0) / log theta0). An empty inner cover
+    yields the trivial bound 1, flagged. Every cell of the cover is measured
+    under the Parry measure in one product call.
     """
     cover = ball_to_cylinders(model, x0, delta)
     A = model.transition
     if eig is None:
         eig = perron_eigendata(A)
-    m = parry_measure(A, eig)
-    # Left to right: Python's sum() is compensated from 3.12 on.
-    outer_measure = 0.0
-    for c in cover.outer:
-        outer_measure += cylinder_measure(m, c.word)
-    log_lam = float(np.log(eig.lam))
-    log_cap = math.log(model.cap_theta)
+    cells = cover.inner + cover.outer
+    words = np.array([c.word for c in cells], dtype=np.int64).reshape(len(cells), cover.depth)
+    measures = _cylinder_products(parry_measure(A, eig), words)
+    outer_measure = _left_sum(measures[len(cover.inner):].tolist())
     if cover.inner_empty:
-        return DimensionReport(
-            cover, outer_measure, survivor_lambda=eig.lam, h_plus=log_lam, bound=1.0,
-            implied_c=0.0, shape_bound=1.0, trivial=True, pruned=None,
-        )
+        return DimensionReport(cover, measures, outer_measure, survivor_lambda=eig.lam,
+                               h_plus=float(np.log(eig.lam)), bound=1.0, trivial=True, pruned=None)
     ps = prune_words(A, [c.word for c in cover.inner])
     h_plus = survivor_entropy(ps)
-    raw = 1.0 - (log_lam - h_plus) / log_cap
-    bound = max(raw, 0.0)
-    if outer_measure > 0.0 and math.isfinite(h_plus):
-        implied_c = (log_lam - h_plus) / (log_cap * delta**2 * outer_measure**2)
-    else:
-        implied_c = float("inf")
-    shape = 1.0 - implied_c * delta**2 * outer_measure**2 if math.isfinite(implied_c) else bound
-    return DimensionReport(
-        cover, outer_measure, ps.survivor_lambda, h_plus, bound, implied_c, shape,
-        trivial=False, pruned=ps,
-    )
+    bound = min(1.0, max(h_plus, 0.0) / math.log(model.theta0))
+    return DimensionReport(cover, measures, outer_measure, ps.survivor_lambda, h_plus, bound,
+                           trivial=False, pruned=ps)

@@ -215,19 +215,20 @@ def _word_count_cached(A: TransitionMatrix, k: int) -> int:
     return int(_path_count(np.where(A.array > 0, np.arange(A.size), -1), k - 1).sum())
 
 
+def _check_ceiling(entries: int, what: str, ceiling: int = WORD_CEILING) -> None:
+    """Refuse `what`, a request for `entries` words or values, with
+    CeilingError when they pass `ceiling`; called before anything is allocated."""
+    if entries > ceiling:
+        raise CeilingError(f"{what} exceeds the ceiling {ceiling}")
+
+
 def word_array(A: TransitionMatrix, k: int, ceiling: int = WORD_CEILING) -> np.ndarray:
     """All admissible k-words as the rows of a cached read-only (n, k) array, in
     lexicographic order; the one word layout the library reads. Refused, before
     anything is allocated, when n exceeds `ceiling` or n * k exceeds WORD_CEILING."""
     n = word_count(A, k)
-    if n > ceiling:
-        raise CeilingError(
-            f"{n} admissible words of length {k} exceeds the ceiling {ceiling}"
-        )
-    if n * k > WORD_CEILING:
-        raise CeilingError(
-            f"{n} admissible words of length {k}: {n * k} entries exceeds the ceiling {WORD_CEILING}"
-        )
+    _check_ceiling(n, f"{n} admissible words of length {k}", ceiling)
+    _check_ceiling(n * k, f"{n} admissible words of length {k}: {n * k} entries")
     return _word_array_cached(A, k)
 
 
@@ -259,7 +260,9 @@ def enumerate_words(A: TransitionMatrix, k: int) -> tuple[Word, ...]:
 
 @functools.lru_cache(maxsize=512)
 def word_index(A: TransitionMatrix, k: int) -> dict[Word, int]:
-    return {w: i for i, w in enumerate(map(tuple, _word_array_cached(A, k).tolist()))}
+    """The row of each admissible k-word in `word_array`, keyed by tuple;
+    refused where `word_array` refuses."""
+    return {w: i for i, w in enumerate(map(tuple, word_array(A, k).tolist()))}
 
 
 def predecessors(A: TransitionMatrix, j: int) -> tuple[int, ...]:

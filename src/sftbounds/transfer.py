@@ -16,9 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, InputError
-from .measures import LocallyConstantFunction, cylinder_measure_vector, parry_measure
+from .measures import LocallyConstantFunction, _left_sum, cylinder_measure_vector, parry_measure
 from .sft import (
     TransitionMatrix,
+    _check_ceiling,
     enumerate_words,
     predecessors,
     word_array,
@@ -76,15 +77,16 @@ def transfer_apply(f: LocallyConstantFunction, eig: PerronData) -> LocallyConsta
     the terms added in ascending i from +0.0."""
     cols, weights = _kernel(f.matrix, eig, f.depth)
     values = np.append(f.values, 0.0)
-    out = np.zeros(len(cols))
-    for i in range(cols.shape[1]):
-        out += weights[:, i] * values[cols[:, i]]
+    out = _left_sum(weights[:, i] * values[cols[:, i]] for i in range(cols.shape[1]))
     return LocallyConstantFunction(f.matrix, max(f.depth - 1, 1), out)
 
 
 def transfer_matrix(A: TransitionMatrix, eig: PerronData, depth: int):
     """Matrix of the operator on the depth-`depth` word space (with the image
-    depth-(d-1) space embedded back into depth d). Returns (matrix, words)."""
+    depth-(d-1) space embedded back into depth d). Returns (matrix, words).
+    Refused, before anything is allocated, past WORD_CEILING entries."""
+    n = word_count(A, depth)
+    _check_ceiling(n * n, f"a {n} x {n} operator")
     words = enumerate_words(A, depth)
     out_depth = max(depth - 1, 1)
     image = word_index(A, out_depth)
@@ -102,7 +104,7 @@ def conditional_expectation_check(f: LocallyConstantFunction, eig: PerronData) -
     worst = 0.0
     for x in enumerate_words(A, d + 1):
         j = x[1]
-        direct = sum(
+        direct = _left_sum(
             u[i] / (lam * u[j]) * f.value((i,) + x[1:d]) for i in predecessors(A, j)
         )
         shifted = lf.value(x[1 : 1 + lf.depth])
@@ -131,15 +133,15 @@ class DecayEstimate:
     @property
     def c_hat(self) -> float:
         """The constant sqrt(2) (sum(steps) + tail) of the integral-discrepancy bound,
-        the steps added left to right (Python's sum() is compensated from 3.12 on)."""
-        total = 0.0
-        for b in self.steps:
-            total += b
-        return math.sqrt(2.0) * (total + self.tail)
+        the steps added by `_left_sum`."""
+        return math.sqrt(2.0) * (_left_sum(self.steps) + self.tail)
 
 
 def mean_zero_probes(A: TransitionMatrix, eig: PerronData, depth: int) -> list[LocallyConstantFunction]:
-    """Mean-zero basis: the indicator of each depth cylinder minus its Parry measure."""
+    """Mean-zero basis: the indicator of each depth cylinder minus its Parry
+    measure. Refused, before anything is allocated, past WORD_CEILING values."""
+    n = word_count(A, depth)
+    _check_ceiling(n * n, f"{n} probes of {n} values")
     mass = cylinder_measure_vector(parry_measure(A, eig), depth)
     probes = []
     for k, mass_k in enumerate(mass):
@@ -172,15 +174,13 @@ def decay_estimate(A: TransitionMatrix, eig: PerronData, depth: int) -> DecayEst
     M10 = M1 - parry_measure(A, eig).stationary[None, :]
     power = np.eye(A.size)
     norms = []
-    total = 0.0  # the norms added left to right, as DecayEstimate.c_hat adds them
     for _ in range(DECAY_TERM_CAP):
         norms.append(_norm_inf(power))
-        total += norms[-1]
         power = M10 @ power
         q = _norm_inf(power)
         if q < 1.0:
             steps = (1.0,) * (depth - 1) + tuple(norms)
-            return DecayEstimate(depth, steps, total * q / (1.0 - q), subdominant_modulus(M1))
+            return DecayEstimate(depth, steps, _left_sum(norms) * q / (1.0 - q), subdominant_modulus(M1))
     raise ConvergenceError(
         f"||M10^j||_inf stayed at or above 1 for {DECAY_TERM_CAP} terms", residual=q
     )

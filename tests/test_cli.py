@@ -441,7 +441,7 @@ OUTPUT_PINS = {
              "4836e3abea3c076f8705d6c23de104559f607abfe24626be4b64a87143385cd7"),
     "model-dim": (["model-dim", "--model", "doubling", "--x0", "0.125", "--delta", "1e-3"],
                   "a0b749ee2b64d3fc7c20791889a47479391c97db452c500d07460570620b5e6f",
-                  "31dc82563633cde0399da4468d4be84c9c38a377494de891fc1de39d24bdcd04"),
+                  "1f7e6f1a9ca871bd5615e743d84281257e0eea244f4d444fbf970beed4d8a879"),
     "transfer-decay": (["transfer-decay", "--matrix", "golden", "--depth", "8"],
                        "d787177dc7107f9585687afd482a1a984249f8c56b6b09bc30ad5e74b566a846",
                        "7a08122f104de6366c535334b5b3845731b2994a984451d5b1bfc5e4c0cb6fc5"),

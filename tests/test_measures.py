@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import PHI, bernoulli_entropy, random_primitive_matrices
 from sftbounds import (
+    CeilingError,
     ConvergenceError,
     InputError,
     centered,
@@ -535,6 +537,32 @@ def test_cylinder_vector_equals_per_word_products(name, request):
             words = enumerate_words(A, depth)
             assert vec.shape == (len(words),)
             assert all(vec[i] == cylinder_measure(mu, w) for i, w in enumerate(words))
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.data())
+def test_cylinder_measure_is_the_product_row(seed, length, data):
+    # a random walk's word: its measure is the row of the one product, with
+    # the bits of multiplying Python floats left to right
+    A = random_primitive_matrices(1, (2, 3, 4, 5), seed)[0]
+    mu = sample_markov(A, seed)
+    word = [data.draw(st.integers(0, A.size - 1))]
+    while len(word) < length:
+        word.append(data.draw(st.sampled_from(A.successor_sets[word[-1]])))
+    p = float(mu.stationary[word[0]])
+    for a, b in zip(word, word[1:]):
+        p *= float(mu.transition[a, b])
+    row = cylinder_measure_vector(mu, length)[enumerate_words(A, length).index(tuple(word))]
+    assert cylinder_measure(mu, word) == p == row
+
+
+def test_functions_past_the_ceiling_are_refused_at_once(full2):
+    # 2^25 words: the indicator's word index and the constant's values are
+    # refused by their count before anything is allocated
+    for build in (lambda: indicator(full2, (0,) * 25), lambda: constant_function(full2, 1.0, 25)):
+        started = time.perf_counter()
+        with pytest.raises(CeilingError, match="33554432 admissible words of length 25"):
+            build()
+        assert time.perf_counter() - started < 1.0
 
 
 @st.composite

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sftbounds
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +24,7 @@ from sftbounds import (
     perron_eigendata,
     prune_words,
 )
-from sftbounds import cli, models
+from sftbounds import cli, measures, models
 from sftbounds.cli import main
 from sftbounds.io import load_model
 from sftbounds.models import ENDPOINT_TOL, _ball_segments, _cover_candidates
@@ -321,8 +322,94 @@ def test_dimension_bound_hole_00():
     assert abs(rep.bound - math.log(PHI) / math.log(2)) <= 1e-8
     assert abs(rep.survivor_lambda - PHI) <= 1e-9
     assert abs(rep.outer_measure - 0.25) <= 1e-12
-    assert rep.implied_c > 0.0
-    assert abs(rep.shape_bound - rep.bound) <= 1e-12
+    # the four inner and four outer cells each have Parry measure 2^-4
+    assert rep.cell_measures.tolist() == [0.0625] * 8
+
+
+# Two branches of slope 2.2 and one of slope 11; the ball is the third branch.
+# The orbits that avoid it hold the two-branch Cantor set, of dimension
+# log 2 / log 2.2 (Moran), above 1 - (log lam - h_plus) / log 11.
+COUNTEREXAMPLE = {"branches": [
+    {"domain": [0.0, 1 / 2.2], "slope": 2.2, "intercept": 0.0},
+    {"domain": [1 / 2.2, 2 / 2.2], "slope": 2.2, "intercept": -1.0},
+    {"domain": [2 / 2.2, 1.0], "slope": 11.0, "intercept": -10.0},
+]}
+
+
+def test_unequal_slopes_bound_the_cantor_set(capsys, tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(COUNTEREXAMPLE))
+    code = main(["model-dim", "--model", str(path), "--x0", "0.9545454545454546",
+                 "--delta", "0.04545454545454547"])
+    summary = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert abs(summary["bound"] - math.log(2) / math.log(2.2)) <= 1e-12
+    assert "implied_c" not in summary and "shape_bound" not in summary
+
+
+@st.composite
+def full_branch_holes(draw):
+    """An increasing affine full-branch map on [0, 1] with 2-4 branches, each
+    0.15 to 0.6 long (longer ones need covers past the pruning ceiling), or
+    all 1/s long; the index of one branch; and whether the lengths are equal."""
+    s = draw(st.integers(2, 4))
+    equal = draw(st.booleans())
+    if equal:
+        lengths = [1.0 / s] * s
+    else:
+        # each length is low plus a share of the rest, so none passes 0.6
+        low = max(0.15, 0.4 / (s - 1))
+        weights = [draw(st.floats(0.01, 1.0)) for _ in range(s)]
+        lengths = [low + (1.0 - s * low) * w / sum(weights) for w in weights]
+    edges = [0.0]
+    for length in lengths[:-1]:
+        edges.append(edges[-1] + length)
+    edges.append(1.0)
+    branches = [Branch(a, b, 1.0 / (b - a), -a / (b - a)) for a, b in zip(edges, edges[1:])]
+    return build_model(branches), edges, draw(st.integers(0, s - 1)), equal
+
+
+@settings(max_examples=40)
+@given(full_branch_holes())
+def test_whole_branch_hole_bound_is_at_least_moran_dimension(case):
+    # Orbits avoiding branch j are the Cantor set of the other branches, whose
+    # dimension is the root t of sum r_i^t = 1 over their lengths r_i.
+    import mpmath
+
+    model, edges, j, equal = case
+    lengths = [b - a for a, b in zip(edges, edges[1:])]
+    others = [mpmath.mpf(r) for i, r in enumerate(lengths) if i != j]
+    with mpmath.workdps(30):
+        root = float(mpmath.findroot(lambda t: sum(r**t for r in others) - 1, (0, 1),
+                                     solver="anderson"))
+    rep = exceptional_dimension_bound(model, (edges[j] + edges[j + 1]) / 2,
+                                      (edges[j + 1] - edges[j]) / 2)
+    assert not rep.trivial
+    assert rep.bound >= root - 1e-12
+    if equal:
+        assert abs(rep.bound - root) <= 1e-9
+
+
+def test_model_dim_measures_its_cover_in_one_product(capsys, monkeypatch):
+    # one Parry measure and one product for every cell, where a second Parry
+    # measure and one cylinder_measure call per cell were used before
+    calls = {"parry_measure": 0, "cylinder_measure": 0, "_cylinder_products": 0}
+    originals = {name: getattr(measures, name) for name in calls}
+
+    def counting(name):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return originals[name](*args, **kwargs)
+        return wrapper
+
+    for module in (sftbounds, measures, models, cli):
+        for name in calls:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name))
+    code = main(["model-dim", "--model", "doubling", "--x0", "0.125", "--delta", "1e-3"])
+    summary = json.loads(capsys.readouterr().out)
+    assert code == 0 and summary["inner_count"] + summary["outer_count"] > 1
+    assert calls == {"parry_measure": 1, "cylinder_measure": 0, "_cylinder_products": 1}
 
 
 def test_outer_measure_is_summed_left_to_right():

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -21,7 +23,7 @@ from sftbounds import (
     word_count,
     word_str,
 )
-from sftbounds.sft import _strong_components, word_strs
+from sftbounds.sft import _strong_components, word_index, word_strs
 
 GOLDEN = golden_mean_shift()
 FULL2 = full_shift(2)
@@ -137,9 +139,11 @@ def test_zero_length_rejected():
 
 def test_word_ceiling_guard():
     # 2^25 = 3.4e7 words, refused by their count before anything is allocated
-    for words in (enumerate_words, word_array, word_codes):
+    for words in (enumerate_words, word_array, word_codes, word_index):
+        started = time.perf_counter()
         with pytest.raises(CeilingError, match="33554432 admissible words of length 25"):
             words(FULL2, 25)
+        assert time.perf_counter() - started < 1.0
 
 
 def test_predecessors_full_shift():

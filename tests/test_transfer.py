@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy.sparse import csr_matrix
 
 from helpers import PHI, brute_words, random_primitive_matrices
 from sftbounds import (
+    CeilingError,
     DecayEstimate,
     LocallyConstantFunction,
     centered,
@@ -307,3 +309,15 @@ def test_apply_equals_csr_product_bitwise(size):
                 assert got.tobytes() == (K @ f.values).tobytes(), (A.rows, depth, scale)
             dense = transfer._dense(A, eig, depth)
             assert dense.tobytes() == K.toarray().tobytes(), (A.rows, depth)
+
+
+def test_dense_operators_past_the_ceiling_are_refused_at_once(full2, eig_full2):
+    # full2 at depth 16 passes the word ceiling, but its operator would be
+    # 65536 x 65536 (32 GiB); 4096 probes of 4096 values are 1.7e7 values
+    cases = ((transfer_matrix, 16, "a 65536 x 65536 operator"),
+             (mean_zero_probes, 12, "4096 probes of 4096 values"))
+    for build, depth, message in cases:
+        started = time.perf_counter()
+        with pytest.raises(CeilingError, match=message):
+            build(full2, eig_full2, depth)
+        assert time.perf_counter() - started < 1.0
