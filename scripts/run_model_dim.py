@@ -34,13 +34,10 @@ def main() -> None:
     for delta in np.geomspace(args.delta_min, args.delta_max, args.points):
         rep = exceptional_dimension_bound(model, args.x0, float(delta))
         cover = rep.cover
-        if rep.trivial:
-            box = 1.0
-        else:
-            n = max(args.box_depth, cover.depth)
-            count = pruned_word_count(rep.pruned, n)
-            # no orbit survives when no word does; `bound` is 0 there too
-            box = math.log(count) / (n * math.log(model.theta0)) if count else 0.0
+        n = max(args.box_depth, cover.depth)
+        count = pruned_word_count(rep.pruned, n)
+        # no orbit survives when no word does; `bound` is 0 there too
+        box = math.log(count) / (n * math.log(model.theta0)) if count else 0.0
         rows.append([cover.delta, cover.depth, len(cover.inner), rep.outer_measure,
                      rep.bound, box, rep.trivial])
         print(f"delta={cover.delta:.4f} depth={cover.depth} inner={len(cover.inner):3d} "

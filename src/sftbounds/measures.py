@@ -39,7 +39,7 @@ from .sft import (
     predecessors,
     word_array,
     word_count,
-    word_index,
+    word_row,
 )
 
 if TYPE_CHECKING:  # annotations only: spectral imports stationary_vector from here
@@ -376,8 +376,8 @@ class LocallyConstantFunction:
         return enumerate_words(self.matrix, self.depth)
 
     def value(self, word) -> float:
-        idx = word_index(self.matrix, self.depth).get(tuple(word))
-        if idx is None:
+        idx = word_row(self.matrix, word) if len(word) == self.depth else -1
+        if idx < 0:
             raise InputError(f"word {tuple(word)} is not an admissible depth-{self.depth} word")
         return float(self.values[idx])
 
@@ -396,9 +396,9 @@ def indicator(A: TransitionMatrix, word) -> LocallyConstantFunction:
     w = tuple(word)
     if not is_admissible(A, w):
         raise InputError(f"word {w} is not admissible")
-    index = word_index(A, len(w))
-    vals = np.zeros(len(index))
-    vals[index[w]] = 1.0
+    row = word_row(A, w)
+    vals = np.zeros(word_count(A, len(w)))
+    vals[row] = 1.0
     return LocallyConstantFunction(A, len(w), vals)
 
 

@@ -157,8 +157,6 @@ def cylinder_interval(model: ExpandingModel, word) -> CylinderInterval:
 def _ball_segments(model: ExpandingModel, x0: float, delta: float) -> tuple[tuple[float, float], ...]:
     if model.circle:
         lo, hi = x0 - delta, x0 + delta
-        if lo < 0.0 and hi > 1.0:
-            return ((0.0, 1.0),)
         if lo < 0.0:
             return ((0.0, hi), (lo + 1.0, 1.0))
         if hi > 1.0:
@@ -170,37 +168,48 @@ def _ball_segments(model: ExpandingModel, x0: float, delta: float) -> tuple[tupl
 @dataclass(frozen=True)
 class BallCover:
     """Depth-k cylinders sandwiching a metric ball, as the cells they were
-    classified on: inner cells lie inside the ball, outer cells cover it."""
+    classified on: inner cells lie inside the ball, outer cells cover it. The
+    inner cells are the depth-k extensions of the `shortest_inner` words."""
 
     x0: float
     delta: float
     depth: int
     inner: tuple[CylinderInterval, ...]
     outer: tuple[CylinderInterval, ...]
+    shortest_inner: tuple[Word, ...]
 
     @property
     def inner_empty(self) -> bool:
         return len(self.inner) == 0
 
 
-def _cover_candidates(model: ExpandingModel, segments, depth: int) -> list[Word]:
-    """The depth-k words all of whose proper prefixes have intervals meeting a
-    ball segment widened by 2 * ENDPOINT_TOL, found by descending the cylinder
-    tree, in lexicographic order (successors are taken ascending). Cylinders
-    nest, so this holds every word whose interval comes within ENDPOINT_TOL of
-    the ball, at a cost of O(k * s) intervals while cylinders are longer than
-    the slack."""
+def _contained(cell: CylinderInterval, segments) -> bool:
+    return any(lo - ENDPOINT_TOL <= cell.lo and cell.hi <= hi + ENDPOINT_TOL for lo, hi in segments)
+
+
+def _cover_cells(model: ExpandingModel, segments, depth: int):
+    """The depth-k cells reached by extending, in ascending successor order,
+    only prefixes whose intervals meet a ball segment widened by
+    2 * ENDPOINT_TOL; and, sorted, the shortest words `_contained` in the
+    ball. Cylinders nest, in floating point too, so the cells hold every word
+    within ENDPOINT_TOL of the ball, and a contained word's extensions are
+    contained. O(k * s) intervals while cylinders are longer than the slack."""
     slack = 2.0 * ENDPOINT_TOL
     successors = model.transition.successor_sets
-    words: list[Word] = [(a,) for a in range(model.branch_count)]
-    for _ in range(depth - 1):
-        kept = []
-        for w in words:
+    shortest: list[Word] = []
+    prefixes = [((a,), False) for a in range(model.branch_count)]  # (word, a prefix is inside)
+    for level in range(1, depth + 1):
+        cells, kept = [], []
+        for w, covered in prefixes:
             ci = cylinder_interval(model, w)
-            if any(ci.lo <= hi + slack and lo - slack <= ci.hi for lo, hi in segments):
-                kept.append(w)
-        words = [w + (c,) for w in kept for c in successors[w[-1]]]
-    return words
+            cells.append(ci)
+            inside = covered or _contained(ci, segments)
+            if inside and not covered:
+                shortest.append(w)
+            if level < depth and any(ci.lo <= hi + slack and lo - slack <= ci.hi for lo, hi in segments):
+                kept.extend((w + (c,), inside) for c in successors[w[-1]])
+        prefixes = kept
+    return cells, tuple(sorted(shortest))
 
 
 def ball_to_cylinders(model: ExpandingModel, x0: float, delta: float) -> BallCover:
@@ -219,22 +228,11 @@ def ball_to_cylinders(model: ExpandingModel, x0: float, delta: float) -> BallCov
     n = word_count(model.transition, depth)
     _check_ceiling(n, f"{n} admissible words of length {depth}")
     segments = _ball_segments(model, x0, delta)
-    inner = []
-    outer = []
-    for w in _cover_candidates(model, segments, depth):
-        ci = cylinder_interval(model, w)
-        overlaps = any(
-            min(ci.hi, hi) - max(ci.lo, lo) > ENDPOINT_TOL for lo, hi in segments
-        )
-        contained = any(
-            lo - ENDPOINT_TOL <= ci.lo and ci.hi <= hi + ENDPOINT_TOL
-            for lo, hi in segments
-        )
-        if overlaps:
-            outer.append(ci)
-        if contained:
-            inner.append(ci)
-    return BallCover(x0, delta, depth, tuple(inner), tuple(outer))
+    cells, shortest = _cover_cells(model, segments, depth)
+    inner = tuple(ci for ci in cells if _contained(ci, segments))
+    outer = tuple(ci for ci in cells
+                  if any(min(ci.hi, hi) - max(ci.lo, lo) > ENDPOINT_TOL for lo, hi in segments))
+    return BallCover(x0, delta, depth, inner, outer, shortest)
 
 
 @dataclass(frozen=True)
@@ -245,8 +243,8 @@ class DimensionReport:
     survivor_lambda: float
     h_plus: float
     bound: float
-    trivial: bool
-    pruned: PrunedSystem | None  # the pruned inner cover; None when trivial
+    trivial: bool  # the inner cover is empty: nothing is forbidden
+    pruned: PrunedSystem  # the automaton forbidding cover.shortest_inner
 
 
 def exceptional_dimension_bound(model: ExpandingModel, x0: float, delta: float,
@@ -258,9 +256,10 @@ def exceptional_dimension_bound(model: ExpandingModel, x0: float, delta: float,
     lie in the n-cylinders of the words the pruned inner cover admits: at most
     poly(n) e^(n h_plus) of them, each shorter than theta0^-n. Box counting
     (Falconer, Techniques in Fractal Geometry, 1997, Ch. 3) bounds the
-    dimension by min(1, max(h_plus, 0) / log theta0). An empty inner cover
-    yields the trivial bound 1, flagged. Every cell of the cover is measured
-    under the Parry measure in one product call.
+    dimension by min(1, max(h_plus, 0) / log theta0). The shortest inner words
+    forbid what the inner cells do, with the same radius bits (see `holes`);
+    an empty cover forbids nothing and bounds the whole repeller, flagged
+    trivial. The cells are measured under the Parry measure in one product.
     """
     cover = ball_to_cylinders(model, x0, delta)
     A = model.transition
@@ -270,11 +269,8 @@ def exceptional_dimension_bound(model: ExpandingModel, x0: float, delta: float,
     words = np.array([c.word for c in cells], dtype=np.int64).reshape(len(cells), cover.depth)
     measures = _cylinder_products(parry_measure(A, eig), words)
     outer_measure = _left_sum(measures[len(cover.inner):].tolist())
-    if cover.inner_empty:
-        return DimensionReport(cover, measures, outer_measure, survivor_lambda=eig.lam,
-                               h_plus=float(np.log(eig.lam)), bound=1.0, trivial=True, pruned=None)
-    ps = prune_words(A, [c.word for c in cover.inner])
+    ps = prune_words(A, cover.shortest_inner)
     h_plus = survivor_entropy(ps)
     bound = min(1.0, max(h_plus, 0.0) / math.log(model.theta0))
     return DimensionReport(cover, measures, outer_measure, ps.survivor_lambda, h_plus, bound,
-                           trivial=False, pruned=ps)
+                           cover.inner_empty, ps)

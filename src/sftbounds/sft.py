@@ -258,11 +258,15 @@ def enumerate_words(A: TransitionMatrix, k: int) -> tuple[Word, ...]:
     return tuple(map(tuple, word_array(A, k).tolist()))
 
 
-@functools.lru_cache(maxsize=512)
-def word_index(A: TransitionMatrix, k: int) -> dict[Word, int]:
-    """The row of each admissible k-word in `word_array`, keyed by tuple;
-    refused where `word_array` refuses."""
-    return {w: i for i, w in enumerate(map(tuple, word_array(A, k).tolist()))}
+def word_row(A: TransitionMatrix, word) -> int:
+    """The row of `word` in `word_array(A, len(word))`, or -1, by bisection
+    over its sorted columns; refused where `word_array` refuses."""
+    W = word_array(A, len(word))
+    lo, hi = 0, len(W)
+    for t, c in enumerate(word):
+        column = W[lo:hi, t]
+        lo, hi = lo + int(np.searchsorted(column, c)), lo + int(np.searchsorted(column, c, "right"))
+    return lo if lo < hi else -1
 
 
 def predecessors(A: TransitionMatrix, j: int) -> tuple[int, ...]:

@@ -25,7 +25,6 @@ from .sft import (
     word_array,
     word_codes,
     word_count,
-    word_index,
 )
 from .spectral import PerronData, subdominant_modulus
 
@@ -87,11 +86,9 @@ def transfer_matrix(A: TransitionMatrix, eig: PerronData, depth: int):
     Refused, before anything is allocated, past WORD_CEILING entries."""
     n = word_count(A, depth)
     _check_ceiling(n * n, f"a {n} x {n} operator")
-    words = enumerate_words(A, depth)
-    out_depth = max(depth - 1, 1)
-    image = word_index(A, out_depth)
-    rows = [image[w[:out_depth]] for w in words]
-    return _dense(A, eig, depth)[rows], words
+    # each word's row is its image's: its prefix, the row `word_array` extended, or itself at depth 1
+    rows = np.nonzero(A.array[word_array(A, depth - 1)[:, -1]])[0] if depth > 1 else np.arange(A.size)
+    return _dense(A, eig, depth)[rows], enumerate_words(A, depth)
 
 
 def conditional_expectation_check(f: LocallyConstantFunction, eig: PerronData) -> float:

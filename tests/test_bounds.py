@@ -152,6 +152,12 @@ def test_step_bound_parry_lhs_zero(golden, eig_golden):
     assert res.holds
 
 
+def test_step_bound_refuses_a_negative_step(golden, eig_golden):
+    m = parry_measure(golden, eig_golden)
+    with pytest.raises(InputError, match="step index must be nonnegative, got -1"):
+        step_bound_verify(random_function(golden, 2, seed=1), m, eig_golden, -1)
+
+
 def test_step_bound_worked_anchor(full2, eig_full2):
     # f = 1_{C(0)} - 1/2, mu = Bernoulli(0.9), n = 0: the operator kills f, so
     # lhs = |0 - 0.4|; rhs = sqrt(2) * 0.5 * sqrt(log 2 - H(0.9))
@@ -268,6 +274,11 @@ def test_ratio_scan_all_hold_and_slope(full2, golden):
         assert abs(scan.slope - 0.5) <= 0.05
         assert math.isfinite(scan.max_ratio)
         assert scan.max_ratio <= scan.decay.c_hat
+
+
+def test_ratio_scan_refuses_zero_samples(golden):
+    with pytest.raises(InputError, match="^need at least one sample, got 0$"):
+        ratio_scan(golden, 0, 1)
 
 
 def test_ratio_scan_refuses_a_negative_seed(golden):

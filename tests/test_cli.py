@@ -150,20 +150,38 @@ def test_malformed_json_exits_two(capsys, tmp_path):
 _GOLDEN_BRANCH = {"domain": [0.0, 0.5], "slope": 2.0, "intercept": 0.0}
 
 
-@pytest.mark.parametrize("command, payload", [
-    ("analyze", {"rows": [[1, 1], [1]]}),
-    ("analyze", {"size": "x", "rows": [[1, 1], [1, 0]]}),
+@pytest.mark.parametrize("command, payload, message", [
+    ("analyze", {"rows": [[1, 1], [1]]}, "malformed contents"),
+    ("analyze", {"size": "x", "rows": [[1, 1], [1, 0]]}, "malformed contents"),
     ("model-dim", {"branches": [_GOLDEN_BRANCH,
-                                {"domain": [0.5, 0.75], "slope": "x", "intercept": -1.0}]}),
-    ("model-dim", {"branches": 3}),
-], ids=["ragged-rows", "size-not-int", "slope-not-number", "branches-not-list"])
-def test_malformed_contents_exit_two(capsys, tmp_path, command, payload):
+                                {"domain": [0.5, 0.75], "slope": "x", "intercept": -1.0}]},
+     "malformed contents"),
+    ("model-dim", {"branches": 3}, "malformed contents"),
+    ("analyze", [[1, 1], [1, 0]], "expected a JSON object at top level"),
+    ("analyze", {"size": 2}, "missing 'rows'"),
+    ("analyze", {"size": 3, "rows": [[1, 1], [1, 0]]}, "'size' is 3 but 2 rows given"),
+    ("model-dim", {"circle": True}, "missing 'branches'"),
+    ("model-dim", {"branches": [_GOLDEN_BRANCH]}, "need at least two branches"),
+    ("model-dim", {"branches": [{"domain": [-0.5, 0.5], "slope": 2.0, "intercept": 1.0},
+                                {"domain": [0.5, 1.0], "slope": 2.0, "intercept": -1.0}]},
+     "is not a subinterval of [0, 1]"),
+    ("model-dim", {"branches": [{"domain": [0.0, 0.5], "slope": 3.0, "intercept": 0.0},
+                                {"domain": [0.5, 1.0], "slope": 2.0, "intercept": -1.0}]},
+     "leaves [0, 1]"),
+    ("model-dim", {"branches": [_GOLDEN_BRANCH,
+                                {"domain": [0.4, 0.9], "slope": 2.0, "intercept": -0.8}]},
+     "branch domains overlap"),
+], ids=["ragged-rows", "size-not-int", "slope-not-number", "branches-not-list",
+        "top-level-array", "rows-missing", "size-mismatch", "branches-missing", "one-branch",
+        "domain-outside", "image-outside", "domains-overlap"])
+def test_malformed_contents_exit_two(capsys, tmp_path, command, payload, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))
     flag = ["--matrix", str(path)] if command == "analyze" else ["--model", str(path), "--x0", "0.3"]
     code = main([command, *flag])
     assert code == 2
-    assert "input error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and message in err
 
 
 def test_non_primitive_matrix_exits_two(capsys, tmp_path):
@@ -183,6 +201,12 @@ def test_bad_samples_exits_two(capsys, golden_path):
     code = main(["verify", "--matrix", str(golden_path), "--samples", "0"])
     assert code == 2
     assert "samples" in capsys.readouterr().err
+
+
+def test_zero_depth_exits_two(capsys, golden_path):
+    code = main(["verify", "--matrix", str(golden_path), "--depth", "0"])
+    assert code == 2
+    assert capsys.readouterr().err == "input error: depth must be at least 1, got 0\n"
 
 
 @pytest.mark.parametrize("matrix, argv", [

@@ -98,6 +98,12 @@ def test_prune_requires_admissible_word(golden):
         higher_block_prune(golden, (1, 1))
 
 
+def test_prune_refuses_past_the_state_ceiling(full2):
+    # one word of 50001 symbols: an automaton of 2 + 50000 states
+    with pytest.raises(CeilingError, match="50002 automaton states exceed the ceiling 50000"):
+        prune_words(full2, [(0,) * 50001])
+
+
 def test_survivor_lambda_below_ambient(full2, eig_full2):
     for k in range(1, 5):
         for w in enumerate_words(full2, k):
@@ -296,6 +302,11 @@ def test_family_scan_refuses_state_ceiling_before_solving(monkeypatch, full2):
     monkeypatch.setattr(holes, "_hole_radii", solve)
     with pytest.raises(CeilingError, match="131072 admissible words of length 17"):
         hole_family_scan(full2, 17)
+
+
+def test_family_scan_refuses_depth_zero(golden):
+    with pytest.raises(InputError, match="max depth must be at least 1, got 0"):
+        hole_family_scan(golden, 0)
 
 
 def test_family_scan_includes_empty_survivors(golden):
@@ -525,9 +536,10 @@ def test_doubling_delta_1e6_completes():
     model = model_preset("doubling")
     rep = exceptional_dimension_bound(model, 0.125, 1e-6)
     assert rep.cover.depth == 21
-    states, mat = suffix_automaton(model.transition, [c.word for c in rep.cover.inner])
+    states, _ = suffix_automaton(model.transition, rep.cover.shortest_inner)
     assert rep.pruned.states == tuple(states) and len(states) < 100
     assert 0.0 < rep.survivor_lambda < 2.0 and rep.bound < 1.0
+    _, mat = suffix_automaton(model.transition, [c.word for c in rep.cover.inner])
     assert abs(rep.survivor_lambda - block_radius(mat)) <= 1e-9
 
 

@@ -13,6 +13,7 @@ from sftbounds import (
     CeilingError,
     ConvergenceError,
     InputError,
+    LocallyConstantFunction,
     centered,
     conditional_vectors,
     constant_function,
@@ -123,6 +124,16 @@ def test_integrate_indicator_and_constant(full2, golden, eig_golden):
     assert abs(integrate(indicator(full2, (0,)), mu) - 0.7) <= 1e-12
     for A, m in ((full2, mu), (golden, sample_markov(golden, seed=9))):
         assert abs(integrate(constant_function(A, 3.25, depth=2), m) - 3.25) <= 1e-12
+
+
+@pytest.mark.parametrize("depth, values, message", [
+    (0, [1.0, 2.0], "depth must be at least 1, got 0"),
+    (2, [1.0, 2.0, 3.0, 4.0], r"need 3 values for depth 2, got shape \(4,\)"),
+    (2, [[[1.0, 2.0, 3.0]]], r"need 3 values for depth 2, got shape \(1, 1, 3\)"),
+], ids=["depth-zero", "value-count", "three-dims"])
+def test_locally_constant_function_refuses_bad_shapes(golden, depth, values, message):
+    with pytest.raises(InputError, match=message):
+        LocallyConstantFunction(golden, depth, np.array(values))
 
 
 def test_integrate_requires_matching_support(full2, golden):

@@ -27,7 +27,7 @@ from sftbounds import (
 from sftbounds import cli, measures, models
 from sftbounds.cli import main
 from sftbounds.io import load_model
-from sftbounds.models import ENDPOINT_TOL, _ball_segments, _cover_candidates
+from sftbounds.models import ENDPOINT_TOL, _ball_segments, _cover_cells
 
 DOUBLING = model_preset("doubling")
 
@@ -155,10 +155,10 @@ def _reflected(model):
     )
 
 
-COVER_MODELS = {}
-for _name in ("doubling", "triadic", "golden"):
-    COVER_MODELS[_name] = model_preset(_name)
-    COVER_MODELS[_name + "-reflected"] = _reflected(model_preset(_name))
+COVER_MODELS = {name: model_preset(name) for name in ("doubling", "triadic", "golden")}
+# The tent map's second branch has slope -2: its preimages swap their ends.
+COVER_MODELS["tent"] = build_model([Branch(0.0, 0.5, 2.0, 0.0), Branch(0.5, 1.0, -2.0, 2.0)])
+COVER_MODELS.update({name + "-reflected": _reflected(m) for name, m in list(COVER_MODELS.items())})
 
 
 @functools.lru_cache(maxsize=None)
@@ -231,6 +231,32 @@ def test_ball_cover_cells_are_their_cylinder_intervals(key, x0, delta):
         assert c == cylinder_interval(model, c.word)
 
 
+@settings(max_examples=40)
+@given(
+    key=st.sampled_from(sorted(COVER_MODELS)),
+    x0=st.floats(0.0, 1.0),
+    delta=st.floats(1e-4, 0.45),
+)
+@example(key="doubling", x0=0.125, delta=0.125)
+@example(key="golden", x0=0.9, delta=0.01)
+@example(key="tent", x0=0.75, delta=0.25)
+def test_inner_cells_extend_the_shortest_inner_words(key, x0, delta):
+    # Each inner cell extends exactly one shortest inner word, and every
+    # depth-k extension of one is an inner cell; forbidding those words gives
+    # the radius of forbidding the inner cells, to the bit.
+    model = COVER_MODELS[key]
+    rep = exceptional_dimension_bound(model, x0, delta)
+    cover = rep.cover
+    shortest = cover.shortest_inner
+    assert list(shortest) == sorted(set(shortest))
+    extending = {w: [u for u in shortest if w[:len(u)] == u]
+                 for w in enumerate_words(model.transition, cover.depth)}
+    assert tuple(c.word for c in cover.inner) == tuple(w for w, us in extending.items() if us)
+    assert all(len(us) <= 1 for us in extending.values())
+    inner = prune_words(model.transition, [c.word for c in cover.inner])
+    assert rep.survivor_lambda == inner.survivor_lambda
+
+
 def test_model_dim_pulls_back_only_the_cover_descent(monkeypatch, capsys):
     # The rows reuse the cover's cells: no interval is pulled back twice.
     calls = []
@@ -260,7 +286,7 @@ def test_descent_reaches_every_word_near_the_ball(x0, delta):
     # inner or outer, must be a candidate, among few others.
     k = math.ceil(math.log2(1.0 / delta) - 1e-12) + 1
     segments = _ball_segments(DOUBLING, x0, delta)
-    candidates = _cover_candidates(DOUBLING, segments, k)
+    candidates = [c.word for c in _cover_cells(DOUBLING, segments, k)[0]]
     assert candidates == sorted(candidates)
     codes = {int("".join(map(str, w)), 2) for w in candidates}
     (lo, hi), = segments
@@ -347,10 +373,33 @@ def test_unequal_slopes_bound_the_cantor_set(capsys, tmp_path):
     assert "implied_c" not in summary and "shape_bound" not in summary
 
 
+def test_ball_off_the_repeller_bounds_by_the_whole_repeller(capsys):
+    # [0.89, 0.91] misses the golden repeller, which lies in [0, 3/4]: no cell
+    # is inner, and the bound is the repeller's box dimension log phi / log 2.
+    code = main(["model-dim", "--model", "golden", "--x0", "0.9", "--delta", "0.01"])
+    summary = json.loads(capsys.readouterr().out)
+    assert code == 0 and summary["inner_count"] == 0 and summary["trivial"]
+    assert abs(summary["bound"] - math.log(PHI) / math.log(2)) <= 1e-12
+
+
+def test_whole_short_branch_hole_prunes_one_word():
+    # The ball is branch 0 of a 0.18/0.82 map: its 8192 depth-14 inner cells
+    # all extend the word 0, and forbidding 0 leaves the one state 1, whose
+    # only orbit is the fixed point. Pruning every cell once asked for
+    # 106498 automaton states, past the ceiling.
+    model = build_model([Branch(0.0, 0.18, 1 / 0.18, 0.0),
+                         Branch(0.18, 1.0, 1 / 0.82, -0.18 / 0.82)])
+    rep = exceptional_dimension_bound(model, 0.09, 0.09)
+    assert rep.cover.depth == 14 and len(rep.cover.inner) == 8192
+    assert rep.cover.shortest_inner == ((0,),)
+    assert rep.pruned.states == ((1,),)
+    assert rep.survivor_lambda == 1.0 and rep.bound == 0.0
+
+
 @st.composite
 def full_branch_holes(draw):
     """An increasing affine full-branch map on [0, 1] with 2-4 branches, each
-    0.15 to 0.6 long (longer ones need covers past the pruning ceiling), or
+    0.15 to 0.6 long (longer ones need deep covers of many cells), or
     all 1/s long; the index of one branch; and whether the lengths are equal."""
     s = draw(st.integers(2, 4))
     equal = draw(st.booleans())
@@ -420,13 +469,20 @@ def test_outer_measure_is_summed_left_to_right():
 
 
 def test_dimension_report_carries_pruned_cover():
+    # the four inner cells 00xx are pruned as the one word 00
     rep = exceptional_dimension_bound(DOUBLING, 0.125, 0.125)
-    ps = prune_words(DOUBLING.transition, [c.word for c in rep.cover.inner])
+    assert rep.cover.shortest_inner == ((0, 0),)
+    ps = prune_words(DOUBLING.transition, rep.cover.shortest_inner)
     assert rep.pruned.states == ps.states
     assert np.array_equal(rep.pruned.successors, ps.successors)
     assert rep.pruned.survivor_lambda == rep.survivor_lambda
-    trivial = exceptional_dimension_bound(model_preset("golden"), 0.62, 0.004)
-    assert trivial.trivial and trivial.pruned is None
+    # an empty cover forbids nothing: its automaton is A's own graph
+    golden = model_preset("golden")
+    trivial = exceptional_dimension_bound(golden, 0.62, 0.004)
+    own = prune_words(golden.transition, ())
+    assert trivial.trivial and trivial.cover.shortest_inner == ()
+    assert trivial.pruned.states == own.states == ((0,), (1,))
+    assert np.array_equal(trivial.pruned.successors, own.successors)
 
 
 def test_dimension_bound_box_count_cross_check(full2):
@@ -447,12 +503,12 @@ def test_dimension_bound_delta_monotone():
 
 
 def test_dimension_bound_trivial_flag():
+    # the ball misses the golden repeller: the bound is the repeller's own
+    # box dimension, log phi / log 2
     model = model_preset("golden")
     rep = exceptional_dimension_bound(model, 0.62, 0.004)
-    if rep.trivial:
-        assert rep.bound == 1.0
-    else:
-        assert rep.bound < 1.0
+    assert rep.trivial
+    assert abs(rep.bound - math.log(PHI) / math.log(2)) <= 1e-12
 
 
 def test_model_json_roundtrip(tmp_path):

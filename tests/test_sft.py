@@ -1,3 +1,4 @@
+import itertools
 import time
 
 import numpy as np
@@ -23,7 +24,7 @@ from sftbounds import (
     word_count,
     word_str,
 )
-from sftbounds.sft import _strong_components, word_index, word_strs
+from sftbounds.sft import _strong_components, word_row, word_strs
 
 GOLDEN = golden_mean_shift()
 FULL2 = full_shift(2)
@@ -118,6 +119,9 @@ def test_exhaustive_cross_check_small_alphabets():
             ]
             assert (np.diff(codes) > 0).all()
             assert not W.flags.writeable
+            assert [word_row(A, w) for w in words] == list(range(len(words)))
+            assert all(word_row(A, w) == -1 for w in itertools.product(range(A.size + 1), repeat=k)
+                       if not is_admissible(A, w))
 
 
 def test_word_count_is_exact_past_int64():
@@ -139,11 +143,20 @@ def test_zero_length_rejected():
 
 def test_word_ceiling_guard():
     # 2^25 = 3.4e7 words, refused by their count before anything is allocated
-    for words in (enumerate_words, word_array, word_codes, word_index):
+    for words in (enumerate_words, word_array, word_codes, lambda A, k: word_row(A, (0,) * k)):
         started = time.perf_counter()
         with pytest.raises(CeilingError, match="33554432 admissible words of length 25"):
             words(FULL2, 25)
         assert time.perf_counter() - started < 1.0
+
+
+def test_word_codes_refuse_64_bit_overflow():
+    # the 2-cycle has two k-words at every k: only the codes' width refuses
+    cycle = transition_matrix([[0, 1], [1, 0]])
+    assert word_codes(cycle, 62).tolist() == [int("01" * 31, 2), int("10" * 31, 2)]
+    for k in (63, 64):
+        with pytest.raises(CeilingError, match=f"{k}-words over 2 symbols overflow 64-bit word codes"):
+            word_codes(cycle, k)
 
 
 def test_predecessors_full_shift():

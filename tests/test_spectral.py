@@ -187,6 +187,15 @@ def test_subdominant_rejects_zero_matrix():
         subdominant_modulus(np.zeros((3, 3)))
 
 
+@pytest.mark.parametrize("M, message", [
+    (np.ones((2, 3)), r"need a square matrix, got shape \(2, 3\)"),
+    ([[1.0, -1.0], [1.0, 1.0]], "matrix has negative entries"),
+], ids=["non-square", "negative"])
+def test_subdominant_rejects_bad_matrices(M, message):
+    with pytest.raises(InputError, match=message):
+        subdominant_modulus(M)
+
+
 def test_strict_spectral_gap_for_primitive():
     for A in random_primitive_matrices(6, (2, 3, 4), seed=8):
         arr = A.array.astype(float)
