@@ -225,10 +225,9 @@ def _cmd_hole(args: argparse.Namespace) -> int:
 def _cmd_model_dim(args: argparse.Namespace) -> int:
     """dimension bound for a metric hole in an expanding interval map"""
     model = io.load_model(args.model)
-    eig = perron_eigendata(model.transition)
-    report = exceptional_dimension_bound(model, args.x0, args.delta, eig=eig)
+    report = exceptional_dimension_bound(model, args.x0, args.delta)
     cover = report.cover
-    cells = cover.inner + cover.outer
+    cells = cover.cells
     columns = [[word_str(c.word, model.transition.size) for c in cells],
                ["inner"] * len(cover.inner) + ["outer"] * len(cover.outer),
                [c.lo for c in cells], [c.hi for c in cells], report.cell_measures]
@@ -239,17 +238,17 @@ def _cmd_model_dim(args: argparse.Namespace) -> int:
         "inner_count": len(cover.inner),
         "outer_count": len(cover.outer),
         "outer_measure": report.outer_measure,
-        "survivor_lambda": report.survivor_lambda,
+        "survivor_lambda": report.pruned.survivor_lambda,
         "h_plus": report.h_plus,
         "bound": report.bound,
-        "trivial": report.trivial,
+        "trivial": cover.inner_empty,
         "theta0": model.theta0,
         "Theta": model.cap_theta,
-        "log_lambda": float(np.log(eig.lam)),
+        "log_lambda": report.log_lambda,
     }
     header = ["word", "role", "interval_lo", "interval_hi", "parry_measure"]
     _emit(args, summary, header, columns)
-    return 0 if report.h_plus <= float(np.log(eig.lam)) + 1e-12 else 1
+    return 0 if report.h_plus <= report.log_lambda + 1e-12 else 1
 
 
 _COMMANDS = {

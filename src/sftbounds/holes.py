@@ -57,6 +57,7 @@ from .sft import (
     _path_count,
     _strong_components,
     is_admissible,
+    prefix_rows,
     word_array,
 )
 from .spectral import perron_eigendata
@@ -367,14 +368,10 @@ def hole_family_scan(
         raise InputError(
             f"theta {params.theta} is too large for depth {int(depth[i])}: delta**2 * measure**2 "
             f"= {float(scale[i])!r} for hole {_word(words, i)}, so its per-hole constant is not finite")
-    # The extensions of each word of depth k - 1 are contiguous rows of the
-    # depth-k array, in ascending last symbol: each row's parent, its prefix,
-    # is repeated by the out-degree of the parent's last symbol.
-    outdegree = A.array.sum(axis=1)
+    # Each row's parent is its prefix, a row of the block one depth up.
     starts = np.cumsum(counts) - counts
     parent = np.concatenate([np.full(counts[0], -1)] + [
-        start + np.repeat(np.arange(len(up)), outdegree[up[:, -1]])
-        for start, up in zip(starts, arrays[:-1])
+        start + prefix_rows(A, k) for k, start in enumerate(starts[:-1], 2)
     ])
     bad = np.flatnonzero((parent >= 0) & (lam < lam[parent] - 1e-10))
     violations = tuple((_word(words, parent[i]), _word(words, i)) for i in bad.tolist())

@@ -32,9 +32,7 @@ import numpy.random  # numpy loads it lazily; load it here, not in the first sam
 from .errors import ConvergenceError, InputError, first_failure
 from .sft import (
     TransitionMatrix,
-    Word,
     _check_ceiling,
-    enumerate_words,
     is_admissible,
     predecessors,
     word_array,
@@ -46,6 +44,8 @@ if TYPE_CHECKING:  # annotations only: spectral imports stationary_vector from h
     from .spectral import PerronData
 
 STATIONARITY_TOL = 1e-12
+# Most steps a stationary_vector chain runs before ConvergenceError.
+STATIONARY_MAX_ITER = 1_000_000
 # Width of a power iteration's rounding floor, in ulps of the largest entry.
 ROUNDING_ULPS = 16
 # Steps per block of the batched power iteration: the first block, and the cap
@@ -124,7 +124,7 @@ def parry_measure(A: TransitionMatrix, eig: PerronData) -> MarkovMeasure:
     return markov_measure(u * v, Q, A)
 
 
-def stationary_vector(Q: np.ndarray, tol: float = 1e-14, max_iter: int = 1_000_000) -> np.ndarray:
+def stationary_vector(Q: np.ndarray, tol: float = 1e-14) -> np.ndarray:
     """Dominant left eigenvector of a nonnegative primitive matrix, or one row per
     matrix of a stack (k, s, s), by power iteration on Q^T with unit-sum iterates;
     for a stochastic matrix this is its stationary probability vector.
@@ -161,8 +161,8 @@ def stationary_vector(Q: np.ndarray, tol: float = 1e-14, max_iter: int = 1_000_0
     inc_prev = np.full(k, np.inf)
     open_drift = np.full(k, np.inf)
     steps, block = 0, _BLOCK_MIN
-    while steps < max_iter:
-        b = min(block, max_iter - steps)
+    while steps < STATIONARY_MAX_ITER:
+        b = min(block, STATIONARY_MAX_ITER - steps)
         # Y[t + 1] is step t's iterate, Z[t] its product, Y[0] the last iterate
         # before the block and Y[b + 1] the first one after it
         if len(active) == 1 and n < 8:
@@ -195,7 +195,7 @@ def stationary_vector(Q: np.ndarray, tol: float = 1e-14, max_iter: int = 1_000_0
         x, y, inc_prev = Y[-2, keep], Y[-1, keep], inc[-1, keep]
         block = min(2 * block, _BLOCK_CAP)
     raise ConvergenceError(
-        f"power iteration did not converge within {max_iter} steps "
+        f"power iteration did not converge within {STATIONARY_MAX_ITER} steps "
         f"for {len(active)} of {k} chains",
         residual=float(open_drift.max()),
     )
@@ -370,10 +370,6 @@ class LocallyConstantFunction:
             )
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-
-    @property
-    def words(self) -> tuple[Word, ...]:
-        return enumerate_words(self.matrix, self.depth)
 
     def value(self, word) -> float:
         idx = word_row(self.matrix, word) if len(word) == self.depth else -1

@@ -17,7 +17,7 @@ from .errors import InputError
 from .holes import PrunedSystem, prune_words, survivor_entropy
 from .measures import _cylinder_products, _left_sum, parry_measure
 from .sft import TransitionMatrix, Word, _check_ceiling, is_admissible, transition_matrix, word_count
-from .spectral import PerronData, perron_eigendata
+from .spectral import perron_eigendata
 
 ENDPOINT_TOL = 1e-12
 
@@ -55,20 +55,12 @@ class ExpandingModel:
     cap_theta: float
     circle: bool
 
-    @property
-    def branch_count(self) -> int:
-        return len(self.branches)
-
 
 @dataclass(frozen=True)
 class CylinderInterval:
     word: Word
     lo: float
     hi: float
-
-    @property
-    def length(self) -> float:
-        return self.hi - self.lo
 
 
 def build_model(branch_specs, circle: bool = False) -> ExpandingModel:
@@ -182,6 +174,11 @@ class BallCover:
     def inner_empty(self) -> bool:
         return len(self.inner) == 0
 
+    @property
+    def cells(self) -> tuple[CylinderInterval, ...]:
+        """The inner cells, then the outer ones: the order of the model-dim rows."""
+        return self.inner + self.outer
+
 
 def _contained(cell: CylinderInterval, segments) -> bool:
     return any(lo - ENDPOINT_TOL <= cell.lo and cell.hi <= hi + ENDPOINT_TOL for lo, hi in segments)
@@ -190,20 +187,21 @@ def _contained(cell: CylinderInterval, segments) -> bool:
 def _cover_cells(model: ExpandingModel, segments, depth: int):
     """The depth-k cells reached by extending, in ascending successor order,
     only prefixes whose intervals meet a ball segment widened by
-    2 * ENDPOINT_TOL; and, sorted, the shortest words `_contained` in the
-    ball. Cylinders nest, in floating point too, so the cells hold every word
-    within ENDPOINT_TOL of the ball, and a contained word's extensions are
-    contained. O(k * s) intervals while cylinders are longer than the slack."""
+    2 * ENDPOINT_TOL, each with whether it lies inside the ball; and, sorted,
+    the shortest words `_contained` in the ball. Cylinders nest, in floating
+    point too, so the cells hold every word within ENDPOINT_TOL of the ball,
+    and a contained word's extensions are contained without a test of their
+    own. O(k * s) intervals while cylinders are longer than the slack."""
     slack = 2.0 * ENDPOINT_TOL
     successors = model.transition.successor_sets
     shortest: list[Word] = []
-    prefixes = [((a,), False) for a in range(model.branch_count)]  # (word, a prefix is inside)
+    prefixes = [((a,), False) for a in range(len(model.branches))]  # (word, a prefix is inside)
     for level in range(1, depth + 1):
         cells, kept = [], []
         for w, covered in prefixes:
             ci = cylinder_interval(model, w)
-            cells.append(ci)
             inside = covered or _contained(ci, segments)
+            cells.append((ci, inside))
             if inside and not covered:
                 shortest.append(w)
             if level < depth and any(ci.lo <= hi + slack and lo - slack <= ci.hi for lo, hi in segments):
@@ -229,8 +227,8 @@ def ball_to_cylinders(model: ExpandingModel, x0: float, delta: float) -> BallCov
     _check_ceiling(n, f"{n} admissible words of length {depth}")
     segments = _ball_segments(model, x0, delta)
     cells, shortest = _cover_cells(model, segments, depth)
-    inner = tuple(ci for ci in cells if _contained(ci, segments))
-    outer = tuple(ci for ci in cells
+    inner = tuple(ci for ci, inside in cells if inside)
+    outer = tuple(ci for ci, _ in cells
                   if any(min(ci.hi, hi) - max(ci.lo, lo) > ENDPOINT_TOL for lo, hi in segments))
     return BallCover(x0, delta, depth, inner, outer, shortest)
 
@@ -238,17 +236,15 @@ def ball_to_cylinders(model: ExpandingModel, x0: float, delta: float) -> BallCov
 @dataclass(frozen=True)
 class DimensionReport:
     cover: BallCover
-    cell_measures: np.ndarray  # Parry measure of each cell of cover.inner + cover.outer
+    cell_measures: np.ndarray  # Parry measure of each cell of cover.cells
     outer_measure: float
-    survivor_lambda: float
     h_plus: float
     bound: float
-    trivial: bool  # the inner cover is empty: nothing is forbidden
     pruned: PrunedSystem  # the automaton forbidding cover.shortest_inner
+    log_lambda: float  # log lam of the model's shift, from the bound's one Perron solve
 
 
-def exceptional_dimension_bound(model: ExpandingModel, x0: float, delta: float,
-                                eig: PerronData | None = None) -> DimensionReport:
+def exceptional_dimension_bound(model: ExpandingModel, x0: float, delta: float) -> DimensionReport:
     """Upper bound on the Hausdorff dimension of the set of points whose orbit
     avoids the ball B(x0, delta).
 
@@ -258,19 +254,16 @@ def exceptional_dimension_bound(model: ExpandingModel, x0: float, delta: float,
     (Falconer, Techniques in Fractal Geometry, 1997, Ch. 3) bounds the
     dimension by min(1, max(h_plus, 0) / log theta0). The shortest inner words
     forbid what the inner cells do, with the same radius bits (see `holes`);
-    an empty cover forbids nothing and bounds the whole repeller, flagged
-    trivial. The cells are measured under the Parry measure in one product.
+    an empty cover forbids nothing and bounds the whole repeller. The cells
+    are measured under the Parry measure in one product.
     """
     cover = ball_to_cylinders(model, x0, delta)
     A = model.transition
-    if eig is None:
-        eig = perron_eigendata(A)
-    cells = cover.inner + cover.outer
-    words = np.array([c.word for c in cells], dtype=np.int64).reshape(len(cells), cover.depth)
+    eig = perron_eigendata(A)
+    words = np.array([c.word for c in cover.cells], dtype=np.int64).reshape(-1, cover.depth)
     measures = _cylinder_products(parry_measure(A, eig), words)
     outer_measure = _left_sum(measures[len(cover.inner):].tolist())
     ps = prune_words(A, cover.shortest_inner)
     h_plus = survivor_entropy(ps)
     bound = min(1.0, max(h_plus, 0.0) / math.log(model.theta0))
-    return DimensionReport(cover, measures, outer_measure, ps.survivor_lambda, h_plus, bound,
-                           cover.inner_empty, ps)
+    return DimensionReport(cover, measures, outer_measure, h_plus, bound, ps, float(np.log(eig.lam)))

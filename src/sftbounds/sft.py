@@ -232,16 +232,31 @@ def word_array(A: TransitionMatrix, k: int, ceiling: int = WORD_CEILING) -> np.n
     return _word_array_cached(A, k)
 
 
-@functools.lru_cache(maxsize=512)
+# The cached word arrays, least recently used first: WORD_CEILING entries at most.
+_WORD_ARRAYS: dict[tuple[TransitionMatrix, int], np.ndarray] = {}
+
+
 def _word_array_cached(A: TransitionMatrix, k: int) -> np.ndarray:
-    # Each row is followed by its successors in ascending order, so extending
-    # a lexicographic array keeps it lexicographic.
-    W = np.arange(A.size)[:, None]
-    for _ in range(k - 1):
-        parent, sym = np.nonzero(A.array[W[:, -1]])
-        W = np.column_stack([W[parent], sym])
-    W.setflags(write=False)
+    W = _WORD_ARRAYS.pop((A, k), None)
+    if W is None:
+        held = sum(w.size for w in _WORD_ARRAYS.values()) + word_count(A, k) * k
+        while held > WORD_CEILING and _WORD_ARRAYS:
+            held -= _WORD_ARRAYS.pop(next(iter(_WORD_ARRAYS))).size
+        # Each row is followed by its successors in ascending order, so extending
+        # a lexicographic array keeps it lexicographic.
+        W = np.arange(A.size)[:, None]
+        for _ in range(k - 1):
+            parent, sym = np.nonzero(A.array[W[:, -1]])
+            W = np.column_stack([W[parent], sym])
+        W.setflags(write=False)
+    _WORD_ARRAYS[(A, k)] = W
     return W
+
+
+def prefix_rows(A: TransitionMatrix, k: int) -> np.ndarray:
+    """The row in `word_array(A, k - 1)` of the (k-1)-prefix of each row of
+    `word_array(A, k)`, for k >= 2: each row extends its prefix, in order."""
+    return np.nonzero(A.array[word_array(A, k - 1)[:, -1]])[0]
 
 
 def word_codes(A: TransitionMatrix, k: int) -> np.ndarray:

@@ -22,6 +22,7 @@ from .sft import (
     _check_ceiling,
     enumerate_words,
     predecessors,
+    prefix_rows,
     word_array,
     word_codes,
     word_count,
@@ -62,15 +63,6 @@ def _kernel(A: TransitionMatrix, eig: PerronData, depth: int) -> tuple[np.ndarra
     return cols, weights
 
 
-def _dense(A: TransitionMatrix, eig: PerronData, depth: int) -> np.ndarray:
-    """The `_kernel` tables as a dense (rows, words) matrix."""
-    cols, weights = _kernel(A, eig, depth)
-    dense = np.zeros((len(cols), word_count(A, depth)))
-    rows, i = np.nonzero(cols >= 0)
-    dense[rows, cols[rows, i]] = weights[rows, i]
-    return dense
-
-
 def transfer_apply(f: LocallyConstantFunction, eig: PerronData) -> LocallyConstantFunction:
     """Apply the operator once: (Lf)(w) = sum over i -> w0 of u_i/(lam u_w0) f(i.w),
     the terms added in ascending i from +0.0."""
@@ -86,9 +78,13 @@ def transfer_matrix(A: TransitionMatrix, eig: PerronData, depth: int):
     Refused, before anything is allocated, past WORD_CEILING entries."""
     n = word_count(A, depth)
     _check_ceiling(n * n, f"a {n} x {n} operator")
-    # each word's row is its image's: its prefix, the row `word_array` extended, or itself at depth 1
-    rows = np.nonzero(A.array[word_array(A, depth - 1)[:, -1]])[0] if depth > 1 else np.arange(A.size)
-    return _dense(A, eig, depth)[rows], enumerate_words(A, depth)
+    cols, weights = _kernel(A, eig, depth)
+    dense = np.zeros((len(cols), n))
+    r, i = np.nonzero(cols >= 0)
+    dense[r, cols[r, i]] = weights[r, i]
+    # each word's row is its image's: its prefix's, or its own at depth 1
+    rows = prefix_rows(A, depth) if depth > 1 else np.arange(A.size)
+    return dense[rows], enumerate_words(A, depth)
 
 
 def conditional_expectation_check(f: LocallyConstantFunction, eig: PerronData) -> float:
@@ -167,7 +163,8 @@ def decay_estimate(A: TransitionMatrix, eig: PerronData, depth: int) -> DecayEst
     """
     if depth < 1:
         raise InputError(f"depth must be at least 1, got {depth}")
-    M1 = _dense(A, eig, 1)
+    # M1[w, i] = u_i / (lam u_w) for i -> w, the operator on depth-1 functions
+    M1 = np.where(A.array.T > 0, eig.u[None, :] / (eig.lam * eig.u[:, None]), 0.0)
     M10 = M1 - parry_measure(A, eig).stationary[None, :]
     power = np.eye(A.size)
     norms = []

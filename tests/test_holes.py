@@ -528,7 +528,7 @@ def test_doubling_delta_1e4_completes():
     ok = alive[src] & alive[dst]
     graph = scipy.sparse.csr_matrix((np.ones(ok.sum()), (src[ok], dst[ok])), shape=(2**k, 2**k))
     truth = float(np.abs(scipy.sparse.linalg.eigs(graph, k=1, which="LM", return_eigenvectors=False)).max())
-    assert abs(rep.survivor_lambda - truth) <= 1e-9
+    assert abs(rep.pruned.survivor_lambda - truth) <= 1e-9
 
 
 def test_doubling_delta_1e6_completes():
@@ -538,9 +538,9 @@ def test_doubling_delta_1e6_completes():
     assert rep.cover.depth == 21
     states, _ = suffix_automaton(model.transition, rep.cover.shortest_inner)
     assert rep.pruned.states == tuple(states) and len(states) < 100
-    assert 0.0 < rep.survivor_lambda < 2.0 and rep.bound < 1.0
+    assert 0.0 < rep.pruned.survivor_lambda < 2.0 and rep.bound < 1.0
     _, mat = suffix_automaton(model.transition, [c.word for c in rep.cover.inner])
-    assert abs(rep.survivor_lambda - block_radius(mat)) <= 1e-9
+    assert abs(rep.pruned.survivor_lambda - block_radius(mat)) <= 1e-9
 
 
 @functools.lru_cache(maxsize=None)

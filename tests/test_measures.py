@@ -32,6 +32,7 @@ from sftbounds import (
     stationary_vector,
     transition_matrix,
 )
+from sftbounds import measures
 from sftbounds.measures import (
     _BLOCK_CAP,
     _BLOCK_MIN,
@@ -402,22 +403,25 @@ def test_batch_mixes_both_stop_rules():
     assert np.array_equal(stationary_vector(stack[0]), oracle[0][0])
 
 
-def test_chain_stopping_on_the_last_allowed_step_returns():
+def test_chain_stopping_on_the_last_allowed_step_returns(monkeypatch):
     stack = np.array([slow_chain(2, 3e-3), fast_chain(2, 5), slow_chain(2, 0.05), slow_chain(2, 0.3)])
     oracle = [scalar_stationary(Q) for Q in stack]
     for Q, (y, _, steps) in zip(stack, oracle):
-        assert np.array_equal(stationary_vector(Q, max_iter=steps), y)
+        monkeypatch.setattr(measures, "STATIONARY_MAX_ITER", steps)
+        assert np.array_equal(stationary_vector(Q), y)
+        monkeypatch.setattr(measures, "STATIONARY_MAX_ITER", steps - 1)
         with pytest.raises(ConvergenceError):
-            stationary_vector(Q, max_iter=steps - 1)
+            stationary_vector(Q)
     last = max(steps for _, _, steps in oracle)
-    rows = stationary_vector(stack, max_iter=last)
+    monkeypatch.setattr(measures, "STATIONARY_MAX_ITER", last)
+    rows = stationary_vector(stack)
     for (y, _, _), row in zip(oracle, rows):
         assert np.array_equal(row, y)
 
 
-def test_batch_failure_reports_widest_open_drift():
-    # max_iter cuts the first block (1, 3), ends on a block end (60) or cuts a
-    # later block (61, 127, 129); max_iter=0 runs no step at all
+def test_batch_failure_reports_widest_open_drift(monkeypatch):
+    # the step cap cuts the first block (1, 3), ends on a block end (60) or
+    # cuts a later block (61, 127, 129); a cap of 0 runs no step at all
     stack = np.array([slow_chain(2, 1e-3), fast_chain(2, 1), slow_chain(2, 2e-3)])
     for max_iter in (0, 1, 3, 60, 61, 127, 129):
         open_drifts = []
@@ -427,8 +431,9 @@ def test_batch_failure_reports_widest_open_drift():
             except ConvergenceError as err:
                 open_drifts.append(err.residual)
         assert len(open_drifts) >= 2
+        monkeypatch.setattr(measures, "STATIONARY_MAX_ITER", max_iter)
         with pytest.raises(ConvergenceError, match=f"for {len(open_drifts)} of 3 chains") as info:
-            stationary_vector(stack, max_iter=max_iter)
+            stationary_vector(stack)
         assert info.value.residual == max(open_drifts)
 
 

@@ -27,7 +27,7 @@ from sftbounds import (
 from sftbounds import cli, measures, models
 from sftbounds.cli import main
 from sftbounds.io import load_model
-from sftbounds.models import ENDPOINT_TOL, _ball_segments, _cover_cells
+from sftbounds.models import ENDPOINT_TOL, _ball_segments, _contained, _cover_cells
 
 DOUBLING = model_preset("doubling")
 
@@ -76,7 +76,8 @@ def test_cylinder_interval_dyadic():
 def test_cylinder_lengths_doubling():
     for k in range(1, 7):
         for w in enumerate_words(DOUBLING.transition, k):
-            assert abs(cylinder_interval(DOUBLING, w).length - 2.0**-k) <= 1e-12
+            ci = cylinder_interval(DOUBLING, w)
+            assert abs(ci.hi - ci.lo - 2.0**-k) <= 1e-12
 
 
 def test_cylinder_nesting():
@@ -85,7 +86,7 @@ def test_cylinder_nesting():
         inner = cylinder_interval(model, w)
         outer = cylinder_interval(model, w[:-1])
         assert outer.lo - 1e-12 <= inner.lo and inner.hi <= outer.hi + 1e-12
-        assert inner.length <= model.theta0 ** -(len(w) - 1) * 0.5 + 1e-12
+        assert inner.hi - inner.lo <= model.theta0 ** -(len(w) - 1) * 0.5 + 1e-12
 
 
 def test_cylinder_rejects_inadmissible():
@@ -109,7 +110,8 @@ def test_lebesgue_matches_parry_on_doubling(eig_full2):
     m = parry_measure(DOUBLING.transition, eig_full2)
     for k in range(1, 7):
         for w in enumerate_words(DOUBLING.transition, k):
-            assert abs(cylinder_interval(DOUBLING, w).length - cylinder_measure(m, w)) <= 1e-12
+            ci = cylinder_interval(DOUBLING, w)
+            assert abs(ci.hi - ci.lo - cylinder_measure(m, w)) <= 1e-12
 
 
 def test_ball_cover_wraparound_anchor():
@@ -227,7 +229,7 @@ def test_ball_cover_descent_equals_brute_force(key, x0, delta):
 def test_ball_cover_cells_are_their_cylinder_intervals(key, x0, delta):
     model = COVER_MODELS[key]
     cover = ball_to_cylinders(model, x0, delta)
-    for c in cover.inner + cover.outer:
+    for c in cover.cells:
         assert c == cylinder_interval(model, c.word)
 
 
@@ -254,7 +256,7 @@ def test_inner_cells_extend_the_shortest_inner_words(key, x0, delta):
     assert tuple(c.word for c in cover.inner) == tuple(w for w, us in extending.items() if us)
     assert all(len(us) <= 1 for us in extending.values())
     inner = prune_words(model.transition, [c.word for c in cover.inner])
-    assert rep.survivor_lambda == inner.survivor_lambda
+    assert rep.pruned.survivor_lambda == inner.survivor_lambda
 
 
 def test_model_dim_pulls_back_only_the_cover_descent(monkeypatch, capsys):
@@ -286,7 +288,7 @@ def test_descent_reaches_every_word_near_the_ball(x0, delta):
     # inner or outer, must be a candidate, among few others.
     k = math.ceil(math.log2(1.0 / delta) - 1e-12) + 1
     segments = _ball_segments(DOUBLING, x0, delta)
-    candidates = [c.word for c in _cover_cells(DOUBLING, segments, k)[0]]
+    candidates = [c.word for c, _ in _cover_cells(DOUBLING, segments, k)[0]]
     assert candidates == sorted(candidates)
     codes = {int("".join(map(str, w)), 2) for w in candidates}
     (lo, hi), = segments
@@ -346,7 +348,7 @@ def test_dimension_bound_hole_00():
     rep = exceptional_dimension_bound(DOUBLING, 0.125, 0.125)
     assert {"".join(map(str, c.word)) for c in rep.cover.inner} == {"0000", "0001", "0010", "0011"}
     assert abs(rep.bound - math.log(PHI) / math.log(2)) <= 1e-8
-    assert abs(rep.survivor_lambda - PHI) <= 1e-9
+    assert abs(rep.pruned.survivor_lambda - PHI) <= 1e-9
     assert abs(rep.outer_measure - 0.25) <= 1e-12
     # the four inner and four outer cells each have Parry measure 2^-4
     assert rep.cell_measures.tolist() == [0.0625] * 8
@@ -373,6 +375,66 @@ def test_unequal_slopes_bound_the_cantor_set(capsys, tmp_path):
     assert "implied_c" not in summary and "shape_bound" not in summary
 
 
+# The maps of COVER_MODELS, a map with a short branch and the map with
+# unequal slopes, whose cylinders come in many lengths.
+CLASSIFY_MODELS = dict(
+    COVER_MODELS,
+    short=build_model([Branch(0.0, 0.18, 1 / 0.18, 0.0), Branch(0.18, 1.0, 1 / 0.82, -0.18 / 0.82)]),
+    unequal=build_model(COUNTEREXAMPLE["branches"]),
+)
+
+
+@settings(max_examples=40)
+@given(
+    key=st.sampled_from(sorted(COVER_MODELS)),
+    x0=st.floats(0.0, 1.0),
+    delta=st.floats(1e-4, 0.45),
+)
+@example(key="doubling", x0=0.125, delta=0.125)
+@example(key="short", x0=0.09, delta=0.09)
+@example(key="short", x0=0.5, delta=0.2)
+@example(key="short", x0=0.95, delta=0.3)
+@example(key="unequal", x0=0.9545454545454546, delta=0.04545454545454547)
+@example(key="unequal", x0=0.3, delta=1e-3)
+@example(key="unequal", x0=0.5, delta=0.1)
+def test_inner_cells_are_the_contained_cells(key, x0, delta):
+    # The descent marks the extensions of a contained prefix inside without
+    # testing them; cylinders nest in floating point, so the test agrees.
+    model = CLASSIFY_MODELS[key]
+    cover = ball_to_cylinders(model, x0, delta)
+    segments = _ball_segments(model, x0, delta)
+    cells, _ = _cover_cells(model, segments, cover.depth)
+    assert all(inside == _contained(ci, segments) for ci, inside in cells)
+    assert cover.inner == tuple(ci for ci, _ in cells if _contained(ci, segments))
+
+
+def test_each_descended_cell_is_tested_for_containment_once(monkeypatch):
+    # Every cell the descent pulls back is tested once, unless a shorter
+    # prefix of it was found inside the ball; the cover tests no cell again.
+    pulled, tested = [], []
+    real_interval, real_contained = models.cylinder_interval, models._contained
+
+    def pulling(model, word):
+        pulled.append(tuple(word))
+        return real_interval(model, word)
+
+    def testing(cell, segments):
+        tested.append(cell.word)
+        return real_contained(cell, segments)
+
+    monkeypatch.setattr(models, "cylinder_interval", pulling)
+    monkeypatch.setattr(models, "_contained", testing)
+    for key, x0, delta in (("doubling", 0.125, 0.125), ("triadic", 0.3, 1e-3),
+                           ("golden", 1 / 3, 1e-4), ("short", 0.09, 0.09)):
+        pulled.clear()
+        tested.clear()
+        cover = ball_to_cylinders(CLASSIFY_MODELS[key], x0, delta)
+        below = {w for w in pulled for u in cover.shortest_inner if len(u) < len(w) and w[:len(u)] == u}
+        assert tested == [w for w in pulled if w not in below]
+        assert len(set(tested)) == len(tested)
+        assert below  # each ball holds a cylinder shorter than its depth
+
+
 def test_ball_off_the_repeller_bounds_by_the_whole_repeller(capsys):
     # [0.89, 0.91] misses the golden repeller, which lies in [0, 3/4]: no cell
     # is inner, and the bound is the repeller's box dimension log phi / log 2.
@@ -393,7 +455,7 @@ def test_whole_short_branch_hole_prunes_one_word():
     assert rep.cover.depth == 14 and len(rep.cover.inner) == 8192
     assert rep.cover.shortest_inner == ((0,),)
     assert rep.pruned.states == ((1,),)
-    assert rep.survivor_lambda == 1.0 and rep.bound == 0.0
+    assert rep.pruned.survivor_lambda == 1.0 and rep.bound == 0.0
 
 
 @st.composite
@@ -433,7 +495,7 @@ def test_whole_branch_hole_bound_is_at_least_moran_dimension(case):
                                      solver="anderson"))
     rep = exceptional_dimension_bound(model, (edges[j] + edges[j + 1]) / 2,
                                       (edges[j + 1] - edges[j]) / 2)
-    assert not rep.trivial
+    assert not rep.cover.inner_empty
     assert rep.bound >= root - 1e-12
     if equal:
         assert abs(rep.bound - root) <= 1e-9
@@ -475,12 +537,11 @@ def test_dimension_report_carries_pruned_cover():
     ps = prune_words(DOUBLING.transition, rep.cover.shortest_inner)
     assert rep.pruned.states == ps.states
     assert np.array_equal(rep.pruned.successors, ps.successors)
-    assert rep.pruned.survivor_lambda == rep.survivor_lambda
     # an empty cover forbids nothing: its automaton is A's own graph
     golden = model_preset("golden")
     trivial = exceptional_dimension_bound(golden, 0.62, 0.004)
     own = prune_words(golden.transition, ())
-    assert trivial.trivial and trivial.cover.shortest_inner == ()
+    assert trivial.cover.inner_empty and trivial.cover.shortest_inner == ()
     assert trivial.pruned.states == own.states == ((0,), (1,))
     assert np.array_equal(trivial.pruned.successors, own.successors)
 
@@ -507,7 +568,7 @@ def test_dimension_bound_trivial_flag():
     # box dimension, log phi / log 2
     model = model_preset("golden")
     rep = exceptional_dimension_bound(model, 0.62, 0.004)
-    assert rep.trivial
+    assert rep.cover.inner_empty
     assert abs(rep.bound - math.log(PHI) / math.log(2)) <= 1e-12
 
 

@@ -24,7 +24,8 @@ from sftbounds import (
     word_count,
     word_str,
 )
-from sftbounds.sft import _strong_components, word_row, word_strs
+from sftbounds import sft
+from sftbounds.sft import WORD_CEILING, _strong_components, prefix_rows, word_row, word_strs
 
 GOLDEN = golden_mean_shift()
 FULL2 = full_shift(2)
@@ -148,6 +149,49 @@ def test_word_ceiling_guard():
         with pytest.raises(CeilingError, match="33554432 admissible words of length 25"):
             words(FULL2, 25)
         assert time.perf_counter() - started < 1.0
+
+
+def cached_entries():
+    return sum(w.size for w in sft._WORD_ARRAYS.values())
+
+
+def test_word_array_cache_holds_at_most_the_ceiling(monkeypatch):
+    # 2^19 19-words are 9961472 entries (76 MiB), just under the ceiling; the
+    # arrays of depths 15-18 once stayed resident beside them, 149 MiB in all
+    monkeypatch.setattr(sft, "_WORD_ARRAYS", {})
+    for k in (19, 15, 16, 17, 18):
+        W = word_array(FULL2, k)
+        assert cached_entries() <= WORD_CEILING
+        assert sft._WORD_ARRAYS[(FULL2, k)] is W
+    assert (FULL2, 19) not in sft._WORD_ARRAYS
+
+
+def test_word_array_cache_evicts_least_recently_used(monkeypatch):
+    # under a budget of 1000 entries, depths 5 and 6 (160 and 384 entries)
+    # fit together and depth 7 (896) fits alone; a repeated request that
+    # stays in the budget gets the same array
+    monkeypatch.setattr(sft, "_WORD_ARRAYS", {})
+    monkeypatch.setattr(sft, "WORD_CEILING", 1000)
+    first = word_array(FULL2, 5)
+    assert word_array(FULL2, 5) is first
+    six = word_array(FULL2, 6)
+    assert word_array(FULL2, 5) is first  # 160 + 384 entries: both kept
+    word_array(FULL2, 7)
+    assert list(sft._WORD_ARRAYS) == [(FULL2, 7)] and cached_entries() == 896
+    assert np.array_equal(word_array(FULL2, 6), six) and cached_entries() == 384
+    for k in range(1, 8):
+        word_array(FULL2, k)
+        assert cached_entries() <= 1000
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_prefix_rows_index_each_words_prefix(k):
+    for A in [FULL2, golden_mean_shift()] + random_primitive_matrices(15, (2, 3, 4), seed=k):
+        rows = prefix_rows(A, k)
+        assert np.array_equal(word_array(A, k - 1)[rows], word_array(A, k)[:, :-1])
+        # the out-degree of each prefix's last symbol repeats its row
+        up = word_array(A, k - 1)
+        assert np.array_equal(rows, np.repeat(np.arange(len(up)), A.array.sum(axis=1)[up[:, -1]]))
 
 
 def test_word_codes_refuse_64_bit_overflow():

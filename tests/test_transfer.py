@@ -16,6 +16,7 @@ from sftbounds import (
     conditional_expectation_check,
     constant_function,
     decay_estimate,
+    enumerate_words,
     full_shift,
     indicator,
     integrate,
@@ -25,6 +26,7 @@ from sftbounds import (
     perron_eigendata,
     predecessors,
     random_function,
+    subdominant_modulus,
     supnorm,
     transfer,
     transfer_apply,
@@ -64,7 +66,7 @@ def dict_variations(f):
     for n in range(f.depth):
         lo: dict = {}
         hi: dict = {}
-        for w, x in zip(f.words, f.values):
+        for w, x in zip(enumerate_words(f.matrix, f.depth), f.values):
             key = w[:n]
             if key not in lo:
                 lo[key] = x
@@ -243,6 +245,22 @@ def test_term_cap_raises_convergence_error(monkeypatch):
         decay_estimate(A, eig, 1)
 
 
+def test_certificate_reads_the_depth_one_operator_without_the_kernel(monkeypatch):
+    # M1 is built from the Perron data alone, with the bits of the depth-1
+    # transfer matrix: the rate read from it is the same to the bit
+    cases = [(A, perron_eigendata(A)) for A in random_primitive_matrices(20, (2, 3, 4, 5), seed=25)]
+    rates = [subdominant_modulus(transfer_matrix(A, eig, 1)[0]) for A, eig in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the certificate builds no word-space operator")
+
+    for name in ("_kernel", "word_array", "word_codes"):
+        monkeypatch.setattr(transfer, name, refuse)
+    monkeypatch.setattr(np, "searchsorted", refuse)
+    for (A, eig), rho in zip(cases, rates):
+        assert decay_estimate(A, eig, 4).rho == rho
+
+
 def test_supnorm_bounded_by_seminorm_for_mean_zero(golden, eig_golden):
     for depth in (1, 2, 3):
         for g in mean_zero_probes(golden, eig_golden, depth):
@@ -307,8 +325,11 @@ def test_apply_equals_csr_product_bitwise(size):
                 f = LocallyConstantFunction(A, depth, scale * rng.standard_normal(K.shape[1]))
                 got = transfer_apply(f, eig).values
                 assert got.tobytes() == (K @ f.values).tobytes(), (A.rows, depth, scale)
-            dense = transfer._dense(A, eig, depth)
-            assert dense.tobytes() == K.toarray().tobytes(), (A.rows, depth)
+            # transfer_matrix gives each word its prefix's row of the kernel
+            matrix, words = transfer_matrix(A, eig, depth)
+            image = enumerate_words(A, max(depth - 1, 1))
+            rows = [image.index(w[:max(depth - 1, 1)]) for w in words]
+            assert matrix.tobytes() == K.toarray()[rows].tobytes(), (A.rows, depth)
 
 
 def test_dense_operators_past_the_ceiling_are_refused_at_once(full2, eig_full2):
