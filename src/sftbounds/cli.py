@@ -77,10 +77,16 @@ def verify_table(scan: ScanSummary) -> tuple[list[str], list]:
 
 
 def hole_table(A: TransitionMatrix, scan: HoleFamilyScan) -> tuple[list[str], list]:
-    """Header and columns of the `hole` detail CSV; the JSON `holes` records share its keys."""
-    header = ["word", "depth", "delta", "hole_measure", "survivor_lambda", "gap", "per_hole_c"]
+    """Header and columns of the `hole` detail CSV, the one table of per-hole
+    rows: the scan's columns, then `dim`, log survivor_lambda / log theta
+    (0.0 where nothing survives)."""
+    header = ["word", "depth", "delta", "hole_measure", "survivor_lambda", "gap", "per_hole_c", "dim"]
+    lam = scan.survivor_lambda
+    dim = np.zeros(len(lam))
+    alive = lam > 0
+    dim[alive] = np.log(lam[alive]) / float(np.log(scan.theta))
     columns = [word_strs(scan.words, A.size), scan.depth, scan.delta, scan.measure,
-               scan.survivor_lambda, scan.gap, scan.per_hole_c]
+               lam, scan.gap, scan.per_hole_c, dim]
     return header, columns
 
 
@@ -199,13 +205,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_hole(args: argparse.Namespace) -> int:
     """survivor entropy and dimension data for every hole up to a depth"""
     A = io.load_matrix(args.matrix)
-    params = MetricParams(args.theta)
-    scan = hole_family_scan(A, args.max_hole_depth, params=params)
-    header, columns = hole_table(A, scan)
-    lam = scan.survivor_lambda
-    dim = np.zeros(len(lam))
-    alive = lam > 0
-    dim[alive] = np.log(lam[alive]) / float(np.log(params.theta))
+    scan = hole_family_scan(A, args.max_hole_depth, params=MetricParams(args.theta))
     summary = {
         "fitted_c": scan.fitted_c,
         "argmin_word": word_str(scan.argmin_word, A.size),
@@ -215,9 +215,8 @@ def _cmd_hole(args: argparse.Namespace) -> int:
             [word_str(a, A.size), word_str(b, A.size)]
             for a, b in scan.monotonicity_violations
         ],
-        "holes": io.Records({**dict(zip(header, columns)), "dim": dim}),
     }
-    _emit(args, summary, header, columns)
+    _emit(args, summary, *hole_table(A, scan))
     ok = scan.fitted_c > 0 and not scan.monotonicity_violations
     return 0 if ok else 1
 
@@ -307,7 +306,7 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
-    except (InputError, FileNotFoundError, KeyError) as exc:
+    except (InputError, FileNotFoundError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import math
@@ -72,13 +73,21 @@ def test_verify_csv_bytes_deterministic(capsys, full2_path, tmp_path):
     assert ja == jb
 
 
-def test_hole_command(capsys, full2_path):
-    code, report = run(capsys, "hole", "--matrix", str(full2_path), "--max-hole-depth", "3")
+def hole_rows(out):
+    """The rows of the CSV beside a `hole --out` summary, keyed by word."""
+    with open(out.with_suffix(".csv"), newline="") as fh:
+        return {row["word"]: row for row in csv.DictReader(fh)}
+
+
+def test_hole_command(capsys, full2_path, tmp_path):
+    out = tmp_path / "hole.json"
+    code, report = run(capsys, "hole", "--matrix", str(full2_path), "--max-hole-depth", "3",
+                       "--out", str(out))
     assert code == 0
     assert report["fitted_c"] > 0
-    row = next(h for h in report["holes"] if h["word"] == "11")
-    assert abs(row["survivor_lambda"] - PHI) <= 1e-7
-    assert abs(row["dim"] - math.log(PHI) / math.log(2)) <= 1e-7
+    row = hole_rows(out)["11"]
+    assert abs(float(row["survivor_lambda"]) - PHI) <= 1e-7
+    assert abs(float(row["dim"]) - math.log(PHI) / math.log(2)) <= 1e-7
 
 
 def test_hole_stdout_json_equals_out_file(capsys, full2_path, tmp_path):
@@ -87,13 +96,36 @@ def test_hole_stdout_json_equals_out_file(capsys, full2_path, tmp_path):
     assert capsys.readouterr().out.encode() == out.read_bytes()
 
 
-def test_hole_golden_depth7_exits_zero(capsys, golden_path):
+def test_hole_golden_depth7_exits_zero(capsys, golden_path, tmp_path):
     # Golden hole 100101 once got radius 1.6 and a false monotonicity violation.
-    code, report = run(capsys, "hole", "--matrix", str(golden_path), "--max-hole-depth", "7")
+    out = tmp_path / "hole.json"
+    code, report = run(capsys, "hole", "--matrix", str(golden_path), "--max-hole-depth", "7",
+                       "--out", str(out))
     assert code == 0
     assert report["monotonicity_violations"] == []
-    row = next(h for h in report["holes"] if h["word"] == "100101")
-    assert abs(row["survivor_lambda"] - 1.5754491412403955) <= 1e-12
+    row = hole_rows(out)["100101"]
+    assert abs(float(row["survivor_lambda"]) - 1.5754491412403955) <= 1e-12
+
+
+@pytest.mark.parametrize("matrix", [[[1, 1], [1, 1]], [[1, 1], [1, 0]], [[1, 1, 0], [0, 1, 1], [1, 0, 1]]],
+                         ids=["full2", "golden", "wide3"])
+def test_hole_csv_dim_is_log_radius_over_log_theta(capsys, tmp_path, matrix):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"rows": matrix}))
+    out = tmp_path / "hole.json"
+    assert main(["hole", "--matrix", str(path), "--max-hole-depth", "4", "--theta", "3",
+                 "--out", str(out)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert "holes" not in report
+    rows = hole_rows(out)
+    # forbidding 0 in the golden mean shift leaves no orbit
+    assert (rows["0"]["survivor_lambda"] == "0.0") == (matrix == [[1, 1], [1, 0]])
+    for r in rows.values():
+        lam = float(r["survivor_lambda"])
+        if lam > 0.0:
+            assert abs(float(r["dim"]) - math.log(lam) / math.log(3)) <= 1e-15
+        else:
+            assert r["dim"] == "0.0"
 
 
 def test_model_dim_command(capsys):
@@ -157,6 +189,8 @@ _GOLDEN_BRANCH = {"domain": [0.0, 0.5], "slope": 2.0, "intercept": 0.0}
                                 {"domain": [0.5, 0.75], "slope": "x", "intercept": -1.0}]},
      "malformed contents"),
     ("model-dim", {"branches": 3}, "malformed contents"),
+    ("model-dim", {"branches": [_GOLDEN_BRANCH, {"domain": [0.5, 0.75], "intercept": -1.0}]},
+     "malformed contents ('slope')"),
     ("analyze", [[1, 1], [1, 0]], "expected a JSON object at top level"),
     ("analyze", {"size": 2}, "missing 'rows'"),
     ("analyze", {"size": 3, "rows": [[1, 1], [1, 0]]}, "'size' is 3 but 2 rows given"),
@@ -171,7 +205,7 @@ _GOLDEN_BRANCH = {"domain": [0.0, 0.5], "slope": 2.0, "intercept": 0.0}
     ("model-dim", {"branches": [_GOLDEN_BRANCH,
                                 {"domain": [0.4, 0.9], "slope": 2.0, "intercept": -0.8}]},
      "branch domains overlap"),
-], ids=["ragged-rows", "size-not-int", "slope-not-number", "branches-not-list",
+], ids=["ragged-rows", "size-not-int", "slope-not-number", "branches-not-list", "slope-missing",
         "top-level-array", "rows-missing", "size-mismatch", "branches-missing", "one-branch",
         "domain-outside", "image-outside", "domains-overlap"])
 def test_malformed_contents_exit_two(capsys, tmp_path, command, payload, message):
@@ -182,6 +216,17 @@ def test_malformed_contents_exit_two(capsys, tmp_path, command, payload, message
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and message in err
+
+
+def test_library_key_error_is_not_an_input_error(capsys, monkeypatch, golden_path):
+    # a KeyError from inside the library is a fault, not bad input: it must not exit 2
+    def fault(args):
+        raise KeyError("dictionary is empty")
+
+    monkeypatch.setitem(cli._COMMANDS, "analyze", fault)
+    with pytest.raises(KeyError, match="dictionary is empty"):
+        main(["analyze", "--matrix", str(golden_path)])
+    assert "input error" not in capsys.readouterr().err
 
 
 def test_non_primitive_matrix_exits_two(capsys, tmp_path):
@@ -431,15 +476,16 @@ def test_unread_flag_is_usage_error(capsys, argv):
     assert argv[-2] in capsys.readouterr().err
 
 
-def test_hole_json_is_strict_with_null_gap(capsys, golden_path):
+def test_hole_json_is_strict_with_null_gap(capsys, golden_path, tmp_path):
     def reject(name):
         raise ValueError(f"non-standard JSON constant {name}")
 
-    code = main(["hole", "--matrix", str(golden_path), "--max-hole-depth", "1"])
+    out = tmp_path / "hole.json"
+    code = main(["hole", "--matrix", str(golden_path), "--max-hole-depth", "1", "--out", str(out)])
     report = json.loads(capsys.readouterr().out, parse_constant=reject)
     assert code == 0
     # forbidding 0 in the golden mean shift leaves no orbit: the gap is infinite
-    assert next(h for h in report["holes"] if h["word"] == "0")["gap"] is None
+    assert hole_rows(out)["0"]["gap"] == "inf"
     assert report["meta"]["seed"] is None
 
 
@@ -461,8 +507,8 @@ PIN_MATRICES = {
 # body and of the JSON summary without `meta`, dumped with sorted keys.
 OUTPUT_PINS = {
     "hole": (["hole", "--matrix", "golden", "--max-hole-depth", "6"],
-             "6310ada1fe68d421f7f89e77c9ddc220aa14cfa23fe34e30e7c7270eb51aa155",
-             "4836e3abea3c076f8705d6c23de104559f607abfe24626be4b64a87143385cd7"),
+             "e55ffca8675b2e2fb267c9ced4c3762bf292573aca36bd610948db14cf788a81",
+             "48ca36cfa193fe41a6986b66112c8944ff896625dea2a30c22b8e3c60075e677"),
     "model-dim": (["model-dim", "--model", "doubling", "--x0", "0.125", "--delta", "1e-3"],
                   "a0b749ee2b64d3fc7c20791889a47479391c97db452c500d07460570620b5e6f",
                   "1f7e6f1a9ca871bd5615e743d84281257e0eea244f4d444fbf970beed4d8a879"),

@@ -40,6 +40,7 @@ def test_verify_scan_script(tmp_path, capsys, golden_path):
 def test_hole_scan_script(tmp_path, capsys, golden_path):
     run_script("run_hole_scan.py", "--max-depth", "2", out_dir=tmp_path / "out")
     header = cli_header(tmp_path, "hole", "--matrix", str(golden_path), "--max-hole-depth", "1")
+    assert header == "word,depth,delta,hole_measure,survivor_lambda,gap,per_hole_c,dim"
     for name in ("full2", "golden", "full3"):
         assert (tmp_path / "out" / f"holes_{name}.csv").read_text().splitlines()[0] == header
     assert (tmp_path / "out" / "holes_summary.json").exists()
