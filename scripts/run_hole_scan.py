@@ -9,7 +9,7 @@ Example:
 import argparse
 from pathlib import Path
 
-from sftbounds import MetricParams, full_shift, golden_mean_shift, hole_family_scan
+from sftbounds import full_shift, golden_mean_shift, hole_family_scan
 from sftbounds.cli import hole_table
 from sftbounds.io import write_csv, write_json
 from sftbounds.sft import word_str
@@ -31,9 +31,8 @@ def main() -> None:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     summary = {}
-    params = MetricParams(args.theta)
     for name, A in SYSTEMS.items():
-        scan = hole_family_scan(A, args.max_depth, params=params)
+        scan = hole_family_scan(A, args.max_depth, theta=args.theta)
         write_csv(out / f"holes_{name}.csv", *hole_table(A, scan))
         summary[name] = {
             "fitted_c": scan.fitted_c,

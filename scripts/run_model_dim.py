@@ -39,7 +39,7 @@ def main() -> None:
         # no orbit survives when no word does; `bound` is 0 there too
         box = math.log(count) / (n * math.log(model.theta0)) if count else 0.0
         rows.append([cover.delta, cover.depth, len(cover.inner), rep.outer_measure,
-                     rep.bound, box, cover.inner_empty])
+                     rep.bound, box, not cover.inner])
         print(f"delta={cover.delta:.4f} depth={cover.depth} inner={len(cover.inner):3d} "
               f"bound={rep.bound:.5f} box_count={box:.5f}")
     write_csv(out / "model_dim.csv",

@@ -62,7 +62,6 @@ from .models import (
     model_preset,
 )
 from .sft import (
-    MetricParams,
     TransitionMatrix,
     Word,
     enumerate_words,

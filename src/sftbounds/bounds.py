@@ -10,7 +10,8 @@ oscillation max f - min f <= |f|_theta, which implies the stated bound.
 Sampled measures are checked as stacks: the divergence, the gap identity and
 the bound take k measures (and k functions) at once and return arrays, one
 entry per measure, with the bits of each one-measure check. `ratio_scan`
-solves its samples and its slope families in one batch.
+solves its samples and its slope families in one batch and checks them in one
+stacked call.
 """
 
 from __future__ import annotations
@@ -168,22 +169,20 @@ def effective_bound_verify(
     mu: MarkovMeasure,
     eig: PerronData,
     decay: DecayEstimate,
-    m: MarkovMeasure | None = None,
+    m: MarkovMeasure,
 ) -> BoundReport:
     """Verify the integral-discrepancy bound for one (f, mu) pair, or for each
     pair of a stack of k functions and a stack of k measures (either may be a
     single one, broadcast); the report's fields other than c_hat are then
     arrays, one entry per pair.
 
-    f is centered against the Parry measure first (pass `m` to reuse one). A gap
+    f is centered first against `m`, the Parry measure of eig. A gap
     below -1e-9 means the measure claims more entropy than log lam and is
     treated as a hard error, raised for the first such pair of a stack. The
     ratio field is lhs / (seminorm sqrt(gap)), with the oscillation
     `lip_seminorm`, NaN when the gap or the seminorm is too small to divide by.
     """
     single = f.values.ndim == 1 and mu.stationary.ndim == 1
-    if m is None:
-        m = parry_measure(f.matrix, eig)
     fc = centered(f, m)
     gap = float(np.log(eig.lam)) - np.atleast_1d(entropy(mu))
     lhs = np.abs(integrate(fc, mu) - integrate(fc, m))
@@ -234,19 +233,10 @@ class ScanSummary:
         return bool(self.report.holds.all())
 
 
-def _family_slopes(
-    fc: LocallyConstantFunction,
-    family: MarkovMeasure,
-    m: MarkovMeasure,
-    eig: PerronData,
-) -> list[float]:
-    """Least-squares slope of log lhs against log gap along each family: the
-    centred function fc[i] against its FAMILY_POINTS measures family[i *
-    FAMILY_POINTS:(i + 1) * FAMILY_POINTS]. NaN for a family with fewer than 3
-    usable points."""
-    pairs = LocallyConstantFunction(fc.matrix, fc.depth, np.repeat(fc.values, FAMILY_POINTS, axis=0))
-    gap = float(np.log(eig.lam)) - entropy(family)
-    lhs = np.abs(integrate(pairs, family) - integrate(pairs, m))
+def _family_slopes(gap: np.ndarray, lhs: np.ndarray) -> list[float]:
+    """Least-squares slope of log lhs against log gap along each family, the
+    gaps and discrepancies of its FAMILY_POINTS consecutive pairs. NaN for a
+    family with fewer than 3 usable points."""
     slopes = []
     for g, h in zip(gap.reshape(-1, FAMILY_POINTS), lhs.reshape(-1, FAMILY_POINTS)):
         use = (g > GAP_FLOOR) & (h > 1e-13)
@@ -269,8 +259,10 @@ def ratio_scan(
     evidence about the gap exponent, not an asserted inequality.
 
     The sampled kernels and the family kernels (the first FAMILIES samples'
-    segments) are solved in one batch and validated as one stack; every
-    sample is verified in one stacked `effective_bound_verify` call.
+    segments) are solved in one batch and validated as one stack. One
+    stacked `effective_bound_verify` call checks every sample and then each
+    family kernel against its sample's function; the summary reports the
+    samples' rows.
     """
     if samples < 1:
         raise InputError(f"need at least one sample, got {samples}")
@@ -289,9 +281,11 @@ def ratio_scan(
     segments = (1.0 - t) * m.transition + t * kernels[:FAMILIES, None]
     Qs = np.concatenate([kernels, segments.reshape(-1, A.size, A.size)])
     mu = markov_measure(stationary_vector(Qs), Qs, A)
-    report = effective_bound_verify(f, mu[:samples], eig, decay, m=m)
-    head = LocallyConstantFunction(A, depth, f.values[:FAMILIES])
-    slopes = _family_slopes(centered(head, m), mu[samples:], m, eig)
+    values = np.concatenate([f.values, np.repeat(f.values[:FAMILIES], FAMILY_POINTS, axis=0)])
+    pairs = effective_bound_verify(LocallyConstantFunction(A, depth, values), mu, eig, decay, m)
+    report = BoundReport(pairs.lhs[:samples], pairs.seminorm[:samples], pairs.gap[:samples],
+                         pairs.c_hat, pairs.ratio[:samples], pairs.holds[:samples])
+    slopes = _family_slopes(pairs.gap[samples:], pairs.lhs[samples:])
     usable = [s for s in slopes if np.isfinite(s)]
     # statistics, not np.median: that loads numpy.ma on first use.
     slope = float(statistics.median(usable)) if usable else float("nan")

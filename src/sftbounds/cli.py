@@ -32,7 +32,7 @@ from .measures import (
     sample_markov_batch,
 )
 from .models import exceptional_dimension_bound
-from .sft import MetricParams, TransitionMatrix, word_array, word_count, word_str, word_strs
+from .sft import TransitionMatrix, word_array, word_count, word_str, word_strs
 from .spectral import perron_eigendata
 from .transfer import decay_estimate
 
@@ -205,7 +205,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_hole(args: argparse.Namespace) -> int:
     """survivor entropy and dimension data for every hole up to a depth"""
     A = io.load_matrix(args.matrix)
-    scan = hole_family_scan(A, args.max_hole_depth, params=MetricParams(args.theta))
+    scan = hole_family_scan(A, args.max_hole_depth, theta=args.theta)
     summary = {
         "fitted_c": scan.fitted_c,
         "argmin_word": word_str(scan.argmin_word, A.size),
@@ -240,7 +240,7 @@ def _cmd_model_dim(args: argparse.Namespace) -> int:
         "survivor_lambda": report.pruned.survivor_lambda,
         "h_plus": report.h_plus,
         "bound": report.bound,
-        "trivial": cover.inner_empty,
+        "trivial": not cover.inner,
         "theta0": model.theta0,
         "Theta": model.cap_theta,
         "log_lambda": report.log_lambda,

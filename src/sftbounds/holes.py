@@ -51,7 +51,6 @@ import numpy as np
 from .errors import CeilingError, ConvergenceError, InputError
 from .measures import cylinder_measure_vector, parry_measure
 from .sft import (
-    MetricParams,
     TransitionMatrix,
     Word,
     _path_count,
@@ -69,6 +68,8 @@ PRUNE_STATE_CEILING = 50_000
 HOLE_CHUNK_STATES = 4096
 # Relative Collatz-Wielandt bracket width at which a spectral radius is read.
 RADIUS_TOL = 1e-13
+# Most steps the radius iteration runs before ConvergenceError.
+RADIUS_MAX_ITER = 100_000
 
 
 @dataclass(frozen=True)
@@ -106,7 +107,7 @@ class PrunedSystem:
         return mat
 
 
-def _component_radii(succ: np.ndarray, max_iter: int = 100_000) -> np.ndarray:
+def _component_radii(succ: np.ndarray) -> np.ndarray:
     """Perron root of the strongly connected component of each state of a
     successor table's graph (0 for a state on no cycle).
 
@@ -141,7 +142,7 @@ def _component_radii(succ: np.ndarray, max_iter: int = 100_000) -> np.ndarray:
     unread = np.ones(ncomp, dtype=bool)
     x = np.ones(n + 1)
     x[-1] = 0.0
-    for _ in range(max_iter):
+    for _ in range(RADIUS_MAX_ITER):
         y = x[cols[0]]
         for c in cols[1:]:
             y += x[c]
@@ -327,14 +328,17 @@ class HoleFamilyScan:
 def hole_family_scan(
     A: TransitionMatrix,
     max_depth: int,
-    params: MetricParams = MetricParams(),
+    theta: float = 2.0,
 ) -> HoleFamilyScan:
     """Prune every admissible hole word up to max_depth; report per-hole entropy
     gaps, the largest c with gap >= c * delta^2 * measure^2 across the family
     (the first minimising word), and any extension-monotonicity violations
     (none expected: forbidding an extension removes less), in row order.
-    Refuses a theta for which delta^2 * measure^2 underflows so far that a
-    finite gap would get a non-finite per-hole constant."""
+    Refuses a theta of the word metric theta**-(common prefix length) that
+    is not finite and above 1, or for which delta^2 * measure^2 underflows so
+    far that a finite gap would get a non-finite per-hole constant."""
+    if not (math.isfinite(theta) and theta > 1.0):
+        raise InputError(f"theta must be finite and exceed 1, got {theta}")
     if max_depth < 1:
         raise InputError(f"max depth must be at least 1, got {max_depth}")
     # Counts never decrease with depth (every word has a successor): refuse the
@@ -350,7 +354,7 @@ def hole_family_scan(
     ])
     lam = _hole_radii(A, words)
     depth = np.repeat(np.arange(1, max_depth + 1), counts)
-    deltas = [params.theta ** (-k) for k in range(1, max_depth + 1)]
+    deltas = [theta ** (-k) for k in range(1, max_depth + 1)]
     delta = np.repeat(deltas, counts)
     measure = np.concatenate([cylinder_measure_vector(m, k) for k in range(1, max_depth + 1)])
     gap = np.full(len(lam), math.inf)
@@ -366,7 +370,7 @@ def hole_family_scan(
     if len(lost):
         i = int(lost[0])
         raise InputError(
-            f"theta {params.theta} is too large for depth {int(depth[i])}: delta**2 * measure**2 "
+            f"theta {theta} is too large for depth {int(depth[i])}: delta**2 * measure**2 "
             f"= {float(scale[i])!r} for hole {_word(words, i)}, so its per-hole constant is not finite")
     # Each row's parent is its prefix, a row of the block one depth up.
     starts = np.cumsum(counts) - counts
@@ -380,7 +384,7 @@ def hole_family_scan(
     for a in columns:
         a.setflags(write=False)
     return HoleFamilyScan(*columns, float(per_hole_c[argmin]), _word(words, argmin), violations,
-                          log_lam, params.theta)
+                          log_lam, theta)
 
 
 def _word(words: np.ndarray, i: int) -> Word:

@@ -171,10 +171,6 @@ class BallCover:
     shortest_inner: tuple[Word, ...]
 
     @property
-    def inner_empty(self) -> bool:
-        return len(self.inner) == 0
-
-    @property
     def cells(self) -> tuple[CylinderInterval, ...]:
         """The inner cells, then the outer ones: the order of the model-dim rows."""
         return self.inner + self.outer

@@ -1,4 +1,4 @@
-"""One-sided subshifts of finite type: transition matrices, admissible words, the theta metric.
+"""One-sided subshifts of finite type: transition matrices and admissible words.
 
 Everything is finite and exact: a word of length k stands for the cylinder of
 sequences extending it, and all downstream quantities depend on finitely many
@@ -8,7 +8,6 @@ coordinates only.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,17 +19,6 @@ Word = tuple[int, ...]
 # Default cap on the words an enumeration may produce, the entries of a word
 # array (words times length) and the values of a function stack (samples times words).
 WORD_CEILING = 10_000_000
-
-
-@dataclass(frozen=True)
-class MetricParams:
-    """Word metric d(x, y) = theta ** -t with t the length of the common prefix."""
-
-    theta: float = 2.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.theta) and self.theta > 1.0):
-            raise InputError(f"theta must be finite and exceed 1, got {self.theta}")
 
 
 @dataclass(frozen=True)

@@ -195,7 +195,7 @@ def test_effective_bound_parry(golden, eig_golden):
     m = parry_measure(golden, eig_golden)
     decay = decay_estimate(golden, eig_golden, 2)
     f = random_function(golden, 2, seed=4)
-    rep = effective_bound_verify(f, m, eig_golden, decay)
+    rep = effective_bound_verify(f, m, eig_golden, decay, m=m)
     assert rep.lhs <= 1e-12
     assert rep.holds
     assert math.isnan(rep.ratio)
@@ -203,10 +203,11 @@ def test_effective_bound_parry(golden, eig_golden):
 
 def test_effective_bound_bernoulli_family(full2, eig_full2):
     decay = decay_estimate(full2, eig_full2, 1)
+    m = parry_measure(full2, eig_full2)
     f = indicator(full2, (0,))
     worst = 0.0
     for p in np.linspace(0.01, 0.99, 99):
-        rep = effective_bound_verify(f, bernoulli(float(p), full2), eig_full2, decay)
+        rep = effective_bound_verify(f, bernoulli(float(p), full2), eig_full2, decay, m=m)
         assert rep.holds
         assert abs(rep.lhs - abs(p - 0.5)) <= 1e-12
         if math.isfinite(rep.ratio):
@@ -217,10 +218,11 @@ def test_effective_bound_bernoulli_family(full2, eig_full2):
 def test_effective_bound_sampled_pairs(golden, eig_golden, full2, eig_full2):
     for A, eig in ((golden, eig_golden), (full2, eig_full2)):
         decay = decay_estimate(A, eig, 2)
+        m = parry_measure(A, eig)
         for seed in range(60):
             mu = sample_markov(A, seed=seed)
             f = random_function(A, 2, seed=5000 + seed)
-            assert effective_bound_verify(f, mu, eig, decay).holds
+            assert effective_bound_verify(f, mu, eig, decay, m=m).holds
 
 
 def test_effective_bound_rejects_negative_gap(golden, eig_golden):

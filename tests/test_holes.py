@@ -21,7 +21,6 @@ from sftbounds import (
     CeilingError,
     ConvergenceError,
     InputError,
-    MetricParams,
     dim_upper_bound,
     enumerate_words,
     exceptional_dimension_bound,
@@ -356,10 +355,11 @@ def test_golden_100101_radius(golden):
     assert not hole_family_scan(golden, 7).monotonicity_violations
 
 
-def test_radius_stall_reports_bracket_width(full2):
+def test_radius_stall_reports_bracket_width(monkeypatch, full2):
     succ = higher_block_prune(full2, (1, 1)).successors
+    monkeypatch.setattr(holes, "RADIUS_MAX_ITER", 2)
     with pytest.raises(ConvergenceError) as info:
-        holes._component_radii(succ, max_iter=2)
+        holes._component_radii(succ)
     assert info.value.residual > 1e-13
 
 
@@ -415,11 +415,18 @@ def compacting_radii(succ, tol=1e-13, max_iter=100_000):
     )
 
 
-def radii_or_stall(solve, succ, max_iter):
-    try:
-        return solve(succ, max_iter=max_iter).tobytes()
-    except ConvergenceError as exc:
-        return str(exc), exc.residual
+def radii_or_stall(succ, max_iter):
+    """`holes._component_radii` and `compacting_radii` on one table, each
+    stopped after max_iter steps: their radii bytes, or their stall."""
+    outcomes = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(holes, "RADIUS_MAX_ITER", max_iter)
+        for solve in (holes._component_radii, functools.partial(compacting_radii, max_iter=max_iter)):
+            try:
+                outcomes.append(solve(succ).tobytes())
+            except ConvergenceError as exc:
+                outcomes.append((str(exc), exc.residual))
+    return outcomes
 
 
 @st.composite
@@ -451,13 +458,14 @@ def test_component_radii_equal_the_compacting_loop(succ):
     # Components that share no edge step alike whether or not closed ones
     # stay in the batch, so radii, and stalls, keep their bits.
     for max_iter in (20_000, 2):
-        assert (radii_or_stall(holes._component_radii, succ, max_iter)
-                == radii_or_stall(compacting_radii, succ, max_iter))
+        ours, compacted = radii_or_stall(succ, max_iter)
+        assert ours == compacted
 
 
-def test_radius_stall_after_a_component_closes():
+def test_radius_stall_after_a_component_closes(monkeypatch):
+    monkeypatch.setattr(holes, "RADIUS_MAX_ITER", 1)
     with pytest.raises(ConvergenceError, match="stalled on 2 of 3 components") as info:
-        holes._component_radii(STALL_AFTER_CLOSING, max_iter=1)
+        holes._component_radii(STALL_AFTER_CLOSING)
     assert info.value.residual == 1.0
 
 
@@ -581,7 +589,7 @@ def test_family_scan_columns_equal_per_row_formulas(golden, full3, theta):
     cases = [(golden, 9), (full3, 4)]
     cases += [(random_primitive_matrices(1, (4,), seed=seed)[0], 4) for seed in (21, 31)]
     for A, depth in cases:
-        scan = hole_family_scan(A, depth, params=MetricParams(theta))
+        scan = hole_family_scan(A, depth, theta=theta)
         eig = perron_eigendata(A)
         m = parry_measure(A, eig)
         log_lam = float(np.log(eig.lam))

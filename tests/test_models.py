@@ -121,7 +121,7 @@ def test_ball_cover_wraparound_anchor():
     outer = {"".join(map(str, c.word)) for c in cover.outer}
     assert outer == {"0000", "0001", "1110", "1111"}
     assert inner == outer
-    assert not cover.inner_empty
+    assert cover.inner
 
 
 def test_ball_cover_sandwich():
@@ -340,7 +340,7 @@ def test_ball_cover_rejects_bad_inputs():
 def test_tiny_delta_inner_may_be_empty():
     model = model_preset("golden")
     cover = ball_to_cylinders(model, 0.62, 0.004)
-    assert cover.inner_empty or set(cover.inner) <= set(cover.outer)
+    assert not cover.inner or set(cover.inner) <= set(cover.outer)
 
 
 def test_dimension_bound_hole_00():
@@ -495,7 +495,7 @@ def test_whole_branch_hole_bound_is_at_least_moran_dimension(case):
                                      solver="anderson"))
     rep = exceptional_dimension_bound(model, (edges[j] + edges[j + 1]) / 2,
                                       (edges[j + 1] - edges[j]) / 2)
-    assert not rep.cover.inner_empty
+    assert rep.cover.inner
     assert rep.bound >= root - 1e-12
     if equal:
         assert abs(rep.bound - root) <= 1e-9
@@ -541,7 +541,7 @@ def test_dimension_report_carries_pruned_cover():
     golden = model_preset("golden")
     trivial = exceptional_dimension_bound(golden, 0.62, 0.004)
     own = prune_words(golden.transition, ())
-    assert trivial.cover.inner_empty and trivial.cover.shortest_inner == ()
+    assert not trivial.cover.inner and trivial.cover.shortest_inner == ()
     assert trivial.pruned.states == own.states == ((0,), (1,))
     assert np.array_equal(trivial.pruned.successors, own.successors)
 
@@ -568,7 +568,7 @@ def test_dimension_bound_trivial_flag():
     # box dimension, log phi / log 2
     model = model_preset("golden")
     rep = exceptional_dimension_bound(model, 0.62, 0.004)
-    assert rep.cover.inner_empty
+    assert not rep.cover.inner
     assert abs(rep.bound - math.log(PHI) / math.log(2)) <= 1e-12
 
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import time
 
 import numpy as np
@@ -12,10 +13,10 @@ from helpers import brute_words, random_primitive_matrices
 from sftbounds import (
     CeilingError,
     InputError,
-    MetricParams,
     enumerate_words,
     full_shift,
     golden_mean_shift,
+    hole_family_scan,
     is_admissible,
     predecessors,
     transition_matrix,
@@ -224,8 +225,10 @@ def test_predecessors_nonempty_everywhere():
 
 
 def test_theta_must_exceed_one():
-    with pytest.raises(InputError):
-        MetricParams(1.0)
+    # the word metric theta**-(common prefix length) needs a finite theta above 1
+    for theta in (1.0, math.inf, math.nan):
+        with pytest.raises(InputError, match=f"^theta must be finite and exceed 1, got {theta}$"):
+            hole_family_scan(GOLDEN, 1, theta=theta)
 
 
 def csgraph_components(succ):

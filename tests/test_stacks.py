@@ -298,11 +298,13 @@ def test_verification_error_names_the_first_sample_above_log_lambda():
 def test_single_measure_is_the_stack_of_one():
     eig = perron_eigendata(WIDE3)
     decay = decay_estimate(WIDE3, eig, 3)
+    m = parry_measure(WIDE3, eig)
     mu = sample_markov_batch(WIDE3, [4, 9, 2])
     f = random_function(WIDE3, 3, [11, 12, 13])
-    stack = effective_bound_verify(f, mu, eig, decay)
+    stack = effective_bound_verify(f, mu, eig, decay, m=m)
     for i in range(3):
-        one = effective_bound_verify(random_function(WIDE3, 3, 11 + i), sample_markov(WIDE3, [4, 9, 2][i]), eig, decay)
+        one = effective_bound_verify(random_function(WIDE3, 3, 11 + i), sample_markov(WIDE3, [4, 9, 2][i]),
+                                     eig, decay, m=m)
         assert bits(vars(one).values()) == bits([stack.lhs[i].item(), stack.seminorm[i].item(),
                                                  stack.gap[i].item(), stack.c_hat,
                                                  stack.ratio[i].item(), stack.holds[i].item()])
