@@ -71,7 +71,6 @@ from .sft import (
     predecessors,
     transition_matrix,
     word_array,
-    word_codes,
     word_count,
     word_str,
 )

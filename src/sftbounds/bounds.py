@@ -26,6 +26,7 @@ from .errors import InputError, VerificationError, first_failure
 from .measures import (
     LocallyConstantFunction,
     MarkovMeasure,
+    _check_stack,
     centered,
     conditional_vectors,
     dirichlet_kernels,
@@ -272,9 +273,10 @@ def ratio_scan(
     m = parry_measure(A, eig)
     decay = decay_estimate(A, eig, depth)
 
+    # before the 2 * samples sub-seeds are drawn: random_function's refusal
+    _check_stack(A, depth, samples)
     master = np.random.default_rng(seed)
     sub_seeds = master.integers(0, 2**63 - 1, size=2 * samples)
-    # first, so a depth past the word ceiling is refused before any solve
     f = random_function(A, depth, sub_seeds[1::2])
     kernels = dirichlet_kernels(A, sub_seeds[0::2])
     t = np.geomspace(1e-3, 1e-1, FAMILY_POINTS)[:, None, None]

@@ -53,11 +53,13 @@ from .measures import cylinder_measure_vector, parry_measure
 from .sft import (
     TransitionMatrix,
     Word,
+    _check_ceiling,
     _path_count,
     _strong_components,
     is_admissible,
     prefix_rows,
     word_array,
+    word_count,
 )
 from .spectral import perron_eigendata
 
@@ -342,12 +344,13 @@ def hole_family_scan(
     if max_depth < 1:
         raise InputError(f"max depth must be at least 1, got {max_depth}")
     # Counts never decrease with depth (every word has a successor): refuse the
-    # deepest word array before any shallower depth is built.
-    word_array(A, max_depth, PRUNE_STATE_CEILING)
+    # deepest depth's words before any word array is built.
+    n = word_count(A, max_depth)
+    _check_ceiling(n, f"{n} admissible words of length {max_depth}", PRUNE_STATE_CEILING)
     eig = perron_eigendata(A)
     m = parry_measure(A, eig)
     log_lam = float(np.log(eig.lam))
-    arrays = [word_array(A, k, PRUNE_STATE_CEILING) for k in range(1, max_depth + 1)]
+    arrays = [word_array(A, k) for k in range(1, max_depth + 1)]
     counts = [len(w) for w in arrays]
     words = np.concatenate([
         np.pad(w, ((0, 0), (0, max_depth - k)), constant_values=-1) for k, w in enumerate(arrays, 1)

@@ -398,6 +398,15 @@ def indicator(A: TransitionMatrix, word) -> LocallyConstantFunction:
     return LocallyConstantFunction(A, len(w), vals)
 
 
+def _check_stack(A: TransitionMatrix, depth: int, count: int) -> int:
+    """The number n of depth-words, once a stack of `count` functions on them
+    is allowed: refused where `word_array` refuses, or when the count * n
+    values exceed WORD_CEILING."""
+    n = len(word_array(A, depth))
+    _check_ceiling(count * n, f"{count} functions of {n} words: {count * n} values")
+    return n
+
+
 def random_function(A: TransitionMatrix, depth: int, seed) -> LocallyConstantFunction:
     """Standard normal values on the depth-words, from default_rng(seed); a
     sequence of seeds gives a stack, one function per seed. Each seed's draws
@@ -405,9 +414,8 @@ def random_function(A: TransitionMatrix, depth: int, seed) -> LocallyConstantFun
     `_generators`. Refused before anything is drawn when `word_array`
     refuses, when the stack's values (seeds times words) exceed WORD_CEILING,
     or when a seed lies outside [0, 2**64)."""
-    n = len(word_array(A, depth))
     seeds = seed if np.ndim(seed) else [seed]
-    _check_ceiling(len(seeds) * n, f"{len(seeds)} functions of {n} words: {len(seeds) * n} values")
+    n = _check_stack(A, depth, len(seeds))
     values = np.empty((len(seeds), n))
     for out, rng in zip(values, _generators(seeds)):
         rng.standard_normal(out=out)

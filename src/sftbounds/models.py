@@ -134,9 +134,14 @@ def cylinder_interval(model: ExpandingModel, word) -> CylinderInterval:
     """The interval of points whose first len(word) partition visits follow `word`,
     by backward iteration of branch inverses."""
     w = tuple(word)
-    A = model.transition
-    if not is_admissible(A, w):
+    if not is_admissible(model.transition, w):
         raise InputError(f"word {w} is not admissible for this model")
+    return _pull_back(model, w)
+
+
+def _pull_back(model: ExpandingModel, w: Word) -> CylinderInterval:
+    """The interval of the admissible word `w`, pulled back from its last
+    branch's domain through the inverses of the earlier branches."""
     b_last = model.branches[w[-1]]
     lo, hi = b_last.lo, b_last.hi
     for sym in reversed(w[:-1]):
@@ -195,7 +200,7 @@ def _cover_cells(model: ExpandingModel, segments, depth: int):
     for level in range(1, depth + 1):
         cells, kept = [], []
         for w, covered in prefixes:
-            ci = cylinder_interval(model, w)
+            ci = _pull_back(model, w)
             inside = covered or _contained(ci, segments)
             cells.append((ci, inside))
             if inside and not covered:

@@ -210,12 +210,12 @@ def _check_ceiling(entries: int, what: str, ceiling: int = WORD_CEILING) -> None
         raise CeilingError(f"{what} exceeds the ceiling {ceiling}")
 
 
-def word_array(A: TransitionMatrix, k: int, ceiling: int = WORD_CEILING) -> np.ndarray:
+def word_array(A: TransitionMatrix, k: int) -> np.ndarray:
     """All admissible k-words as the rows of a cached read-only (n, k) array, in
     lexicographic order; the one word layout the library reads. Refused, before
-    anything is allocated, when n exceeds `ceiling` or n * k exceeds WORD_CEILING."""
+    anything is allocated, when n or n * k exceeds WORD_CEILING."""
     n = word_count(A, k)
-    _check_ceiling(n, f"{n} admissible words of length {k}", ceiling)
+    _check_ceiling(n, f"{n} admissible words of length {k}")
     _check_ceiling(n * k, f"{n} admissible words of length {k}: {n * k} entries")
     return _word_array_cached(A, k)
 
@@ -245,14 +245,6 @@ def prefix_rows(A: TransitionMatrix, k: int) -> np.ndarray:
     """The row in `word_array(A, k - 1)` of the (k-1)-prefix of each row of
     `word_array(A, k)`, for k >= 2: each row extends its prefix, in order."""
     return np.nonzero(A.array[word_array(A, k - 1)[:, -1]])[0]
-
-
-def word_codes(A: TransitionMatrix, k: int) -> np.ndarray:
-    """int64 base-s codes sum w_t s^(k-1-t) of the rows of `word_array`, ascending
-    with them. Refused when s**k overflows int64, or the count exceeds WORD_CEILING."""
-    if A.size**k > np.iinfo(np.int64).max:
-        raise CeilingError(f"{k}-words over {A.size} symbols overflow 64-bit word codes")
-    return word_array(A, k) @ A.size ** np.arange(k - 1, -1, -1)
 
 
 def enumerate_words(A: TransitionMatrix, k: int) -> tuple[Word, ...]:

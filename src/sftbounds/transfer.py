@@ -24,7 +24,6 @@ from .sft import (
     predecessors,
     prefix_rows,
     word_array,
-    word_codes,
     word_count,
 )
 from .spectral import PerronData, subdominant_modulus
@@ -51,14 +50,16 @@ def _kernel(A: TransitionMatrix, eig: PerronData, depth: int) -> tuple[np.ndarra
     two (rows, s) tables: for i -> w0, entry [w, i] of `cols` is the column of
     the word i.w[:depth-1] and that of `weights` is u_i/(lam u_w0); for other i
     they are -1 and 0.0, and the -1 gathers a 0.0 appended to the values."""
-    out = word_array(A, max(depth - 1, 1))
-    head = out[:, 0]
+    head = word_array(A, max(depth - 1, 1))[:, 0]
     edge = A.array[:, head].T > 0
-    # Column of row w's term i: the code of the word i.w[:depth-1].
-    target = np.arange(A.size) * A.size ** (depth - 1)
     if depth > 1:
-        target = target + word_codes(A, depth - 1)[:, None]
-    cols = np.where(edge, np.searchsorted(word_codes(A, depth), target), -1)
+        # word_array(A, depth) lists the words i.w by i, then by the row of w:
+        # the order in which np.nonzero walks the pairs (i, w) of edge.T.
+        cols = np.full(edge.shape, -1)
+        i, w = np.nonzero(edge.T)
+        cols[w, i] = np.arange(len(i))
+    else:
+        cols = np.where(edge, np.arange(A.size), -1)
     weights = np.where(edge, eig.u / (eig.lam * eig.u[head, None]), 0.0)
     return cols, weights
 

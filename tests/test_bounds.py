@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import bernoulli_entropy
 from sftbounds import (
+    CeilingError,
     InputError,
     VerificationError,
     centered,
@@ -281,6 +283,18 @@ def test_ratio_scan_all_hold_and_slope(full2, golden):
 def test_ratio_scan_refuses_zero_samples(golden):
     with pytest.raises(InputError, match="^need at least one sample, got 0$"):
         ratio_scan(golden, 0, 1)
+
+
+def test_ratio_scan_refuses_past_the_value_ceiling_before_drawing(full2):
+    # 10**7 functions of 4 words: the 2 * 10**7 sub-seeds (153 MiB) are not drawn
+    tracemalloc.start()
+    try:
+        with pytest.raises(CeilingError, match="10000000 functions of 4 words: 40000000 values"):
+            ratio_scan(full2, 10**7, 0, depth=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_ratio_scan_refuses_a_negative_seed(golden):

@@ -294,11 +294,12 @@ def test_family_scan_monotonicity_matches_dict_loop(monkeypatch, golden, full3):
 
 
 def test_family_scan_refuses_state_ceiling_before_solving(monkeypatch, full2):
-    # Depth 17 has 131072 > 50000 states; no shallower depth may be solved first.
-    def solve(A, words):
-        raise AssertionError("a depth was solved before the ceiling check")
+    # Depth 17 has 131072 > 50000 states; no depth may be built or solved first.
+    def solve(*args):
+        raise AssertionError("a depth was built or solved before the ceiling check")
 
     monkeypatch.setattr(holes, "_hole_radii", solve)
+    monkeypatch.setattr(holes, "word_array", solve)
     with pytest.raises(CeilingError, match="131072 admissible words of length 17"):
         hole_family_scan(full2, 17)
 

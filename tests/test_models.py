@@ -262,14 +262,13 @@ def test_inner_cells_extend_the_shortest_inner_words(key, x0, delta):
 def test_model_dim_pulls_back_only_the_cover_descent(monkeypatch, capsys):
     # The rows reuse the cover's cells: no interval is pulled back twice.
     calls = []
-    real = models.cylinder_interval
+    real = models._pull_back
 
     def counting(model, word):
         calls.append(word)
         return real(model, word)
 
-    for module in (models, cli):
-        monkeypatch.setattr(module, "cylinder_interval", counting, raising=False)
+    monkeypatch.setattr(models, "_pull_back", counting)
     ball_to_cylinders(model_preset("triadic"), 0.3, 1e-3)
     descent = len(calls)
     calls.clear()
@@ -311,13 +310,13 @@ def test_model_dim_ceiling_trips_before_cover_work(monkeypatch, tmp_path, delta)
     # the descent, whose prefixes grow like s^depth once cylinders are shorter
     # than ENDPOINT_TOL.
     calls = []
-    real = models.cylinder_interval
+    real = models._pull_back
 
     def counting(model, word):
         calls.append(word)
         return real(model, word)
 
-    monkeypatch.setattr(models, "cylinder_interval", counting)
+    monkeypatch.setattr(models, "_pull_back", counting)
     status = main(["model-dim", "--model", "doubling", "--x0", "0.125", "--delta", str(delta),
                    "--out", str(tmp_path / "dim.json")])
     assert len(calls) < 1000
@@ -412,7 +411,7 @@ def test_each_descended_cell_is_tested_for_containment_once(monkeypatch):
     # Every cell the descent pulls back is tested once, unless a shorter
     # prefix of it was found inside the ball; the cover tests no cell again.
     pulled, tested = [], []
-    real_interval, real_contained = models.cylinder_interval, models._contained
+    real_interval, real_contained = models._pull_back, models._contained
 
     def pulling(model, word):
         pulled.append(tuple(word))
@@ -422,7 +421,7 @@ def test_each_descended_cell_is_tested_for_containment_once(monkeypatch):
         tested.append(cell.word)
         return real_contained(cell, segments)
 
-    monkeypatch.setattr(models, "cylinder_interval", pulling)
+    monkeypatch.setattr(models, "_pull_back", pulling)
     monkeypatch.setattr(models, "_contained", testing)
     for key, x0, delta in (("doubling", 0.125, 0.125), ("triadic", 0.3, 1e-3),
                            ("golden", 1 / 3, 1e-4), ("short", 0.09, 0.09)):

@@ -21,7 +21,6 @@ from sftbounds import (
     predecessors,
     transition_matrix,
     word_array,
-    word_codes,
     word_count,
     word_str,
 )
@@ -114,12 +113,8 @@ def test_exhaustive_cross_check_small_alphabets():
         for k in range(1, 7):
             assert set(enumerate_words(A, k)) == set(brute_words(A, k))
             assert all(is_admissible(A, w) for w in enumerate_words(A, k))
-            W, codes, words = word_array(A, k), word_codes(A, k), sorted(brute_words(A, k))
+            W, words = word_array(A, k), sorted(brute_words(A, k))
             assert [tuple(row) for row in W.tolist()] == words
-            assert codes.tolist() == [
-                sum(c * A.size ** (k - 1 - t) for t, c in enumerate(w)) for w in words
-            ]
-            assert (np.diff(codes) > 0).all()
             assert not W.flags.writeable
             assert [word_row(A, w) for w in words] == list(range(len(words)))
             assert all(word_row(A, w) == -1 for w in itertools.product(range(A.size + 1), repeat=k)
@@ -145,7 +140,7 @@ def test_zero_length_rejected():
 
 def test_word_ceiling_guard():
     # 2^25 = 3.4e7 words, refused by their count before anything is allocated
-    for words in (enumerate_words, word_array, word_codes, lambda A, k: word_row(A, (0,) * k)):
+    for words in (enumerate_words, word_array, lambda A, k: word_row(A, (0,) * k)):
         started = time.perf_counter()
         with pytest.raises(CeilingError, match="33554432 admissible words of length 25"):
             words(FULL2, 25)
@@ -193,15 +188,6 @@ def test_prefix_rows_index_each_words_prefix(k):
         # the out-degree of each prefix's last symbol repeats its row
         up = word_array(A, k - 1)
         assert np.array_equal(rows, np.repeat(np.arange(len(up)), A.array.sum(axis=1)[up[:, -1]]))
-
-
-def test_word_codes_refuse_64_bit_overflow():
-    # the 2-cycle has two k-words at every k: only the codes' width refuses
-    cycle = transition_matrix([[0, 1], [1, 0]])
-    assert word_codes(cycle, 62).tolist() == [int("01" * 31, 2), int("10" * 31, 2)]
-    for k in (63, 64):
-        with pytest.raises(CeilingError, match=f"{k}-words over 2 symbols overflow 64-bit word codes"):
-            word_codes(cycle, k)
 
 
 def test_predecessors_full_shift():

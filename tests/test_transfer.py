@@ -114,6 +114,23 @@ def test_operator_fixes_constants_on_65536_words(full2, eig_full2):
     assert np.allclose(out.values, 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("depth", [32, 40])
+def test_operator_on_words_longer_than_64_bit_codes(depth):
+    # 1933 and 9540 words, though base-4 codes of 32 symbols overflow int64:
+    # the operator finds each word i.w by its row in the word array alone
+    A = transition_matrix([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 1, 0, 0]])
+    eig = perron_eigendata(A)
+    m = parry_measure(A, eig)
+    assert np.allclose(transfer_apply(constant_function(A, 1.0, depth), eig).values, 1.0, atol=1e-12)
+    f = random_function(A, depth, seed=depth)
+    assert abs(integrate(transfer_apply(f, eig), m) - integrate(f, m)) <= 1e-12
+    assert conditional_expectation_check(f, eig) <= 1e-12
+    if depth == 32:  # the dense 9540 x 9540 operator at depth 40 passes the ceiling
+        matrix, words = transfer_matrix(A, eig, depth)
+        assert matrix.shape == (1933, 1933) and len(words) == 1933
+        assert np.allclose(matrix @ np.ones(1933), 1.0, atol=1e-12)
+
+
 def test_operator_kills_mean_zero_depth1_full_shift(full2, eig_full2):
     f = LocallyConstantFunction(full2, 1, np.array([0.5, -0.5]))
     assert np.allclose(transfer_apply(f, eig_full2).values, 0.0, atol=1e-15)
@@ -254,7 +271,7 @@ def test_certificate_reads_the_depth_one_operator_without_the_kernel(monkeypatch
     def refuse(*args, **kwargs):
         raise AssertionError("the certificate builds no word-space operator")
 
-    for name in ("_kernel", "word_array", "word_codes"):
+    for name in ("_kernel", "word_array"):
         monkeypatch.setattr(transfer, name, refuse)
     monkeypatch.setattr(np, "searchsorted", refuse)
     for (A, eig), rho in zip(cases, rates):
