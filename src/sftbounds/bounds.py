@@ -26,6 +26,7 @@ from .errors import InputError, VerificationError, first_failure
 from .measures import (
     LocallyConstantFunction,
     MarkovMeasure,
+    _check_kernels,
     _check_stack,
     centered,
     conditional_vectors,
@@ -273,8 +274,10 @@ def ratio_scan(
     m = parry_measure(A, eig)
     decay = decay_estimate(A, eig, depth)
 
-    # before the 2 * samples sub-seeds are drawn: random_function's refusal
+    # before the 2 * samples sub-seeds are drawn: random_function's refusal,
+    # and that of the kernels of the samples and of the families
     _check_stack(A, depth, samples)
+    _check_kernels(A, samples + FAMILIES * FAMILY_POINTS)
     master = np.random.default_rng(seed)
     sub_seeds = master.integers(0, 2**63 - 1, size=2 * samples)
     f = random_function(A, depth, sub_seeds[1::2])

@@ -25,6 +25,7 @@ from .bounds import ScanSummary, gap_identity_check, pinsker_verify, ratio_scan
 from .errors import ConvergenceError, InputError, VerificationError
 from .holes import HoleFamilyScan, hole_family_scan
 from .measures import (
+    _check_kernels,
     cylinder_measure_vector,
     entropy,
     information_mean,
@@ -32,7 +33,7 @@ from .measures import (
     sample_markov_batch,
 )
 from .models import exceptional_dimension_bound
-from .sft import TransitionMatrix, word_array, word_count, word_str, word_strs
+from .sft import TransitionMatrix, _check_ceiling, word_array, word_count, word_str, word_strs
 from .spectral import perron_eigendata
 from .transfer import decay_estimate
 
@@ -120,6 +121,7 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
     A = io.load_matrix(args.matrix)
     eig = perron_eigendata(A)
     log_lam = float(np.log(eig.lam))
+    _check_kernels(A, args.samples)
     master = np.random.default_rng(args.seed)
     seeds = master.integers(0, 2**63 - 1, size=args.samples)
     mu = sample_markov_batch(A, seeds)
@@ -148,6 +150,8 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
 
 def _cmd_pinsker(args: argparse.Namespace) -> int:
     """total-variation versus divergence inequality on sampled pairs"""
+    n = args.samples * max(PINSKER_DIMS)
+    _check_ceiling(n, f"{args.samples} samples of dimension {max(PINSKER_DIMS)}: {n} values")
     rng = np.random.default_rng(args.seed)
     rows = []
     total_violations = 0

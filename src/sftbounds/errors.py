@@ -9,7 +9,7 @@ class InputError(ValueError):
 
 
 class CeilingError(InputError):
-    """A resource guard tripped (word-space size, eigensolver dimension, state count)."""
+    """A resource guard tripped (word-space size, stack size, state count)."""
 
 
 class NotPrimitiveError(InputError):

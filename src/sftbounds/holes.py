@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CeilingError, ConvergenceError, InputError
+from .errors import ConvergenceError, InputError
 from .measures import cylinder_measure_vector, parry_measure
 from .sft import (
     TransitionMatrix,
@@ -233,10 +233,7 @@ def prune_words(A: TransitionMatrix, words) -> PrunedSystem:
         if not is_admissible(A, w):
             raise InputError(f"forbidden word {w} is not admissible")
     bound = A.size + sum(len(w) - 1 for w in forb)
-    if bound > PRUNE_STATE_CEILING:
-        raise CeilingError(
-            f"{bound} automaton states exceed the ceiling {PRUNE_STATE_CEILING}"
-        )
+    _check_ceiling(bound, f"{bound} automaton states", PRUNE_STATE_CEILING)
     padded = np.full((len(forb), max(map(len, forb), default=1)), -1, dtype=np.intp)
     for i, w in enumerate(forb):
         padded[i, :len(w)] = w

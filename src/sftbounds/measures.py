@@ -31,6 +31,7 @@ import numpy.random  # numpy loads it lazily; load it here, not in the first sam
 
 from .errors import ConvergenceError, InputError, first_failure
 from .sft import (
+    WORD_CEILING,
     TransitionMatrix,
     _check_ceiling,
     is_admissible,
@@ -141,8 +142,10 @@ def stationary_vector(Q: np.ndarray, tol: float = 1e-14) -> np.ndarray:
     buffers, and the stop rules are then read over the whole block, each chain
     returning its iterate of the first step that stops it. Chains that stopped
     leave the batch at the end of the block. Blocks start at _BLOCK_MIN steps
-    and double up to _BLOCK_CAP, so a quick solve runs few extra steps. The
-    bits are those of a chain iterated alone, one step and one test at a time:
+    and double up to _BLOCK_CAP, so a quick solve runs few extra steps; a
+    block is cut, to one step at least, so that its b + 2 iterates of the
+    open chains stay within WORD_CEILING values. Whatever the block lengths,
+    the bits are those of a chain iterated alone, one step and one test at a time:
     the stacked matmul is bitwise equal to each chain's own x @ Q (einsum is
     not), the scale-free drift rQ/sum(rQ) is the next step's iterate, the
     stop rules are exact elementwise tests on the same iterates, and the
@@ -162,7 +165,7 @@ def stationary_vector(Q: np.ndarray, tol: float = 1e-14) -> np.ndarray:
     open_drift = np.full(k, np.inf)
     steps, block = 0, _BLOCK_MIN
     while steps < STATIONARY_MAX_ITER:
-        b = min(block, STATIONARY_MAX_ITER - steps)
+        b = min(block, STATIONARY_MAX_ITER - steps, max(1, WORD_CEILING // (len(active) * n) - 2))
         # Y[t + 1] is step t's iterate, Z[t] its product, Y[0] the last iterate
         # before the block and Y[b + 1] the first one after it
         if len(active) == 1 and n < 8:
@@ -285,6 +288,13 @@ def _generators(seeds):
         yield rng
 
 
+def _check_kernels(A: TransitionMatrix, count: int) -> None:
+    """Refuse a stack of `count` kernels on A when its count * s * s values
+    exceed WORD_CEILING."""
+    n = count * A.size**2
+    _check_ceiling(n, f"{count} kernels on {A.size} symbols: {n} values")
+
+
 def dirichlet_kernels(A: TransitionMatrix, seeds) -> np.ndarray:
     """Random stochastic matrices on A as a (k, s, s) stack, one per seed: each
     row is a flat Dirichlet draw (all concentrations 1) over that row's allowed
@@ -296,8 +306,9 @@ def dirichlet_kernels(A: TransitionMatrix, seeds) -> np.ndarray:
     per seed, for every entry of the rows with more than one allowed symbol
     (a one-symbol row draws nothing), gives the same bits, normalised across
     the stack a row at a time. Each seed's stream starts in the state of
-    default_rng(seed), from `_generators`; a seed outside [0, 2**64) is
-    refused before anything is drawn."""
+    default_rng(seed), from `_generators`. Refused before anything is drawn
+    where `_check_kernels` refuses, or when a seed lies outside [0, 2**64)."""
+    _check_kernels(A, len(seeds))
     s = A.size
     draws = np.empty((len(seeds), sum(len(row) for row in A.successor_sets if len(row) > 1)))
     for out, rng in zip(draws, _generators(seeds)):

@@ -6,12 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CeilingError, InputError, NotPrimitiveError
+from .errors import InputError, NotPrimitiveError
 from .measures import stationary_vector
 from .sft import TransitionMatrix
-
-# Dense eigensolves are restricted to desk-scale matrices.
-EIG_CEILING = 64
 
 
 @dataclass(frozen=True)
@@ -51,8 +48,7 @@ def perron_eigendata(A: TransitionMatrix) -> PerronData:
 def subdominant_modulus(M) -> float:
     """Modulus of the second-largest eigenvalue of a nonnegative square matrix.
 
-    Dense eigensolve; matrices above EIG_CEILING rows are rejected. A 1x1 input
-    returns 0 by convention.
+    Dense eigensolve. A 1x1 input returns 0 by convention.
     """
     arr = np.asarray(M, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -60,8 +56,6 @@ def subdominant_modulus(M) -> float:
     n = arr.shape[0]
     if n == 1:
         return 0.0
-    if n > EIG_CEILING:
-        raise CeilingError(f"matrix size {n} exceeds the eigensolver ceiling {EIG_CEILING}")
     if float(arr.min()) < -1e-12:
         raise InputError("matrix has negative entries")
     moduli = np.sort(np.abs(np.linalg.eigvals(arr)))[::-1]

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import tracemalloc
 
@@ -16,6 +17,7 @@ from sftbounds import (
     decay_estimate,
     effective_bound_verify,
     entropy,
+    full_shift,
     gap_identity_check,
     indicator,
     integrate,
@@ -26,9 +28,11 @@ from sftbounds import (
     random_function,
     ratio_scan,
     sample_markov,
+    sample_markov_batch,
     step_bound_verify,
 )
 from sftbounds import bounds
+from sftbounds.cli import main
 from sftbounds.spectral import PerronData
 from sftbounds.transfer import lip_seminorm, transfer_apply
 
@@ -285,16 +289,36 @@ def test_ratio_scan_refuses_zero_samples(golden):
         ratio_scan(golden, 0, 1)
 
 
-def test_ratio_scan_refuses_past_the_value_ceiling_before_drawing(full2):
+@pytest.mark.parametrize("s, call, message", [
     # 10**7 functions of 4 words: the 2 * 10**7 sub-seeds (153 MiB) are not drawn
+    (2, lambda A: ratio_scan(A, 10**7, 0, depth=2), "10000000 functions of 4 words: 40000000 values"),
+    (3, lambda A: sample_markov_batch(A, range(2 * 10**6)), "2000000 kernels on 3 symbols: 18000000 values"),
+    # 71 samples fit: 111 kernels of 300 x 300 entries are 9990000 values
+    (300, lambda A: ratio_scan(A, 72, 0, depth=1), "112 kernels on 300 symbols: 10080000 values"),
+    (3, ["entropy", "--matrix", "A", "--samples", "2000000"], "2000000 kernels on 3 symbols: 18000000 values"),
+    (3, ["pinsker", "--samples", "2000000"], "2000000 samples of dimension 8: 16000000 values"),
+], ids=["ratio_scan-functions", "sample_markov_batch", "ratio_scan-kernels", "entropy", "pinsker"])
+def test_stacks_past_the_value_ceiling_are_refused_before_drawing(capsys, tmp_path, s, call, message):
+    # A library call raises CeilingError, a CLI run exits 2, before the stack
+    # or the seeds it is drawn from are allocated: under 8 MiB, where the
+    # 2 * 10**6 sub-seeds of entropy are 15.3 MiB. The full shift is built
+    # first; the 300-symbol one's rows take 5.8 MiB of Python tuples.
+    A = full_shift(s)
+    matrix = tmp_path / "A.json"
+    matrix.write_text(json.dumps({"rows": A.array.tolist()}))
     tracemalloc.start()
     try:
-        with pytest.raises(CeilingError, match="10000000 functions of 4 words: 40000000 values"):
-            ratio_scan(full2, 10**7, 0, depth=2)
+        if callable(call):
+            with pytest.raises(CeilingError, match=message):
+                call(A)
+        else:
+            assert main([str(matrix) if a == "A" else a for a in call]) == 2
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20
+    assert peak < 8 * 2**20
+    if not callable(call):
+        assert capsys.readouterr().err == f"input error: {message} exceeds the ceiling 10000000\n"
 
 
 def test_ratio_scan_refuses_a_negative_seed(golden):

@@ -8,10 +8,11 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sftbounds
-from helpers import PHI
+from helpers import PHI, random_primitive_matrices
 from sftbounds import (
     bounds, cli, decay_estimate, golden_mean_shift, measures, perron_eigendata, sft, transfer,
 )
@@ -168,6 +169,24 @@ def test_transfer_decay_c_hat_is_the_certificate_property(capsys, golden_path, t
     lines = out.with_suffix(".csv").read_text().splitlines()
     assert lines[0] == "step,bound"
     assert len(lines) == 1 + len(est.steps)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--samples", "3", "--depth", "1"],
+    ["transfer-decay", "--depth", "3"],
+], ids=["verify", "transfer-decay"])
+@pytest.mark.parametrize("matrix", ["full65", "random100"])
+def test_large_alphabets_run(capsys, tmp_path, matrix, argv):
+    # no ceiling on the alphabet: the s x s operators of a 65-symbol full
+    # shift and of a random 100-symbol primitive matrix are solved densely
+    A = np.ones((65, 65), dtype=int) if matrix == "full65" else random_primitive_matrices(1, (100,), 5)[0].array
+    path = tmp_path / f"{matrix}.json"
+    path.write_text(json.dumps({"rows": A.tolist()}))
+    code, report = run(capsys, *argv, "--matrix", str(path))
+    assert code == 0
+    if matrix == "full65" and argv[0] == "transfer-decay":
+        # M10 = 0 on a full shift: steps (1, 1, 1) and no tail
+        assert abs(report["c_hat"] - 3 * math.sqrt(2)) <= 1e-12
 
 
 def test_malformed_json_exits_two(capsys, tmp_path):

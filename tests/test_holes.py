@@ -99,7 +99,7 @@ def test_prune_requires_admissible_word(golden):
 
 def test_prune_refuses_past_the_state_ceiling(full2):
     # one word of 50001 symbols: an automaton of 2 + 50000 states
-    with pytest.raises(CeilingError, match="50002 automaton states exceed the ceiling 50000"):
+    with pytest.raises(CeilingError, match="50002 automaton states exceeds the ceiling 50000"):
         prune_words(full2, [(0,) * 50001])
 
 

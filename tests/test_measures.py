@@ -392,6 +392,34 @@ def test_rounding_floor_stops_on_block_edges():
     assert stops & {e + 1 for e in ends} and stops & set(ends[1:])
 
 
+@pytest.mark.parametrize("tol", [1e-14, 0.0])
+def test_blocks_cut_to_the_word_ceiling_keep_every_bit(monkeypatch, tol):
+    # a ceiling of 5n values cuts a lone chain's blocks to 3 steps and a
+    # stack's to 1 step; no stop rule reads where a block ends. Stochastic
+    # chains at tol 1e-14, and at tol 0, which runs to the rounding floor,
+    # the nonnegative stacks the floor's own tests solve
+    if tol:
+        stacks = [np.array([slow_chain(s, 10.0 ** -1.5), fast_chain(s, s), slow_chain(s, 10.0 ** -2.3)])
+                  for s in (2, 3)]
+    else:
+        stacks = [random_nonnegative(kind, s, 7) for kind in ("01", "positive", "pair", "wielandt")
+                  for s in (2, 4, 9)]
+    lone_steps = []
+    real = measures._lone_block
+
+    def lone_block(x, y, Q, b):
+        lone_steps.append(b)
+        return real(x, y, Q, b)
+
+    monkeypatch.setattr(measures, "_lone_block", lone_block)
+    for stack in stacks:
+        oracle = [scalar_stationary(Q, tol)[0] for Q in stack]
+        monkeypatch.setattr(measures, "WORD_CEILING", 5 * stack.shape[1])
+        for y, row in zip(oracle, stationary_vector(stack, tol=tol)):
+            assert np.array_equal(row, y)
+    assert lone_steps and max(lone_steps) == 3
+
+
 def test_batch_mixes_both_stop_rules():
     stack = np.array([slow_chain(2, 3e-3), slow_chain(2, 1e-2), fast_chain(2, 5), slow_chain(2, 0.3)])
     oracle = [scalar_stationary(Q) for Q in stack]

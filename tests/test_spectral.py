@@ -3,7 +3,6 @@ import pytest
 
 from helpers import PHI, random_primitive_matrices
 from sftbounds import (
-    CeilingError,
     InputError,
     NotPrimitiveError,
     parry_measure,
@@ -175,11 +174,6 @@ def test_subdominant_golden_parry_kernel():
 
 def test_subdominant_dimension_one():
     assert subdominant_modulus([[0.7]]) == 0.0
-
-
-def test_subdominant_ceiling():
-    with pytest.raises(CeilingError):
-        subdominant_modulus(np.eye(65))
 
 
 def test_subdominant_rejects_zero_matrix():
