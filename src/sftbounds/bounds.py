@@ -16,8 +16,6 @@ stacked call.
 
 from __future__ import annotations
 
-import statistics
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -156,8 +154,7 @@ def step_bound_verify(
     return StepBound(lhs, rhs, lhs <= rhs + STEP_BOUND_SLACK)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     lhs: float
     seminorm: float
     gap: float
@@ -208,8 +205,7 @@ def effective_bound_verify(
     return BoundReport(lhs, sem, gap, c_hat, ratio, holds)
 
 
-@dataclass(frozen=True)
-class ScanSummary:
+class ScanSummary(NamedTuple):
     """The stacked report of every sample (entry i is sample i), the decay
     certificate it was checked against, and the median family slope."""
 
@@ -275,9 +271,9 @@ def ratio_scan(
     decay = decay_estimate(A, eig, depth)
 
     # before the 2 * samples sub-seeds are drawn: random_function's refusal,
-    # and that of the kernels of the samples and of the families
+    # and that of the kernels of the samples and of the families built below
     _check_stack(A, depth, samples)
-    _check_kernels(A, samples + FAMILIES * FAMILY_POINTS)
+    _check_kernels(A, samples + min(samples, FAMILIES) * FAMILY_POINTS)
     master = np.random.default_rng(seed)
     sub_seeds = master.integers(0, 2**63 - 1, size=2 * samples)
     f = random_function(A, depth, sub_seeds[1::2])
@@ -291,7 +287,8 @@ def ratio_scan(
     report = BoundReport(pairs.lhs[:samples], pairs.seminorm[:samples], pairs.gap[:samples],
                          pairs.c_hat, pairs.ratio[:samples], pairs.holds[:samples])
     slopes = _family_slopes(pairs.gap[samples:], pairs.lhs[samples:])
-    usable = [s for s in slopes if np.isfinite(s)]
-    # statistics, not np.median: that loads numpy.ma on first use.
-    slope = float(statistics.median(usable)) if usable else float("nan")
+    usable = sorted(s for s in slopes if np.isfinite(s))
+    # the median, as statistics.median takes it; np.median loads numpy.ma
+    mid = len(usable) // 2
+    slope = (usable[mid] + usable[~mid]) / 2 if usable else float("nan")
     return ScanSummary(report, decay, slope)

@@ -1,7 +1,7 @@
 """Batch CLI: one subcommand per verification pipeline, JSON summaries plus CSV
 detail tables, reproducible under a fixed seed.
 
-Each subcommand accepts only the flags its handler reads (`_FLAGS_OF`); any
+Each subcommand accepts only the flags its handler reads (`_COMMANDS`); any
 other flag is a usage error. Non-finite floats in a JSON summary are written
 as null.
 
@@ -254,25 +254,15 @@ def _cmd_model_dim(args: argparse.Namespace) -> int:
     return 0 if report.h_plus <= report.log_lambda + 1e-12 else 1
 
 
+# Each subcommand's handler and the flags it reads, besides --out.
 _COMMANDS = {
-    "analyze": _cmd_analyze,
-    "entropy": _cmd_entropy,
-    "pinsker": _cmd_pinsker,
-    "transfer-decay": _cmd_transfer_decay,
-    "verify": _cmd_verify,
-    "hole": _cmd_hole,
-    "model-dim": _cmd_model_dim,
-}
-
-# The flags each subcommand reads, besides --out.
-_FLAGS_OF = {
-    "analyze": ("--matrix", "--depth"),
-    "entropy": ("--matrix", "--samples", "--seed", "--tol"),
-    "pinsker": ("--samples", "--seed"),
-    "transfer-decay": ("--matrix", "--depth"),
-    "verify": ("--matrix", "--depth", "--samples", "--seed"),
-    "hole": ("--matrix", "--theta", "--max-hole-depth"),
-    "model-dim": ("--model", "--x0", "--delta"),
+    "analyze": (_cmd_analyze, ("--matrix", "--depth")),
+    "entropy": (_cmd_entropy, ("--matrix", "--samples", "--seed", "--tol")),
+    "pinsker": (_cmd_pinsker, ("--samples", "--seed")),
+    "transfer-decay": (_cmd_transfer_decay, ("--matrix", "--depth")),
+    "verify": (_cmd_verify, ("--matrix", "--depth", "--samples", "--seed")),
+    "hole": (_cmd_hole, ("--matrix", "--theta", "--max-hole-depth")),
+    "model-dim": (_cmd_model_dim, ("--model", "--x0", "--delta")),
 }
 
 
@@ -286,8 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
         "for subshifts of finite type.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, flags in _FLAGS_OF.items():
-        p = sub.add_parser(name, help=_COMMANDS[name].__doc__)
+    for name, (handler, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=handler.__doc__)
         for flag in flags + ("--out",):
             p.add_argument(flag, **_FLAGS[flag])
     return parser
@@ -306,7 +296,7 @@ def main(argv=None) -> int:
         tol = given.get("tol", 1.0)
         if not (math.isfinite(tol) and tol > 0.0):
             raise InputError(f"tol must be finite and positive, got {tol}")
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1

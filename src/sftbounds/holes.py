@@ -45,6 +45,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -301,8 +302,7 @@ def dim_upper_bound(h: float, log_lambda: float, dim_m: float, log_theta_cap: fl
     return dim_m - (log_lambda - h) / log_theta_cap
 
 
-@dataclass(frozen=True, eq=False)
-class HoleFamilyScan:
+class HoleFamilyScan(NamedTuple):
     """Every admissible hole word up to a depth, as read-only columns aligned
     row by row: the words by depth and then in lexicographic order, as an
     (n, max_depth) int array padded with -1 past each word's end; each

@@ -9,7 +9,7 @@ iteration of branch inverses, and the induced subshift carries the measures.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,8 +22,7 @@ from .spectral import perron_eigendata
 ENDPOINT_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(NamedTuple):
     """Affine branch x -> slope * x + intercept on the closed domain [lo, hi]."""
 
     lo: float
@@ -47,8 +46,7 @@ class Branch:
         return max(a, self.lo), min(b, self.hi)
 
 
-@dataclass(frozen=True)
-class ExpandingModel:
+class ExpandingModel(NamedTuple):
     branches: tuple[Branch, ...]
     transition: TransitionMatrix
     theta0: float
@@ -56,8 +54,7 @@ class ExpandingModel:
     circle: bool
 
 
-@dataclass(frozen=True)
-class CylinderInterval:
+class CylinderInterval(NamedTuple):
     word: Word
     lo: float
     hi: float
@@ -162,8 +159,7 @@ def _ball_segments(model: ExpandingModel, x0: float, delta: float) -> tuple[tupl
     return ((max(0.0, x0 - delta), min(1.0, x0 + delta)),)
 
 
-@dataclass(frozen=True)
-class BallCover:
+class BallCover(NamedTuple):
     """Depth-k cylinders sandwiching a metric ball, as the cells they were
     classified on: inner cells lie inside the ball, outer cells cover it. The
     inner cells are the depth-k extensions of the `shortest_inner` words."""
@@ -234,8 +230,7 @@ def ball_to_cylinders(model: ExpandingModel, x0: float, delta: float) -> BallCov
     return BallCover(x0, delta, depth, inner, outer, shortest)
 
 
-@dataclass(frozen=True)
-class DimensionReport:
+class DimensionReport(NamedTuple):
     cover: BallCover
     cell_measures: np.ndarray  # Parry measure of each cell of cover.cells
     outer_measure: float

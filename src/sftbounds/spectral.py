@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -11,8 +11,7 @@ from .measures import stationary_vector
 from .sft import TransitionMatrix
 
 
-@dataclass(frozen=True)
-class PerronData:
+class PerronData(NamedTuple):
     """Perron root with strictly positive left/right eigenvectors.
 
     Normalization: sum(v) = 1 pins the scaling freedom, then u is rescaled so

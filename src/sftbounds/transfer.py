@@ -11,7 +11,7 @@ operator on the depth-d word space is built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -106,8 +106,7 @@ def conditional_expectation_check(f: LocallyConstantFunction, eig: PerronData) -
     return worst
 
 
-@dataclass(frozen=True)
-class DecayEstimate:
+class DecayEstimate(NamedTuple):
     """Proven decay of mean-zero g of the stated depth: |L^n g|_inf <= steps[n] |g|_theta
     for each summed step n, and the later steps sum to at most tail |g|_theta."""
 
@@ -164,8 +163,7 @@ def decay_estimate(A: TransitionMatrix, eig: PerronData, depth: int) -> DecayEst
     """
     if depth < 1:
         raise InputError(f"depth must be at least 1, got {depth}")
-    # M1[w, i] = u_i / (lam u_w) for i -> w, the operator on depth-1 functions
-    M1 = np.where(A.array.T > 0, eig.u[None, :] / (eig.lam * eig.u[:, None]), 0.0)
+    M1 = _kernel(A, eig, 1)[1]  # the operator on depth-1 functions
     M10 = M1 - parry_measure(A, eig).stationary[None, :]
     power = np.eye(A.size)
     norms = []

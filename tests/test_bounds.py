@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import tracemalloc
@@ -270,8 +269,8 @@ def test_telescoping_consistency(golden, eig_golden):
 def test_ratio_scan_deterministic(full2):
     a = ratio_scan(full2, samples=40, seed=9, depth=2)
     b = ratio_scan(full2, samples=40, seed=9, depth=2)
-    assert [np.asarray(x).tobytes() for x in vars(a.report).values()] == [
-        np.asarray(x).tobytes() for x in vars(b.report).values()]
+    assert [np.asarray(x).tobytes() for x in a.report._asdict().values()] == [
+        np.asarray(x).tobytes() for x in b.report._asdict().values()]
     assert (a.decay, a.slope) == (b.decay, b.slope)
 
 
@@ -343,7 +342,7 @@ def test_ratio_scan_argmax_is_the_last_tied_sample(monkeypatch, golden):
     def tied(*args, **kwargs):
         report = effective_bound_verify(*args, **kwargs)
         ratio = np.array([0.25, 0.5, np.nan, 0.5, 0.125, 0.5, np.inf])
-        return dataclasses.replace(report, ratio=ratio)
+        return report._replace(ratio=ratio)
 
     monkeypatch.setattr(bounds, "effective_bound_verify", tied)
     scan = ratio_scan(golden, samples=7, seed=0, depth=2)

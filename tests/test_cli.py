@@ -189,6 +189,18 @@ def test_large_alphabets_run(capsys, tmp_path, matrix, argv):
         assert abs(report["c_hat"] - 3 * math.sqrt(2)) <= 1e-12
 
 
+@pytest.mark.parametrize("samples, status", [(1, 0), (4, 0), (5, 2)])
+def test_verify_sizes_the_family_kernels_it_builds(capsys, tmp_path, samples, status):
+    # verify solves samples + min(samples, 5) * 8 kernels of 494**2 values:
+    # 9 and 36 of them fit under the value ceiling, 45 do not
+    path = tmp_path / "full494.json"
+    path.write_text(json.dumps({"rows": [[1] * 494] * 494}))
+    code = main(["verify", "--matrix", str(path), "--samples", str(samples), "--depth", "1"])
+    assert code == status
+    if status:
+        assert "45 kernels on 494 symbols" in capsys.readouterr().err
+
+
 def test_malformed_json_exits_two(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -242,7 +254,7 @@ def test_library_key_error_is_not_an_input_error(capsys, monkeypatch, golden_pat
     def fault(args):
         raise KeyError("dictionary is empty")
 
-    monkeypatch.setitem(cli._COMMANDS, "analyze", fault)
+    monkeypatch.setitem(cli._COMMANDS, "analyze", (fault, cli._COMMANDS["analyze"][1]))
     with pytest.raises(KeyError, match="dictionary is empty"):
         main(["analyze", "--matrix", str(golden_path)])
     assert "input error" not in capsys.readouterr().err
@@ -410,6 +422,10 @@ def test_import_leaves_scipy_special_out():
     assert run_python(probe) == "[]"
 
 
+def test_import_leaves_statistics_out():
+    assert run_python("import sys, sftbounds.cli; print('statistics' in sys.modules)") == "False"
+
+
 def test_scan_pipelines_import_no_numpy_module_after_setup(tmp_path, golden_path):
     # A module numpy loads lazily on first use would be timed with the work.
     runs = [
@@ -457,7 +473,7 @@ def test_convergence_error_exits_three(capsys, monkeypatch, golden_path):
     def stall(config):
         raise ConvergenceError("iteration stalled", residual=0.5)
 
-    monkeypatch.setitem(cli._COMMANDS, "analyze", stall)
+    monkeypatch.setitem(cli._COMMANDS, "analyze", (stall, cli._COMMANDS["analyze"][1]))
     code = main(["analyze", "--matrix", str(golden_path)])
     assert code == 3
     assert "numerical error: iteration stalled" in capsys.readouterr().err
@@ -471,7 +487,7 @@ def test_memory_error_exits_four(capsys, monkeypatch, golden_path, exc, message)
     def exhaust(args):
         raise exc
 
-    monkeypatch.setitem(cli._COMMANDS, "analyze", exhaust)
+    monkeypatch.setitem(cli._COMMANDS, "analyze", (exhaust, cli._COMMANDS["analyze"][1]))
     code = main(["analyze", "--matrix", str(golden_path)])
     assert code == 4
     assert f"resource error: {message}" in capsys.readouterr().err

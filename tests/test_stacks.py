@@ -305,9 +305,9 @@ def test_single_measure_is_the_stack_of_one():
     for i in range(3):
         one = effective_bound_verify(random_function(WIDE3, 3, 11 + i), sample_markov(WIDE3, [4, 9, 2][i]),
                                      eig, decay, m=m)
-        assert bits(vars(one).values()) == bits([stack.lhs[i].item(), stack.seminorm[i].item(),
-                                                 stack.gap[i].item(), stack.c_hat,
-                                                 stack.ratio[i].item(), stack.holds[i].item()])
+        assert bits(one._asdict().values()) == bits([stack.lhs[i].item(), stack.seminorm[i].item(),
+                                                     stack.gap[i].item(), stack.c_hat,
+                                                     stack.ratio[i].item(), stack.holds[i].item()])
 
 
 @pytest.fixture()

@@ -262,18 +262,22 @@ def test_term_cap_raises_convergence_error(monkeypatch):
         decay_estimate(A, eig, 1)
 
 
-def test_certificate_reads_the_depth_one_operator_without_the_kernel(monkeypatch):
-    # M1 is built from the Perron data alone, with the bits of the depth-1
-    # transfer matrix: the rate read from it is the same to the bit
+def test_certificate_reads_only_the_depth_one_operator(monkeypatch):
+    # M1 is the depth-1 kernel's weights, with the bits of the depth-1
+    # transfer matrix: the rate read from it is the same to the bit, and no
+    # deeper word space is built
     cases = [(A, perron_eigendata(A)) for A in random_primitive_matrices(20, (2, 3, 4, 5), seed=25)]
     rates = [subdominant_modulus(transfer_matrix(A, eig, 1)[0]) for A, eig in cases]
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("the certificate builds no word-space operator")
+    def depth_one(build):
+        def call(*args):
+            if args[-1] != 1:
+                raise AssertionError("the certificate builds no word-space operator")
+            return build(*args)
+        return call
 
     for name in ("_kernel", "word_array"):
-        monkeypatch.setattr(transfer, name, refuse)
-    monkeypatch.setattr(np, "searchsorted", refuse)
+        monkeypatch.setattr(transfer, name, depth_one(getattr(transfer, name)))
     for (A, eig), rho in zip(cases, rates):
         assert decay_estimate(A, eig, 4).rho == rho
 
