@@ -43,7 +43,6 @@ from .measures import (
     information_mean,
     integrate,
     markov_measure,
-    parry_measure,
     random_function,
     sample_markov,
     sample_markov_batch,

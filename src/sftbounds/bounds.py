@@ -32,7 +32,6 @@ from .measures import (
     entropy,
     integrate,
     markov_measure,
-    parry_measure,
     random_function,
     stationary_vector,
 )
@@ -168,23 +167,22 @@ def effective_bound_verify(
     mu: MarkovMeasure,
     eig: PerronData,
     decay: DecayEstimate,
-    m: MarkovMeasure,
 ) -> BoundReport:
     """Verify the integral-discrepancy bound for one (f, mu) pair, or for each
     pair of a stack of k functions and a stack of k measures (either may be a
     single one, broadcast); the report's fields other than c_hat are then
     arrays, one entry per pair.
 
-    f is centered first against `m`, the Parry measure of eig. A gap
+    f is centered first against `eig.parry`, the Parry measure. A gap
     below -1e-9 means the measure claims more entropy than log lam and is
     treated as a hard error, raised for the first such pair of a stack. The
     ratio field is lhs / (seminorm sqrt(gap)), with the oscillation
     `lip_seminorm`, NaN when the gap or the seminorm is too small to divide by.
     """
     single = f.values.ndim == 1 and mu.stationary.ndim == 1
-    fc = centered(f, m)
+    fc = centered(f, eig.parry)
     gap = float(np.log(eig.lam)) - np.atleast_1d(entropy(mu))
-    lhs = np.abs(integrate(fc, mu) - integrate(fc, m))
+    lhs = np.abs(integrate(fc, mu) - integrate(fc, eig.parry))
     gap, lhs, sem = np.broadcast_arrays(gap, lhs, lip_seminorm(fc))
     broken = np.flatnonzero(gap < -1e-9)
     if broken.size:
@@ -267,7 +265,6 @@ def ratio_scan(
     if seed < 0:
         raise InputError(f"seed must be nonnegative, got {seed}")
     eig = perron_eigendata(A)
-    m = parry_measure(A, eig)
     decay = decay_estimate(A, eig, depth)
 
     # before the 2 * samples sub-seeds are drawn: random_function's refusal,
@@ -279,11 +276,13 @@ def ratio_scan(
     f = random_function(A, depth, sub_seeds[1::2])
     kernels = dirichlet_kernels(A, sub_seeds[0::2])
     t = np.geomspace(1e-3, 1e-1, FAMILY_POINTS)[:, None, None]
-    segments = (1.0 - t) * m.transition + t * kernels[:FAMILIES, None]
+    segments = (1.0 - t) * eig.parry.transition + t * kernels[:FAMILIES, None]
     Qs = np.concatenate([kernels, segments.reshape(-1, A.size, A.size)])
+    del kernels, segments
     mu = markov_measure(stationary_vector(Qs), Qs, A)
+    del Qs  # mu holds the validated copy; the check's temporaries need the room
     values = np.concatenate([f.values, np.repeat(f.values[:FAMILIES], FAMILY_POINTS, axis=0)])
-    pairs = effective_bound_verify(LocallyConstantFunction(A, depth, values), mu, eig, decay, m)
+    pairs = effective_bound_verify(LocallyConstantFunction(A, depth, values), mu, eig, decay)
     report = BoundReport(pairs.lhs[:samples], pairs.seminorm[:samples], pairs.gap[:samples],
                          pairs.c_hat, pairs.ratio[:samples], pairs.holds[:samples])
     slopes = _family_slopes(pairs.gap[samples:], pairs.lhs[samples:])

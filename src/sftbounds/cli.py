@@ -29,7 +29,6 @@ from .measures import (
     cylinder_measure_vector,
     entropy,
     information_mean,
-    parry_measure,
     sample_markov_batch,
 )
 from .models import exceptional_dimension_bound
@@ -95,21 +94,20 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     """Perron data, Parry measure, and cylinder measures of a matrix"""
     A = io.load_matrix(args.matrix)
     eig = perron_eigendata(A)
-    m = parry_measure(A, eig)
     words = word_strs(word_array(A, args.depth), A.size)
-    measures = cylinder_measure_vector(m, args.depth)
+    measures = cylinder_measure_vector(eig.parry, args.depth)
     summary = {
         "size": A.size,
         "irreducible": A.irreducible,
         "primitive": A.primitive,
         "diagonal_ones": A.diagonal_ones,
         "lambda": eig.lam,
-        "h_parry": entropy(m),
+        "h_parry": entropy(eig.parry),
         "log_lambda": float(np.log(eig.lam)),
         "u": [float(x) for x in eig.u],
         "v": [float(x) for x in eig.v],
-        "stationary": [float(x) for x in m.stationary],
-        "transition": [[float(x) for x in row] for row in m.transition],
+        "stationary": [float(x) for x in eig.parry.stationary],
+        "transition": [[float(x) for x in row] for row in eig.parry.transition],
         "word_counts": {str(k): word_count(A, k) for k in range(1, args.depth + 1)},
     }
     _emit(args, summary, ["word", "parry_measure"], [words, measures])
@@ -136,7 +134,7 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
     summary = {
         "lambda": eig.lam,
         "log_lambda": log_lam,
-        "h_parry": entropy(parry_measure(A, eig)),
+        "h_parry": entropy(eig.parry),
         "samples": args.samples,
         "max_information_discrepancy": worst_info,
         "max_gap_identity_discrepancy": worst_gap,

@@ -50,7 +50,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConvergenceError, InputError
-from .measures import cylinder_measure_vector, parry_measure
+from .measures import cylinder_measure_vector
 from .sft import (
     TransitionMatrix,
     Word,
@@ -345,7 +345,6 @@ def hole_family_scan(
     n = word_count(A, max_depth)
     _check_ceiling(n, f"{n} admissible words of length {max_depth}", PRUNE_STATE_CEILING)
     eig = perron_eigendata(A)
-    m = parry_measure(A, eig)
     log_lam = float(np.log(eig.lam))
     arrays = [word_array(A, k) for k in range(1, max_depth + 1)]
     counts = [len(w) for w in arrays]
@@ -356,7 +355,7 @@ def hole_family_scan(
     depth = np.repeat(np.arange(1, max_depth + 1), counts)
     deltas = [theta ** (-k) for k in range(1, max_depth + 1)]
     delta = np.repeat(deltas, counts)
-    measure = np.concatenate([cylinder_measure_vector(m, k) for k in range(1, max_depth + 1)])
+    measure = np.concatenate([cylinder_measure_vector(eig.parry, k) for k in range(1, max_depth + 1)])
     gap = np.full(len(lam), math.inf)
     alive = lam > 0.0
     gap[alive] = log_lam - np.log(lam[alive])

@@ -1,6 +1,6 @@
-"""Markov measures on an SFT: the Parry measure, cylinder measures, entropy,
-the mean of the information function, conditional probability vectors, and a
-Dirichlet sampler for test measures.
+"""Markov measures on an SFT: validation, cylinder measures, entropy, the mean
+of the information function, conditional probability vectors, and a Dirichlet
+sampler for test measures.
 
 All integrals of depth-d functions are exact finite sums over admissible d-words.
 Sampled measures are handled as stacks: a MarkovMeasure may hold k measures,
@@ -116,13 +116,6 @@ def markov_measure(stationary, transition, support: TransitionMatrix) -> MarkovM
     r.setflags(write=False)
     Q.setflags(write=False)
     return MarkovMeasure(r, Q, support)
-
-
-def parry_measure(A: TransitionMatrix, eig: PerronData) -> MarkovMeasure:
-    """The measure of maximal entropy: r_i = u_i v_i, Q_ij = a_ij v_j / (lam v_i)."""
-    u, v, lam = eig.u, eig.v, eig.lam
-    Q = A.array * v[None, :] / (lam * v[:, None])
-    return markov_measure(u * v, Q, A)
 
 
 def stationary_vector(Q: np.ndarray, tol: float = 1e-14) -> np.ndarray:

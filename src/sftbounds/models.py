@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InputError
 from .holes import PrunedSystem, prune_words, survivor_entropy
-from .measures import _cylinder_products, _left_sum, parry_measure
+from .measures import _cylinder_products, _left_sum
 from .sft import TransitionMatrix, Word, _check_ceiling, is_admissible, transition_matrix, word_count
 from .spectral import perron_eigendata
 
@@ -257,7 +257,7 @@ def exceptional_dimension_bound(model: ExpandingModel, x0: float, delta: float) 
     A = model.transition
     eig = perron_eigendata(A)
     words = np.array([c.word for c in cover.cells], dtype=np.int64).reshape(-1, cover.depth)
-    measures = _cylinder_products(parry_measure(A, eig), words)
+    measures = _cylinder_products(eig.parry, words)
     outer_measure = _left_sum(measures[len(cover.inner):].tolist())
     ps = prune_words(A, cover.shortest_inner)
     h_plus = survivor_entropy(ps)

@@ -17,7 +17,9 @@ from .errors import CeilingError, InputError
 Word = tuple[int, ...]
 
 # Default cap on the words an enumeration may produce, the entries of a word
-# array (words times length) and the values of a function stack (samples times words).
+# array (words times length), the values of a function stack (samples times
+# words) or of a kernel stack (kernels times s^2), pinsker's samples times 8,
+# and stationary_vector's block buffers.
 WORD_CEILING = 10_000_000
 
 

@@ -1,4 +1,5 @@
-"""Perron eigendata of primitive 0/1 matrices and subdominant eigenvalue moduli."""
+"""Perron eigendata of primitive 0/1 matrices, with their Parry measure, and
+subdominant eigenvalue moduli."""
 
 from __future__ import annotations
 
@@ -7,12 +8,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError, NotPrimitiveError
-from .measures import stationary_vector
+from .measures import MarkovMeasure, markov_measure, stationary_vector
 from .sft import TransitionMatrix
 
 
 class PerronData(NamedTuple):
-    """Perron root with strictly positive left/right eigenvectors.
+    """Perron root with strictly positive left/right eigenvectors, and the
+    Parry measure they define.
 
     Normalization: sum(v) = 1 pins the scaling freedom, then u is rescaled so
     that sum(u * v) = 1.
@@ -21,6 +23,7 @@ class PerronData(NamedTuple):
     lam: float
     u: np.ndarray
     v: np.ndarray
+    parry: MarkovMeasure  # of maximal entropy: r_i = u_i v_i, Q_ij = a_ij v_j / (lam v_i)
 
 
 def perron_eigendata(A: TransitionMatrix) -> PerronData:
@@ -28,7 +31,7 @@ def perron_eigendata(A: TransitionMatrix) -> PerronData:
 
     One batched power iteration on the stack (A^T, A) gives v and u, each run
     to its rounding floor (`stationary_vector` with tol=0); lam is the mean of
-    their Rayleigh quotients.
+    their Rayleigh quotients. The Parry measure is validated once, here.
     """
     if not A.primitive:
         raise NotPrimitiveError(
@@ -41,7 +44,8 @@ def perron_eigendata(A: TransitionMatrix) -> PerronData:
     u = u / float(u @ v)
     u.setflags(write=False)
     v.setflags(write=False)
-    return PerronData(lam, u, v)
+    Q = A.array * v[None, :] / (lam * v[:, None])
+    return PerronData(lam, u, v, markov_measure(u * v, Q, A))
 
 
 def subdominant_modulus(M) -> float:

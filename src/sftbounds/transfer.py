@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConvergenceError, InputError
-from .measures import LocallyConstantFunction, _left_sum, cylinder_measure_vector, parry_measure
+from .measures import LocallyConstantFunction, _left_sum, cylinder_measure_vector
 from .sft import (
     TransitionMatrix,
     _check_ceiling,
@@ -135,7 +135,7 @@ def mean_zero_probes(A: TransitionMatrix, eig: PerronData, depth: int) -> list[L
     measure. Refused, before anything is allocated, past WORD_CEILING values."""
     n = word_count(A, depth)
     _check_ceiling(n * n, f"{n} probes of {n} values")
-    mass = cylinder_measure_vector(parry_measure(A, eig), depth)
+    mass = cylinder_measure_vector(eig.parry, depth)
     probes = []
     for k, mass_k in enumerate(mass):
         vals = np.full(len(mass), -mass_k)
@@ -164,7 +164,7 @@ def decay_estimate(A: TransitionMatrix, eig: PerronData, depth: int) -> DecayEst
     if depth < 1:
         raise InputError(f"depth must be at least 1, got {depth}")
     M1 = _kernel(A, eig, 1)[1]  # the operator on depth-1 functions
-    M10 = M1 - parry_measure(A, eig).stationary[None, :]
+    M10 = M1 - eig.parry.stationary[None, :]
     power = np.eye(A.size)
     norms = []
     for _ in range(DECAY_TERM_CAP):

@@ -34,7 +34,6 @@ from sftbounds import (
     markov_measure,
     mean_zero_probes,
     model_preset,
-    parry_measure,
     perron_eigendata,
     phi_divergence,
     pinsker_verify,
@@ -85,13 +84,13 @@ def bernoulli(p):
 @criterion(1, "Perron/Parry anchors", limit=1.0)
 def test_criterion_1_perron_parry_anchors():
     assert abs(EIG2.lam - 2.0) <= 1e-12
-    m2 = parry_measure(FULL2, EIG2)
+    m2 = EIG2.parry
     assert np.allclose(m2.stationary, 0.5, atol=1e-12)
     assert np.allclose(m2.transition, 0.5, atol=1e-12)
     for w in enumerate_words(FULL2, 3):
         assert abs(cylinder_measure(m2, w) - 0.125) <= 1e-12
     assert abs(EIGG.lam - (1 + math.sqrt(5)) / 2) <= 1e-10
-    mg = parry_measure(GOLDEN, EIGG)
+    mg = EIGG.parry
     assert abs(entropy(mg) - math.log(EIGG.lam)) <= 1e-10
 
 
@@ -136,7 +135,7 @@ def test_criterion_4_pinsker():
 def test_criterion_5_transfer():
     cases = ((FULL2, EIG2), (GOLDEN, EIGG), (FULL3, perron_eigendata(FULL3)))
     for A, eig in cases:
-        m = parry_measure(A, eig)
+        m = eig.parry
         one = constant_function(A, 1.0, depth=2)
         assert np.allclose(transfer_apply(one, eig).values, 1.0, atol=1e-12)
         for depth in range(1, 5):
@@ -166,11 +165,11 @@ def test_criterion_6_effective_bound():
         assert scan.all_hold
     # Bernoulli family with the first-cylinder indicator: ratio capped at 1/sqrt(2)
     decay1 = decay_estimate(FULL2, EIG2, 1)
-    m2 = parry_measure(FULL2, EIG2)
+    m2 = EIG2.parry
     f0 = indicator(FULL2, (0,))
     worst = 0.0
     for p in np.linspace(0.01, 0.99, 197):
-        rep = effective_bound_verify(f0, bernoulli(float(p)), EIG2, decay1, m=m2)
+        rep = effective_bound_verify(f0, bernoulli(float(p)), EIG2, decay1)
         assert rep.holds
         if math.isfinite(rep.ratio):
             worst = max(worst, rep.ratio)
@@ -196,7 +195,7 @@ def test_criterion_7_step_bound():
             f = random_function(A, 2, seed=900 + seed)
             for n in range(21):
                 assert step_bound_verify(f, mu, eig, n).holds
-    m2 = parry_measure(FULL2, EIG2)
+    m2 = EIG2.parry
     f = centered(indicator(FULL2, (0,)), m2)
     res = step_bound_verify(f, bernoulli(0.9), EIG2, 0)
     rhs_oracle = math.sqrt(2) * 0.5 * math.sqrt(math.log(2) - bernoulli_entropy(0.9))

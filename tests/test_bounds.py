@@ -21,7 +21,6 @@ from sftbounds import (
     indicator,
     integrate,
     markov_measure,
-    parry_measure,
     phi_divergence,
     pinsker_verify,
     random_function,
@@ -30,9 +29,8 @@ from sftbounds import (
     sample_markov_batch,
     step_bound_verify,
 )
-from sftbounds import bounds
+from sftbounds import bounds, measures, spectral
 from sftbounds.cli import main
-from sftbounds.spectral import PerronData
 from sftbounds.transfer import lip_seminorm, transfer_apply
 
 
@@ -118,7 +116,7 @@ def test_unique_zero_clause():
 # ---------- gap identity ----------
 
 def test_gap_identity_parry_is_zero(golden, eig_golden):
-    m = parry_measure(golden, eig_golden)
+    m = eig_golden.parry
     res = gap_identity_check(m, eig_golden)
     assert res.lhs <= 1e-12 and abs(res.rhs) <= 1e-12
 
@@ -150,7 +148,7 @@ def test_gap_identity_skips_null_fibers(golden, eig_golden):
 # ---------- step bound ----------
 
 def test_step_bound_parry_lhs_zero(golden, eig_golden):
-    m = parry_measure(golden, eig_golden)
+    m = eig_golden.parry
     f = random_function(golden, 2, seed=1)
     res = step_bound_verify(f, m, eig_golden, 0)
     assert res.lhs <= 1e-12
@@ -158,7 +156,7 @@ def test_step_bound_parry_lhs_zero(golden, eig_golden):
 
 
 def test_step_bound_refuses_a_negative_step(golden, eig_golden):
-    m = parry_measure(golden, eig_golden)
+    m = eig_golden.parry
     with pytest.raises(InputError, match="step index must be nonnegative, got -1"):
         step_bound_verify(random_function(golden, 2, seed=1), m, eig_golden, -1)
 
@@ -166,7 +164,7 @@ def test_step_bound_refuses_a_negative_step(golden, eig_golden):
 def test_step_bound_worked_anchor(full2, eig_full2):
     # f = 1_{C(0)} - 1/2, mu = Bernoulli(0.9), n = 0: the operator kills f, so
     # lhs = |0 - 0.4|; rhs = sqrt(2) * 0.5 * sqrt(log 2 - H(0.9))
-    m = parry_measure(full2, eig_full2)
+    m = eig_full2.parry
     f = centered(indicator(full2, (0,)), m)
     mu = bernoulli(0.9, full2)
     res = step_bound_verify(f, mu, eig_full2, 0)
@@ -197,10 +195,9 @@ def test_step_bound_beyond_decay_horizon(golden, eig_golden):
 # ---------- effective bound ----------
 
 def test_effective_bound_parry(golden, eig_golden):
-    m = parry_measure(golden, eig_golden)
     decay = decay_estimate(golden, eig_golden, 2)
     f = random_function(golden, 2, seed=4)
-    rep = effective_bound_verify(f, m, eig_golden, decay, m=m)
+    rep = effective_bound_verify(f, eig_golden.parry, eig_golden, decay)
     assert rep.lhs <= 1e-12
     assert rep.holds
     assert math.isnan(rep.ratio)
@@ -208,11 +205,10 @@ def test_effective_bound_parry(golden, eig_golden):
 
 def test_effective_bound_bernoulli_family(full2, eig_full2):
     decay = decay_estimate(full2, eig_full2, 1)
-    m = parry_measure(full2, eig_full2)
     f = indicator(full2, (0,))
     worst = 0.0
     for p in np.linspace(0.01, 0.99, 99):
-        rep = effective_bound_verify(f, bernoulli(float(p), full2), eig_full2, decay, m=m)
+        rep = effective_bound_verify(f, bernoulli(float(p), full2), eig_full2, decay)
         assert rep.holds
         assert abs(rep.lhs - abs(p - 0.5)) <= 1e-12
         if math.isfinite(rep.ratio):
@@ -223,29 +219,27 @@ def test_effective_bound_bernoulli_family(full2, eig_full2):
 def test_effective_bound_sampled_pairs(golden, eig_golden, full2, eig_full2):
     for A, eig in ((golden, eig_golden), (full2, eig_full2)):
         decay = decay_estimate(A, eig, 2)
-        m = parry_measure(A, eig)
         for seed in range(60):
             mu = sample_markov(A, seed=seed)
             f = random_function(A, 2, seed=5000 + seed)
-            assert effective_bound_verify(f, mu, eig, decay, m=m).holds
+            assert effective_bound_verify(f, mu, eig, decay).holds
 
 
 def test_effective_bound_rejects_negative_gap(golden, eig_golden):
     # corrupt the root so log lam undercuts the true entropy; reuse the intact
     # Parry measure so the error surfaces at the gap check
-    broken = PerronData(1.01, eig_golden.u, eig_golden.v)
+    broken = eig_golden._replace(lam=1.01)
     decay = decay_estimate(golden, eig_golden, 2)
-    m = parry_measure(golden, eig_golden)
     mu = sample_markov(golden, seed=1)
     f = random_function(golden, 2, seed=1)
     assert entropy(mu) > math.log(1.01)
     with pytest.raises(VerificationError):
-        effective_bound_verify(f, mu, broken, decay, m=m)
+        effective_bound_verify(f, mu, broken, decay)
 
 
 def test_telescoping_consistency(golden, eig_golden):
     # partial telescoping sums plus the certified tail dominate the discrepancy
-    m = parry_measure(golden, eig_golden)
+    m = eig_golden.parry
     decay = decay_estimate(golden, eig_golden, 2)
     for seed in (0, 1, 2):
         mu = sample_markov(golden, seed=seed)
@@ -337,6 +331,37 @@ def test_ratio_scan_excludes_degenerate_gaps(golden, eig_golden):
             assert math.isnan(ratio)
 
 
+def test_ratio_scan_validates_parry_once(monkeypatch, golden):
+    # the scan and its decay certificate read the Parry measure from the
+    # eigendata, and the samples and family kernels are validated as one stack
+    validated = []
+
+    def counting(stationary, transition, support):
+        validated.append(np.shape(stationary))
+        return markov_measure(stationary, transition, support)
+
+    for module in (measures, spectral, bounds):
+        monkeypatch.setattr(module, "markov_measure", counting)
+    ratio_scan(golden, 3, 0)
+    assert validated == [(2,), (3 + 3 * bounds.FAMILY_POINTS, 2)]
+
+
+def test_ratio_scan_peaks_within_four_kernel_stacks():
+    # the drawn kernels, the family segments and their concatenation are let
+    # go once the validated measure holds its copy, so the stacked check's
+    # entropy temporaries do not pile on top of them
+    A = full_shift(100)
+    samples = 2
+    kernels = samples + min(samples, bounds.FAMILIES) * bounds.FAMILY_POINTS
+    tracemalloc.start()
+    try:
+        ratio_scan(A, samples, 0, depth=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * kernels * A.size**2 * 8
+
+
 def test_ratio_scan_argmax_is_the_last_tied_sample(monkeypatch, golden):
     # max over (ratio, i) pairs picks the last sample among equal ratios
     def tied(*args, **kwargs):
@@ -352,7 +377,7 @@ def test_ratio_scan_argmax_is_the_last_tied_sample(monkeypatch, golden):
 
 def test_bernoulli_family_slope_direct(full2, eig_full2):
     # oracle for the exponent: lhs ~ |eps| while gap ~ 2 eps^2 near the center
-    m = parry_measure(full2, eig_full2)
+    m = eig_full2.parry
     f = centered(indicator(full2, (0,)), m)
     log_gap, log_lhs = [], []
     for eps in np.geomspace(1e-4, 1e-1, 12):

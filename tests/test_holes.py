@@ -29,7 +29,6 @@ from sftbounds import (
     higher_block_prune,
     hole_family_scan,
     model_preset,
-    parry_measure,
     perron_eigendata,
     prune_words,
     pruned_word_count,
@@ -592,7 +591,7 @@ def test_family_scan_columns_equal_per_row_formulas(golden, full3, theta):
     for A, depth in cases:
         scan = hole_family_scan(A, depth, theta=theta)
         eig = perron_eigendata(A)
-        m = parry_measure(A, eig)
+        m = eig.parry
         log_lam = float(np.log(eig.lam))
         measures = np.concatenate([cylinder_measure_vector(m, k) for k in range(1, depth + 1)])
         expected = []

@@ -24,7 +24,6 @@ from sftbounds import (
     information_mean,
     integrate,
     markov_measure,
-    parry_measure,
     perron_eigendata,
     random_function,
     sample_markov,
@@ -48,7 +47,7 @@ def bernoulli(p, A):
 
 
 def test_full_shift_parry_is_fair_bernoulli(full2, eig_full2):
-    m = parry_measure(full2, eig_full2)
+    m = eig_full2.parry
     assert np.allclose(m.stationary, 0.5, atol=1e-12)
     assert np.allclose(m.transition, 0.5, atol=1e-12)
     for w in enumerate_words(full2, 3):
@@ -56,7 +55,7 @@ def test_full_shift_parry_is_fair_bernoulli(full2, eig_full2):
 
 
 def test_golden_parry_closed_form(golden, eig_golden):
-    m = parry_measure(golden, eig_golden)
+    m = eig_golden.parry
     assert abs(m.stationary[0] - (5 + math.sqrt(5)) / 10) <= 1e-12
     expected_q = np.array([[1 / PHI, 1 / PHI**2], [1.0, 0.0]])
     assert np.allclose(m.transition, expected_q, atol=1e-12)
@@ -64,13 +63,13 @@ def test_golden_parry_closed_form(golden, eig_golden):
 
 def test_parry_rows_sum_to_one():
     for A in random_primitive_matrices(5, (2, 3, 4), seed=17):
-        m = parry_measure(A, perron_eigendata(A))
+        m = perron_eigendata(A).parry
         assert np.allclose(m.transition.sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_cylinder_product_matches_closed_form(golden, eig_golden, full2, eig_full2):
     for A, eig in ((golden, eig_golden), (full2, eig_full2)):
-        m = parry_measure(A, eig)
+        m = eig.parry
         for k in range(1, 7):
             for w in enumerate_words(A, k):
                 closed = eig.u[w[0]] * eig.v[w[-1]] / eig.lam ** (len(w) - 1)
@@ -78,7 +77,7 @@ def test_cylinder_product_matches_closed_form(golden, eig_golden, full2, eig_ful
 
 
 def test_cylinder_bounds(golden, eig_golden):
-    m = parry_measure(golden, eig_golden)
+    m = eig_golden.parry
     a = min(ui * vj for ui in eig_golden.u for vj in eig_golden.v)
     b = max(ui * vj for ui in eig_golden.u for vj in eig_golden.v)
     for k in range(1, 7):
@@ -88,7 +87,7 @@ def test_cylinder_bounds(golden, eig_golden):
 
 
 def test_golden_depth1_cylinder(golden, eig_golden):
-    m = parry_measure(golden, eig_golden)
+    m = eig_golden.parry
     assert abs(cylinder_measure(m, (0, 0)) - PHI / (PHI + 2)) <= 1e-12
     assert abs(cylinder_measure(m, (0,)) - m.stationary[0]) <= 1e-15
 
@@ -103,14 +102,14 @@ def test_cylinder_additivity(golden, eig_golden):
 
 
 def test_inadmissible_cylinder_rejected(golden, eig_golden):
-    m = parry_measure(golden, eig_golden)
+    m = eig_golden.parry
     with pytest.raises(InputError):
         cylinder_measure(m, (1, 1))
 
 
 def test_entropy_anchors(full2, eig_full2, golden, eig_golden):
     assert abs(entropy(bernoulli(0.5, full2)) - math.log(2)) <= 1e-12
-    assert abs(entropy(parry_measure(golden, eig_golden)) - math.log(PHI)) <= 1e-10
+    assert abs(entropy(eig_golden.parry) - math.log(PHI)) <= 1e-10
     cycle = markov_measure([0.5, 0.5], [[0, 1], [1, 0]], golden)
     assert entropy(cycle) == 0.0
 
@@ -150,7 +149,7 @@ def test_information_mean_full_shift(full2, eig_full2):
 
 
 def test_information_mean_golden_parry(golden, eig_golden):
-    m = parry_measure(golden, eig_golden)
+    m = eig_golden.parry
     assert abs(information_mean(m, eig_golden) - math.log(PHI)) <= 1e-12
 
 
@@ -167,7 +166,7 @@ def test_information_mean_sampled(golden, eig_golden):
 
 
 def test_conditional_vectors_full_shift(full2, eig_full2):
-    m = parry_measure(full2, eig_full2)
+    m = eig_full2.parry
     for j in (0, 1):
         p, q = conditional_vectors(m, eig_full2, j)
         assert np.allclose(p, 0.5, atol=1e-12)
@@ -175,7 +174,7 @@ def test_conditional_vectors_full_shift(full2, eig_full2):
 
 
 def test_conditional_vectors_golden(golden, eig_golden):
-    m = parry_measure(golden, eig_golden)
+    m = eig_golden.parry
     p, q = conditional_vectors(m, eig_golden, 1)
     assert p.shape == (1,)
     assert abs(p[0] - 1.0) <= 1e-12  # u0 / (lam u1) = phi / phi
@@ -223,7 +222,7 @@ def test_sampler_outputs_validate(golden, full3):
 def test_entropy_maximality(golden, eig_golden, full2, eig_full2):
     for A, eig in ((golden, eig_golden), (full2, eig_full2)):
         log_lam = math.log(eig.lam)
-        m = parry_measure(A, eig)
+        m = eig.parry
         for seed in range(100):
             mu = sample_markov(A, seed=seed)
             gap = log_lam - entropy(mu)
@@ -251,7 +250,7 @@ def test_sampled_measure_entropy_below_log_lambda(seed):
 
 
 def test_centered_has_zero_integral(golden, eig_golden):
-    m = parry_measure(golden, eig_golden)
+    m = eig_golden.parry
     f = random_function(golden, 3, seed=5)
     assert abs(integrate(centered(f, m), m)) <= 1e-14
 

@@ -20,11 +20,10 @@ from sftbounds import (
     enumerate_words,
     exceptional_dimension_bound,
     model_preset,
-    parry_measure,
     perron_eigendata,
     prune_words,
 )
-from sftbounds import cli, measures, models
+from sftbounds import cli, measures, models, spectral
 from sftbounds.cli import main
 from sftbounds.io import load_model
 from sftbounds.models import ENDPOINT_TOL, _ball_segments, _contained, _cover_cells
@@ -107,7 +106,7 @@ def test_factor_map_equivariance():
 
 
 def test_lebesgue_matches_parry_on_doubling(eig_full2):
-    m = parry_measure(DOUBLING.transition, eig_full2)
+    m = eig_full2.parry
     for k in range(1, 7):
         for w in enumerate_words(DOUBLING.transition, k):
             ci = cylinder_interval(DOUBLING, w)
@@ -502,8 +501,9 @@ def test_whole_branch_hole_bound_is_at_least_moran_dimension(case):
 
 def test_model_dim_measures_its_cover_in_one_product(capsys, monkeypatch):
     # one Parry measure and one product for every cell, where a second Parry
-    # measure and one cylinder_measure call per cell were used before
-    calls = {"parry_measure": 0, "cylinder_measure": 0, "_cylinder_products": 0}
+    # measure and one cylinder_measure call per cell were used before; the
+    # Parry measure, built with the eigendata, is the one measure validated
+    calls = {"markov_measure": 0, "cylinder_measure": 0, "_cylinder_products": 0}
     originals = {name: getattr(measures, name) for name in calls}
 
     def counting(name):
@@ -512,14 +512,14 @@ def test_model_dim_measures_its_cover_in_one_product(capsys, monkeypatch):
             return originals[name](*args, **kwargs)
         return wrapper
 
-    for module in (sftbounds, measures, models, cli):
+    for module in (sftbounds, measures, models, cli, spectral):
         for name in calls:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting(name))
     code = main(["model-dim", "--model", "doubling", "--x0", "0.125", "--delta", "1e-3"])
     summary = json.loads(capsys.readouterr().out)
     assert code == 0 and summary["inner_count"] + summary["outer_count"] > 1
-    assert calls == {"parry_measure": 1, "cylinder_measure": 0, "_cylinder_products": 1}
+    assert calls == {"markov_measure": 1, "cylinder_measure": 0, "_cylinder_products": 1}
 
 
 def test_outer_measure_is_summed_left_to_right():

@@ -5,7 +5,6 @@ from helpers import PHI, random_primitive_matrices
 from sftbounds import (
     InputError,
     NotPrimitiveError,
-    parry_measure,
     perron_eigendata,
     subdominant_modulus,
     transition_matrix,
@@ -145,17 +144,6 @@ def test_lambda_between_row_sum_extremes():
         sums = A.array.sum(axis=1)
         assert sums.min() - 1e-9 <= eig.lam <= sums.max() + 1e-9
         assert eig.lam > 1.0
-
-
-def test_rescaling_leaves_parry_unchanged(golden, eig_golden):
-    from sftbounds.spectral import PerronData
-
-    c = 3.7
-    alt = PerronData(eig_golden.lam, eig_golden.u * c, eig_golden.v / c)
-    base = parry_measure(golden, eig_golden)
-    other = parry_measure(golden, alt)
-    assert np.allclose(base.stationary, other.stationary, atol=1e-12)
-    assert np.allclose(base.transition, other.transition, atol=1e-12)
 
 
 def test_subdominant_full_shift_transfer_matrix():

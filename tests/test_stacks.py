@@ -27,7 +27,6 @@ from sftbounds import (
     gap_identity_check,
     golden_mean_shift,
     markov_measure,
-    parry_measure,
     perron_eigendata,
     pinsker_verify,
     random_function,
@@ -43,7 +42,6 @@ from sftbounds import bounds
 from sftbounds.bounds import EFFECTIVE_BOUND_SLACK, FAMILIES, FAMILY_POINTS, GAP_FLOOR
 from sftbounds.cli import main
 from sftbounds.measures import dirichlet_kernels
-from sftbounds.spectral import PerronData
 
 GOLDEN = golden_mean_shift()
 WIDE3 = transition_matrix([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
@@ -106,8 +104,7 @@ def loop_family_slope(fc, A, eig, m, q_direction, depth):
 def loop_ratio_scan(A, samples, seed, depth):
     """ratio_scan one sample at a time: rows, max_ratio, argmax_id, slope, all_hold."""
     eig = perron_eigendata(A)
-    parry = parry_measure(A, eig)
-    m = (parry.stationary, parry.transition)
+    m = (eig.parry.stationary, eig.parry.transition)
     c_hat = decay_estimate(A, eig, depth).c_hat
     sub_seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=2 * samples)
     Qs = dirichlet_kernels(A, sub_seeds[0::2])
@@ -277,34 +274,32 @@ def test_stack_rejects_mismatched_shapes():
 
 def test_verification_error_names_the_first_sample_above_log_lambda():
     eig = perron_eigendata(GOLDEN)
-    m = parry_measure(GOLDEN, eig)
     decay = decay_estimate(GOLDEN, eig, 2)
     mu = sample_markov_batch(GOLDEN, list(range(40)))
     h = entropy(mu)
     # log lam at the largest of the first three entropies: a later sample exceeds it
-    broken = PerronData(math.exp(float(h[:3].max())), eig.u, eig.v)
+    broken = eig._replace(lam=math.exp(float(h[:3].max())))
     f = random_function(GOLDEN, 2, list(range(100, 140)))
     first = next(i for i in range(40) if h[i] > math.log(broken.lam) + 1e-9)
     assert first >= 3 and (h[first + 1:] > math.log(broken.lam) + 1e-9).any()
     with pytest.raises(VerificationError, match=f"^pair {first}: entropy exceeds"):
-        effective_bound_verify(f, mu, broken, decay, m=m)
+        effective_bound_verify(f, mu, broken, decay)
     # the loop over single pairs stops at the same sample
     for i in range(first):
-        effective_bound_verify(random_function(GOLDEN, 2, 100 + i), mu[i], broken, decay, m=m)
+        effective_bound_verify(random_function(GOLDEN, 2, 100 + i), mu[i], broken, decay)
     with pytest.raises(VerificationError, match="^entropy exceeds"):
-        effective_bound_verify(random_function(GOLDEN, 2, 100 + first), mu[first], broken, decay, m=m)
+        effective_bound_verify(random_function(GOLDEN, 2, 100 + first), mu[first], broken, decay)
 
 
 def test_single_measure_is_the_stack_of_one():
     eig = perron_eigendata(WIDE3)
     decay = decay_estimate(WIDE3, eig, 3)
-    m = parry_measure(WIDE3, eig)
     mu = sample_markov_batch(WIDE3, [4, 9, 2])
     f = random_function(WIDE3, 3, [11, 12, 13])
-    stack = effective_bound_verify(f, mu, eig, decay, m=m)
+    stack = effective_bound_verify(f, mu, eig, decay)
     for i in range(3):
         one = effective_bound_verify(random_function(WIDE3, 3, 11 + i), sample_markov(WIDE3, [4, 9, 2][i]),
-                                     eig, decay, m=m)
+                                     eig, decay)
         assert bits(one._asdict().values()) == bits([stack.lhs[i].item(), stack.seminorm[i].item(),
                                                      stack.gap[i].item(), stack.c_hat,
                                                      stack.ratio[i].item(), stack.holds[i].item()])

@@ -22,7 +22,6 @@ from sftbounds import (
     integrate,
     lip_seminorm,
     mean_zero_probes,
-    parry_measure,
     perron_eigendata,
     predecessors,
     random_function,
@@ -120,7 +119,7 @@ def test_operator_on_words_longer_than_64_bit_codes(depth):
     # the operator finds each word i.w by its row in the word array alone
     A = transition_matrix([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 1, 0, 0]])
     eig = perron_eigendata(A)
-    m = parry_measure(A, eig)
+    m = eig.parry
     assert np.allclose(transfer_apply(constant_function(A, 1.0, depth), eig).values, 1.0, atol=1e-12)
     f = random_function(A, depth, seed=depth)
     assert abs(integrate(transfer_apply(f, eig), m) - integrate(f, m)) <= 1e-12
@@ -151,7 +150,7 @@ def test_operator_positivity(golden, eig_golden):
 
 def test_operator_preserves_parry_integral(golden, eig_golden, full2, eig_full2):
     for A, eig in ((golden, eig_golden), (full2, eig_full2)):
-        m = parry_measure(A, eig)
+        m = eig.parry
         for depth in range(1, 6):
             f = random_function(A, depth, seed=depth)
             lf = transfer_apply(f, eig)
@@ -221,7 +220,7 @@ def test_certificate_bounds_random_mean_zero_iterates(seed, depth, data):
     est = decay_estimate(A, eig, depth)
     M, words = transfer_matrix(A, eig, depth)
     vals = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=len(words), max_size=len(words)))
-    g = centered(LocallyConstantFunction(A, depth, np.array(vals)), parry_measure(A, eig))
+    g = centered(LocallyConstantFunction(A, depth, np.array(vals)), eig.parry)
     sem = lip_seminorm(g)
     assume(sem > 1e-9)
     vec = g.values
@@ -290,7 +289,7 @@ def test_supnorm_bounded_by_seminorm_for_mean_zero(golden, eig_golden):
 
 def test_centered_probe_spans(golden, eig_golden):
     # the probe basis reproduces any centered function by linear combination
-    m = parry_measure(golden, eig_golden)
+    m = eig_golden.parry
     f = random_function(golden, 2, seed=77)
     fc = centered(f, m)
     probes = mean_zero_probes(golden, eig_golden, 2)
