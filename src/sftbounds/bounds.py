@@ -178,7 +178,10 @@ def effective_bound_verify(
     treated as a hard error, raised for the first such pair of a stack. The
     ratio field is lhs / (seminorm sqrt(gap)), with the oscillation
     `lip_seminorm`, NaN when the gap or the seminorm is too small to divide by.
+    A certificate covers functions of its depth or less; a deeper f is refused.
     """
+    if f.depth > decay.depth:
+        raise InputError(f"a depth-{decay.depth} certificate does not cover depth-{f.depth} functions")
     single = f.values.ndim == 1 and mu.stationary.ndim == 1
     fc = centered(f, eig.parry)
     gap = float(np.log(eig.lam)) - np.atleast_1d(entropy(mu))
@@ -265,7 +268,7 @@ def ratio_scan(
     if seed < 0:
         raise InputError(f"seed must be nonnegative, got {seed}")
     eig = perron_eigendata(A)
-    decay = decay_estimate(A, eig, depth)
+    decay = decay_estimate(eig, depth)
 
     # before the 2 * samples sub-seeds are drawn: random_function's refusal,
     # and that of the kernels of the samples and of the families built below

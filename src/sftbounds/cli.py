@@ -174,7 +174,7 @@ def _cmd_pinsker(args: argparse.Namespace) -> int:
 def _cmd_transfer_decay(args: argparse.Namespace) -> int:
     """proven decay certificate: per-step bounds and tail for the transfer operator"""
     A = io.load_matrix(args.matrix)
-    est = decay_estimate(A, perron_eigendata(A), args.depth)
+    est = decay_estimate(perron_eigendata(A), args.depth)
     summary = {
         "C": est.C,
         "rho": est.rho,

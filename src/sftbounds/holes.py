@@ -335,7 +335,8 @@ def hole_family_scan(
     (none expected: forbidding an extension removes less), in row order.
     Refuses a theta of the word metric theta**-(common prefix length) that
     is not finite and above 1, or for which delta^2 * measure^2 underflows so
-    far that a finite gap would get a non-finite per-hole constant."""
+    far that a finite gap would get a non-finite per-hole constant, or, before
+    any word array is built, more than WORD_CEILING automaton successor entries."""
     if not (math.isfinite(theta) and theta > 1.0):
         raise InputError(f"theta must be finite and exceed 1, got {theta}")
     if max_depth < 1:
@@ -344,6 +345,9 @@ def hole_family_scan(
     # deepest depth's words before any word array is built.
     n = word_count(A, max_depth)
     _check_ceiling(n, f"{n} admissible words of length {max_depth}", PRUNE_STATE_CEILING)
+    # The work: a depth-k word's automaton has s + k - 2 states of s successors.
+    entries = sum(word_count(A, k) * (A.size + k - 2) * A.size for k in range(1, max_depth + 1))
+    _check_ceiling(entries, f"hole automata with {entries} successor entries")
     eig = perron_eigendata(A)
     log_lam = float(np.log(eig.lam))
     arrays = [word_array(A, k) for k in range(1, max_depth + 1)]

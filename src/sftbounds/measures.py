@@ -469,11 +469,13 @@ def information_mean(mu: MarkovMeasure, eig: PerronData):
     per measure of a stack.
 
     Equals log(lam) for every stationary mu: the coboundary part cancels.
+    Built on eig's shift, so `integrate` refuses mu on another one.
     """
+    A = eig.parry.support
     g = np.log(eig.u)
-    W = word_array(mu.support, 2)
+    W = word_array(A, 2)
     iota = float(np.log(eig.lam)) + g[W[:, 1]] - g[W[:, 0]]
-    return integrate(LocallyConstantFunction(mu.support, 2, iota), mu)
+    return integrate(LocallyConstantFunction(A, 2, iota), mu)
 
 
 def conditional_vectors(mu: MarkovMeasure, eig: PerronData, j: int):
@@ -482,8 +484,11 @@ def conditional_vectors(mu: MarkovMeasure, eig: PerronData, j: int):
     Returns (p, q): p_i = u_i / (lam u_j) is the Parry conditional, and
     q_i = r_i Q[i, j] / r_j the conditional of mu, one row per measure of a
     stack. Both sum to 1; q needs r_j > 0 (in every measure of a stack).
+    Refuses mu on another shift than eig's.
     """
     A = mu.support
+    if A != eig.parry.support:
+        raise InputError("measure and eigendata live on different transition matrices")
     S = predecessors(A, j)
     idx = list(S)
     p = eig.u[idx] / (eig.lam * eig.u[j])

@@ -19,7 +19,8 @@ Word = tuple[int, ...]
 # Default cap on the words an enumeration may produce, the entries of a word
 # array (words times length), the values of a function stack (samples times
 # words) or of a kernel stack (kernels times s^2), pinsker's samples times 8,
-# and stationary_vector's block buffers.
+# stationary_vector's block buffers, and a hole scan's automaton successor
+# entries.
 WORD_CEILING = 10_000_000
 
 

@@ -18,7 +18,6 @@ import numpy as np
 from .errors import ConvergenceError, InputError
 from .measures import LocallyConstantFunction, _left_sum, cylinder_measure_vector
 from .sft import (
-    TransitionMatrix,
     _check_ceiling,
     enumerate_words,
     predecessors,
@@ -45,11 +44,12 @@ def lip_seminorm(f: LocallyConstantFunction):
     return float(osc) if osc.ndim == 0 else osc
 
 
-def _kernel(A: TransitionMatrix, eig: PerronData, depth: int) -> tuple[np.ndarray, np.ndarray]:
+def _kernel(eig: PerronData, depth: int) -> tuple[np.ndarray, np.ndarray]:
     """The operator from depth-`depth` words to depth-max(depth-1, 1) words, as
     two (rows, s) tables: for i -> w0, entry [w, i] of `cols` is the column of
     the word i.w[:depth-1] and that of `weights` is u_i/(lam u_w0); for other i
     they are -1 and 0.0, and the -1 gathers a 0.0 appended to the values."""
+    A = eig.parry.support
     head = word_array(A, max(depth - 1, 1))[:, 0]
     edge = A.array[:, head].T > 0
     if depth > 1:
@@ -66,20 +66,23 @@ def _kernel(A: TransitionMatrix, eig: PerronData, depth: int) -> tuple[np.ndarra
 
 def transfer_apply(f: LocallyConstantFunction, eig: PerronData) -> LocallyConstantFunction:
     """Apply the operator once: (Lf)(w) = sum over i -> w0 of u_i/(lam u_w0) f(i.w),
-    the terms added in ascending i from +0.0."""
-    cols, weights = _kernel(f.matrix, eig, f.depth)
+    the terms added in ascending i from +0.0. Refuses f on another shift than eig's."""
+    if f.matrix != eig.parry.support:
+        raise InputError("function and eigendata live on different transition matrices")
+    cols, weights = _kernel(eig, f.depth)
     values = np.append(f.values, 0.0)
     out = _left_sum(weights[:, i] * values[cols[:, i]] for i in range(cols.shape[1]))
     return LocallyConstantFunction(f.matrix, max(f.depth - 1, 1), out)
 
 
-def transfer_matrix(A: TransitionMatrix, eig: PerronData, depth: int):
+def transfer_matrix(eig: PerronData, depth: int):
     """Matrix of the operator on the depth-`depth` word space (with the image
     depth-(d-1) space embedded back into depth d). Returns (matrix, words).
     Refused, before anything is allocated, past WORD_CEILING entries."""
+    A = eig.parry.support
     n = word_count(A, depth)
     _check_ceiling(n * n, f"a {n} x {n} operator")
-    cols, weights = _kernel(A, eig, depth)
+    cols, weights = _kernel(eig, depth)
     dense = np.zeros((len(cols), n))
     r, i = np.nonzero(cols >= 0)
     dense[r, cols[r, i]] = weights[r, i]
@@ -130,9 +133,10 @@ class DecayEstimate(NamedTuple):
         return math.sqrt(2.0) * (_left_sum(self.steps) + self.tail)
 
 
-def mean_zero_probes(A: TransitionMatrix, eig: PerronData, depth: int) -> list[LocallyConstantFunction]:
+def mean_zero_probes(eig: PerronData, depth: int) -> list[LocallyConstantFunction]:
     """Mean-zero basis: the indicator of each depth cylinder minus its Parry
     measure. Refused, before anything is allocated, past WORD_CEILING values."""
+    A = eig.parry.support
     n = word_count(A, depth)
     _check_ceiling(n * n, f"{n} probes of {n} values")
     mass = cylinder_measure_vector(eig.parry, depth)
@@ -148,7 +152,7 @@ def _norm_inf(M: np.ndarray) -> float:
     return float(np.abs(M).sum(axis=1).max())
 
 
-def decay_estimate(A: TransitionMatrix, eig: PerronData, depth: int) -> DecayEstimate:
+def decay_estimate(eig: PerronData, depth: int) -> DecayEstimate:
     """Proven sup-norm decay bounds for mean-zero depth-`depth` functions, from the
     s x s depth-1 operator M1 alone.
 
@@ -163,9 +167,9 @@ def decay_estimate(A: TransitionMatrix, eig: PerronData, depth: int) -> DecayEst
     """
     if depth < 1:
         raise InputError(f"depth must be at least 1, got {depth}")
-    M1 = _kernel(A, eig, 1)[1]  # the operator on depth-1 functions
+    M1 = _kernel(eig, 1)[1]  # the operator on depth-1 functions
     M10 = M1 - eig.parry.stationary[None, :]
-    power = np.eye(A.size)
+    power = np.eye(len(M1))
     norms = []
     for _ in range(DECAY_TERM_CAP):
         norms.append(_norm_inf(power))

@@ -146,16 +146,16 @@ def test_criterion_5_transfer():
     # full shift where mean-zero functions die in one exact step
     decay_cases = [(GOLDEN, EIGG, d) for d in (1, 2, 3, 4)] + [(FULL2, EIG2, 1)]
     for A, eig, depth in decay_cases:
-        est = decay_estimate(A, eig, depth)
-        M, _ = transfer_matrix(A, eig, depth)
-        for g in mean_zero_probes(A, eig, depth):
+        est = decay_estimate(eig, depth)
+        M, _ = transfer_matrix(eig, depth)
+        for g in mean_zero_probes(eig, depth):
             sem = lip_seminorm(g)
             vec = g.values.copy()
             for n in range(51):
                 sup = float(np.max(np.abs(vec)))
                 assert sup <= est.C * est.rho**n * sem + DECAY_FLOOR * sem
                 vec = M @ vec
-    assert abs(decay_estimate(GOLDEN, EIGG, 1).rho - 1 / PHI**2) <= 1e-9
+    assert abs(decay_estimate(EIGG, 1).rho - 1 / PHI**2) <= 1e-9
 
 
 @criterion(6, "integral-discrepancy certification on 10^3 pairs per system", limit=60.0)
@@ -164,7 +164,7 @@ def test_criterion_6_effective_bound():
         scan = ratio_scan(A, samples=1000, seed=0, depth=2)
         assert scan.all_hold
     # Bernoulli family with the first-cylinder indicator: ratio capped at 1/sqrt(2)
-    decay1 = decay_estimate(FULL2, EIG2, 1)
+    decay1 = decay_estimate(EIG2, 1)
     m2 = EIG2.parry
     f0 = indicator(FULL2, (0,))
     worst = 0.0

@@ -13,12 +13,15 @@ from sftbounds import (
     InputError,
     VerificationError,
     centered,
+    conditional_expectation_check,
+    conditional_vectors,
     decay_estimate,
     effective_bound_verify,
     entropy,
     full_shift,
     gap_identity_check,
     indicator,
+    information_mean,
     integrate,
     markov_measure,
     phi_divergence,
@@ -195,7 +198,7 @@ def test_step_bound_beyond_decay_horizon(golden, eig_golden):
 # ---------- effective bound ----------
 
 def test_effective_bound_parry(golden, eig_golden):
-    decay = decay_estimate(golden, eig_golden, 2)
+    decay = decay_estimate(eig_golden, 2)
     f = random_function(golden, 2, seed=4)
     rep = effective_bound_verify(f, eig_golden.parry, eig_golden, decay)
     assert rep.lhs <= 1e-12
@@ -204,7 +207,7 @@ def test_effective_bound_parry(golden, eig_golden):
 
 
 def test_effective_bound_bernoulli_family(full2, eig_full2):
-    decay = decay_estimate(full2, eig_full2, 1)
+    decay = decay_estimate(eig_full2, 1)
     f = indicator(full2, (0,))
     worst = 0.0
     for p in np.linspace(0.01, 0.99, 99):
@@ -218,18 +221,51 @@ def test_effective_bound_bernoulli_family(full2, eig_full2):
 
 def test_effective_bound_sampled_pairs(golden, eig_golden, full2, eig_full2):
     for A, eig in ((golden, eig_golden), (full2, eig_full2)):
-        decay = decay_estimate(A, eig, 2)
+        decay = decay_estimate(eig, 2)
         for seed in range(60):
             mu = sample_markov(A, seed=seed)
             f = random_function(A, 2, seed=5000 + seed)
             assert effective_bound_verify(f, mu, eig, decay).holds
 
 
+def test_effective_bound_refuses_a_function_deeper_than_its_certificate(golden, eig_golden):
+    # c_hat grows with the depth: 3.162 at depth 1 against 7.405 at depth 4, so
+    # a depth-1 certificate proves nothing about a depth-4 function
+    f = random_function(golden, 4, seed=3)
+    mu = sample_markov(golden, seed=3)
+    with pytest.raises(InputError, match="a depth-1 certificate does not cover depth-4 functions"):
+        effective_bound_verify(f, mu, eig_golden, decay_estimate(eig_golden, 1))
+    assert effective_bound_verify(f, mu, eig_golden, decay_estimate(eig_golden, 4)).holds
+    # a certificate covers every shallower depth
+    g = random_function(golden, 2, seed=3)
+    assert effective_bound_verify(g, mu, eig_golden, decay_estimate(eig_golden, 4)).holds
+
+
+SHIFT_CHECKS = {
+    "transfer_apply": lambda f, mu, eig: transfer_apply(f, eig),
+    "step_bound_verify": lambda f, mu, eig: step_bound_verify(f, mu, eig, 0),
+    "conditional_expectation_check": lambda f, mu, eig: conditional_expectation_check(f, eig),
+    "conditional_vectors": lambda f, mu, eig: conditional_vectors(mu, eig, 0),
+    "gap_identity_check": lambda f, mu, eig: gap_identity_check(mu, eig),
+    "information_mean": lambda f, mu, eig: information_mean(mu, eig),
+}
+
+
+@pytest.mark.parametrize("name", list(SHIFT_CHECKS))
+def test_eigendata_of_another_shift_is_refused(name, golden, eig_full2):
+    # golden records against full2's Perron record: log 2 for the information
+    # mean, or a step bound that holds on the wrong shift, if let through
+    f = random_function(golden, 2, seed=7)
+    mu = sample_markov(golden, seed=7)
+    with pytest.raises(InputError, match="live on different transition matrices"):
+        SHIFT_CHECKS[name](f, mu, eig_full2)
+
+
 def test_effective_bound_rejects_negative_gap(golden, eig_golden):
     # corrupt the root so log lam undercuts the true entropy; reuse the intact
     # Parry measure so the error surfaces at the gap check
     broken = eig_golden._replace(lam=1.01)
-    decay = decay_estimate(golden, eig_golden, 2)
+    decay = decay_estimate(eig_golden, 2)
     mu = sample_markov(golden, seed=1)
     f = random_function(golden, 2, seed=1)
     assert entropy(mu) > math.log(1.01)
@@ -240,7 +276,7 @@ def test_effective_bound_rejects_negative_gap(golden, eig_golden):
 def test_telescoping_consistency(golden, eig_golden):
     # partial telescoping sums plus the certified tail dominate the discrepancy
     m = eig_golden.parry
-    decay = decay_estimate(golden, eig_golden, 2)
+    decay = decay_estimate(eig_golden, 2)
     for seed in (0, 1, 2):
         mu = sample_markov(golden, seed=seed)
         f = centered(random_function(golden, 2, seed=seed), m)
@@ -321,7 +357,7 @@ def test_ratio_scan_refuses_a_negative_seed(golden):
 
 
 def test_ratio_scan_reads_certificate_c_hat(golden, eig_golden):
-    assert ratio_scan(golden, 20, 0).decay.c_hat == decay_estimate(golden, eig_golden, 2).c_hat
+    assert ratio_scan(golden, 20, 0).decay.c_hat == decay_estimate(eig_golden, 2).c_hat
 
 
 def test_ratio_scan_excludes_degenerate_gaps(golden, eig_golden):

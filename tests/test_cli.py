@@ -163,7 +163,7 @@ def test_transfer_decay_c_hat_is_the_certificate_property(capsys, golden_path, t
                        "--out", str(out))
     assert code == 0
     A = golden_mean_shift()
-    est = decay_estimate(A, perron_eigendata(A), 2)
+    est = decay_estimate(perron_eigendata(A), 2)
     assert report["c_hat"] == est.c_hat
     assert report["tail"] == est.tail
     lines = out.with_suffix(".csv").read_text().splitlines()

@@ -303,6 +303,21 @@ def test_family_scan_refuses_state_ceiling_before_solving(monkeypatch, full2):
         hole_family_scan(full2, 17)
 
 
+def test_family_scan_refuses_successor_entries_before_building(monkeypatch):
+    # full200 at depth 2 has 40200 words, under the word ceiling, but their
+    # automata hold 1.6e9 successor entries: minutes of work
+    def solve(*args):
+        raise AssertionError("a depth was built or solved before the ceiling check")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(holes, "_hole_radii", solve)
+        patched.setattr(holes, "word_array", solve)
+        with pytest.raises(CeilingError, match="hole automata with 1607960000 successor entries"):
+            hole_family_scan(full_shift(200), 2)
+    # full50 at depth 2, 6372500 entries, is under the ceiling and runs
+    assert len(hole_family_scan(full_shift(50), 2).words) == 50 + 50**2
+
+
 def test_family_scan_refuses_depth_zero(golden):
     with pytest.raises(InputError, match="max depth must be at least 1, got 0"):
         hole_family_scan(golden, 0)

@@ -105,7 +105,7 @@ def loop_ratio_scan(A, samples, seed, depth):
     """ratio_scan one sample at a time: rows, max_ratio, argmax_id, slope, all_hold."""
     eig = perron_eigendata(A)
     m = (eig.parry.stationary, eig.parry.transition)
-    c_hat = decay_estimate(A, eig, depth).c_hat
+    c_hat = decay_estimate(eig, depth).c_hat
     sub_seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=2 * samples)
     Qs = dirichlet_kernels(A, sub_seeds[0::2])
     rows, slopes = [], []
@@ -274,7 +274,7 @@ def test_stack_rejects_mismatched_shapes():
 
 def test_verification_error_names_the_first_sample_above_log_lambda():
     eig = perron_eigendata(GOLDEN)
-    decay = decay_estimate(GOLDEN, eig, 2)
+    decay = decay_estimate(eig, 2)
     mu = sample_markov_batch(GOLDEN, list(range(40)))
     h = entropy(mu)
     # log lam at the largest of the first three entropies: a later sample exceeds it
@@ -293,7 +293,7 @@ def test_verification_error_names_the_first_sample_above_log_lambda():
 
 def test_single_measure_is_the_stack_of_one():
     eig = perron_eigendata(WIDE3)
-    decay = decay_estimate(WIDE3, eig, 3)
+    decay = decay_estimate(eig, 3)
     mu = sample_markov_batch(WIDE3, [4, 9, 2])
     f = random_function(WIDE3, 3, [11, 12, 13])
     stack = effective_bound_verify(f, mu, eig, decay)

@@ -125,7 +125,7 @@ def test_operator_on_words_longer_than_64_bit_codes(depth):
     assert abs(integrate(transfer_apply(f, eig), m) - integrate(f, m)) <= 1e-12
     assert conditional_expectation_check(f, eig) <= 1e-12
     if depth == 32:  # the dense 9540 x 9540 operator at depth 40 passes the ceiling
-        matrix, words = transfer_matrix(A, eig, depth)
+        matrix, words = transfer_matrix(eig, depth)
         assert matrix.shape == (1933, 1933) and len(words) == 1933
         assert np.allclose(matrix @ np.ones(1933), 1.0, atol=1e-12)
 
@@ -182,29 +182,29 @@ def test_conditional_expectation_random_probes(golden, eig_golden, full2, eig_fu
 
 
 def test_full_shift_depth1_rate_is_zero(full2, eig_full2):
-    est = decay_estimate(full2, eig_full2, 1)
+    est = decay_estimate(eig_full2, 1)
     assert est.rho <= 1e-12
     assert est.C <= 1.0 + 1e-12  # probes have |g|_inf = 1/2 and |g|_theta = 1
 
 
 def test_golden_depth1_rate(golden, eig_golden):
-    est = decay_estimate(golden, eig_golden, 1)
+    est = decay_estimate(eig_golden, 1)
     assert abs(est.rho - 1 / PHI**2) <= 1e-9
 
 
 def test_rate_below_one_for_primitive():
     for A in random_primitive_matrices(4, (2, 3), seed=14):
         eig = perron_eigendata(A)
-        est = decay_estimate(A, eig, 1)
+        est = decay_estimate(eig, 1)
         assert 0.0 <= est.rho < 1.0
 
 
 def test_decay_certificate_self_consistency(golden, eig_golden, full2, eig_full2):
     cases = [(golden, eig_golden, d) for d in (1, 2, 3)] + [(full2, eig_full2, 1)]
     for A, eig, depth in cases:
-        est = decay_estimate(A, eig, depth)
-        M, _ = transfer_matrix(A, eig, depth)
-        for g in mean_zero_probes(A, eig, depth):
+        est = decay_estimate(eig, depth)
+        M, _ = transfer_matrix(eig, depth)
+        for g in mean_zero_probes(eig, depth):
             sem = lip_seminorm(g)
             vec = g.values.copy()
             for n in range(DECAY_HORIZON + 1):
@@ -217,8 +217,8 @@ def test_decay_certificate_self_consistency(golden, eig_golden, full2, eig_full2
 def test_certificate_bounds_random_mean_zero_iterates(seed, depth, data):
     A = random_primitive_matrices(1, (2, 3, 4), seed)[0]
     eig = perron_eigendata(A)
-    est = decay_estimate(A, eig, depth)
-    M, words = transfer_matrix(A, eig, depth)
+    est = decay_estimate(eig, depth)
+    M, words = transfer_matrix(eig, depth)
     vals = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=len(words), max_size=len(words)))
     g = centered(LocallyConstantFunction(A, depth, np.array(vals)), eig.parry)
     sem = lip_seminorm(g)
@@ -236,7 +236,7 @@ def test_certificate_bounds_random_mean_zero_iterates(seed, depth, data):
 
 def test_c_hat_is_the_bound_constant(golden, eig_golden, full2, eig_full2):
     for A, eig, depth in ((golden, eig_golden, 2), (full2, eig_full2, 1)):
-        est = decay_estimate(A, eig, depth)
+        est = decay_estimate(eig, depth)
         assert est.c_hat == math.sqrt(2.0) * (sum(est.steps) + est.tail)
 
 
@@ -255,10 +255,10 @@ def test_term_cap_raises_convergence_error(monkeypatch):
     # a slowly mixing cycle: ||M10^j||_inf first drops below 1 at j = 3
     A = transition_matrix([[0, 1, 0], [0, 0, 1], [1, 1, 0]])
     eig = perron_eigendata(A)
-    assert len(decay_estimate(A, eig, 1).steps) == 3
+    assert len(decay_estimate(eig, 1).steps) == 3
     monkeypatch.setattr(transfer, "DECAY_TERM_CAP", 2)
     with pytest.raises(ConvergenceError):
-        decay_estimate(A, eig, 1)
+        decay_estimate(eig, 1)
 
 
 def test_certificate_reads_only_the_depth_one_operator(monkeypatch):
@@ -266,7 +266,7 @@ def test_certificate_reads_only_the_depth_one_operator(monkeypatch):
     # transfer matrix: the rate read from it is the same to the bit, and no
     # deeper word space is built
     cases = [(A, perron_eigendata(A)) for A in random_primitive_matrices(20, (2, 3, 4, 5), seed=25)]
-    rates = [subdominant_modulus(transfer_matrix(A, eig, 1)[0]) for A, eig in cases]
+    rates = [subdominant_modulus(transfer_matrix(eig, 1)[0]) for A, eig in cases]
 
     def depth_one(build):
         def call(*args):
@@ -278,12 +278,12 @@ def test_certificate_reads_only_the_depth_one_operator(monkeypatch):
     for name in ("_kernel", "word_array"):
         monkeypatch.setattr(transfer, name, depth_one(getattr(transfer, name)))
     for (A, eig), rho in zip(cases, rates):
-        assert decay_estimate(A, eig, 4).rho == rho
+        assert decay_estimate(eig, 4).rho == rho
 
 
 def test_supnorm_bounded_by_seminorm_for_mean_zero(golden, eig_golden):
     for depth in (1, 2, 3):
-        for g in mean_zero_probes(golden, eig_golden, depth):
+        for g in mean_zero_probes(eig_golden, depth):
             assert supnorm(g) <= lip_seminorm(g) + 1e-12
 
 
@@ -292,7 +292,7 @@ def test_centered_probe_spans(golden, eig_golden):
     m = eig_golden.parry
     f = random_function(golden, 2, seed=77)
     fc = centered(f, m)
-    probes = mean_zero_probes(golden, eig_golden, 2)
+    probes = mean_zero_probes(eig_golden, 2)
     combo = sum(c * g.values for c, g in zip(f.values, probes))
     assert np.allclose(combo, fc.values, atol=1e-12)
 
@@ -319,7 +319,7 @@ def test_kernel_equals_dict_loop_bitwise(size):
     for A in [full_shift(size)] + random_primitive_matrices(3, (size,), seed=size):
         eig = perron_eigendata(A)
         for depth in range(1, 6):
-            got, want = transfer._kernel(A, eig, depth), dict_kernel(A, eig, depth)
+            got, want = transfer._kernel(eig, depth), dict_kernel(A, eig, depth)
             for name, a, b in zip(("cols", "weights"), got, want):
                 assert a.shape == b.shape and a.dtype == b.dtype, (A.rows, depth, name)
                 assert a.tobytes() == b.tobytes(), (A.rows, depth, name)
@@ -327,7 +327,7 @@ def test_kernel_equals_dict_loop_bitwise(size):
 
 def csr_kernel(A, eig, depth):
     """The kernel as a scipy CSR matrix: each row's terms in ascending i."""
-    cols, weights = transfer._kernel(A, eig, depth)
+    cols, weights = transfer._kernel(eig, depth)
     rows, i = np.nonzero(cols >= 0)
     indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=len(cols)))])
     return csr_matrix((weights[rows, i], cols[rows, i], indptr),
@@ -346,13 +346,13 @@ def test_apply_equals_csr_product_bitwise(size):
                 got = transfer_apply(f, eig).values
                 assert got.tobytes() == (K @ f.values).tobytes(), (A.rows, depth, scale)
             # transfer_matrix gives each word its prefix's row of the kernel
-            matrix, words = transfer_matrix(A, eig, depth)
+            matrix, words = transfer_matrix(eig, depth)
             image = enumerate_words(A, max(depth - 1, 1))
             rows = [image.index(w[:max(depth - 1, 1)]) for w in words]
             assert matrix.tobytes() == K.toarray()[rows].tobytes(), (A.rows, depth)
 
 
-def test_dense_operators_past_the_ceiling_are_refused_at_once(full2, eig_full2):
+def test_dense_operators_past_the_ceiling_are_refused_at_once(eig_full2):
     # full2 at depth 16 passes the word ceiling, but its operator would be
     # 65536 x 65536 (32 GiB); 4096 probes of 4096 values are 1.7e7 values
     cases = ((transfer_matrix, 16, "a 65536 x 65536 operator"),
@@ -360,5 +360,5 @@ def test_dense_operators_past_the_ceiling_are_refused_at_once(full2, eig_full2):
     for build, depth, message in cases:
         started = time.perf_counter()
         with pytest.raises(CeilingError, match=message):
-            build(full2, eig_full2, depth)
+            build(eig_full2, depth)
         assert time.perf_counter() - started < 1.0
