@@ -157,7 +157,6 @@ class BoundReport(NamedTuple):
     lhs: float
     seminorm: float
     gap: float
-    c_hat: float
     ratio: float
     holds: bool
 
@@ -165,15 +164,15 @@ class BoundReport(NamedTuple):
 def effective_bound_verify(
     f: LocallyConstantFunction,
     mu: MarkovMeasure,
-    eig: PerronData,
     decay: DecayEstimate,
 ) -> BoundReport:
     """Verify the integral-discrepancy bound for one (f, mu) pair, or for each
     pair of a stack of k functions and a stack of k measures (either may be a
-    single one, broadcast); the report's fields other than c_hat are then
-    arrays, one entry per pair.
+    single one, broadcast); the report's fields are then arrays, one per pair.
 
-    f is centered first against `eig.parry`, the Parry measure. A gap
+    f is centered first against the Parry measure of `decay.eig`, the Perron
+    record the certificate was proven on, which also gives lam, so f and mu
+    of another shift are refused. A gap
     below -1e-9 means the measure claims more entropy than log lam and is
     treated as a hard error, raised for the first such pair of a stack. The
     ratio field is lhs / (seminorm sqrt(gap)), with the oscillation
@@ -183,6 +182,7 @@ def effective_bound_verify(
     if f.depth > decay.depth:
         raise InputError(f"a depth-{decay.depth} certificate does not cover depth-{f.depth} functions")
     single = f.values.ndim == 1 and mu.stationary.ndim == 1
+    eig = decay.eig
     fc = centered(f, eig.parry)
     gap = float(np.log(eig.lam)) - np.atleast_1d(entropy(mu))
     lhs = np.abs(integrate(fc, mu) - integrate(fc, eig.parry))
@@ -196,14 +196,11 @@ def effective_bound_verify(
         )
     gap_pos = np.maximum(gap, 0.0)
     root = np.sqrt(gap_pos)
-    c_hat = decay.c_hat
-    holds = lhs <= c_hat * sem * root + EFFECTIVE_BOUND_SLACK
+    holds = lhs <= decay.c_hat * sem * root + EFFECTIVE_BOUND_SLACK
     usable = (gap_pos > GAP_FLOOR) & (sem > 0.0)
     ratio = np.divide(lhs, sem * root, out=np.full(gap.shape, np.nan), where=usable)
-    if single:
-        return BoundReport(float(lhs[0]), float(sem[0]), float(gap[0]), c_hat,
-                           float(ratio[0]), bool(holds[0]))
-    return BoundReport(lhs, sem, gap, c_hat, ratio, holds)
+    report = BoundReport(lhs, sem, gap, ratio, holds)
+    return BoundReport(*(x.item() for x in report)) if single else report
 
 
 class ScanSummary(NamedTuple):
@@ -285,9 +282,8 @@ def ratio_scan(
     mu = markov_measure(stationary_vector(Qs), Qs, A)
     del Qs  # mu holds the validated copy; the check's temporaries need the room
     values = np.concatenate([f.values, np.repeat(f.values[:FAMILIES], FAMILY_POINTS, axis=0)])
-    pairs = effective_bound_verify(LocallyConstantFunction(A, depth, values), mu, eig, decay)
-    report = BoundReport(pairs.lhs[:samples], pairs.seminorm[:samples], pairs.gap[:samples],
-                         pairs.c_hat, pairs.ratio[:samples], pairs.holds[:samples])
+    pairs = effective_bound_verify(LocallyConstantFunction(A, depth, values), mu, decay)
+    report = BoundReport(*(x[:samples] for x in pairs))
     slopes = _family_slopes(pairs.gap[samples:], pairs.lhs[samples:])
     usable = sorted(s for s in slopes if np.isfinite(s))
     # the median, as statistics.median takes it; np.median loads numpy.ma

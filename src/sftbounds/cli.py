@@ -149,7 +149,7 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
 def _cmd_pinsker(args: argparse.Namespace) -> int:
     """total-variation versus divergence inequality on sampled pairs"""
     n = args.samples * max(PINSKER_DIMS)
-    _check_ceiling(n, f"{args.samples} samples of dimension {max(PINSKER_DIMS)}: {n} values")
+    _check_ceiling(n, "{} samples of dimension {}: {} values", args.samples, max(PINSKER_DIMS), n)
     rng = np.random.default_rng(args.seed)
     rows = []
     total_violations = 0

@@ -234,7 +234,7 @@ def prune_words(A: TransitionMatrix, words) -> PrunedSystem:
         if not is_admissible(A, w):
             raise InputError(f"forbidden word {w} is not admissible")
     bound = A.size + sum(len(w) - 1 for w in forb)
-    _check_ceiling(bound, f"{bound} automaton states", PRUNE_STATE_CEILING)
+    _check_ceiling(bound, "{} automaton states", bound, ceiling=PRUNE_STATE_CEILING)
     padded = np.full((len(forb), max(map(len, forb), default=1)), -1, dtype=np.intp)
     for i, w in enumerate(forb):
         padded[i, :len(w)] = w
@@ -344,10 +344,10 @@ def hole_family_scan(
     # Counts never decrease with depth (every word has a successor): refuse the
     # deepest depth's words before any word array is built.
     n = word_count(A, max_depth)
-    _check_ceiling(n, f"{n} admissible words of length {max_depth}", PRUNE_STATE_CEILING)
+    _check_ceiling(n, "{} admissible words of length {}", n, max_depth, ceiling=PRUNE_STATE_CEILING)
     # The work: a depth-k word's automaton has s + k - 2 states of s successors.
     entries = sum(word_count(A, k) * (A.size + k - 2) * A.size for k in range(1, max_depth + 1))
-    _check_ceiling(entries, f"hole automata with {entries} successor entries")
+    _check_ceiling(entries, "hole automata with {} successor entries", entries)
     eig = perron_eigendata(A)
     log_lam = float(np.log(eig.lam))
     arrays = [word_array(A, k) for k in range(1, max_depth + 1)]

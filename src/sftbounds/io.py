@@ -60,15 +60,19 @@ def load_matrix(path: str | Path) -> TransitionMatrix:
 
 def load_model(path_or_preset: str | Path) -> ExpandingModel:
     """A preset name, or a path to {"branches": [{"domain": [a, b], "slope": s,
-    "intercept": c}, ...], "circle": bool?}."""
+    "intercept": c}, ...], "circle": bool?}; a circle that is not a JSON
+    boolean is refused."""
     name = str(path_or_preset)
     if name in PRESETS:
         return model_preset(name)
     data = _load_json(path_or_preset)
     if "branches" not in data:
         raise InputError(f"{path_or_preset}: missing 'branches'")
+    circle = data.get("circle", False)
+    if not isinstance(circle, bool):
+        raise InputError(f"{path_or_preset}: 'circle' must be true or false, got {json.dumps(circle)}")
     with _parsing(path_or_preset):
-        return build_model(data["branches"], circle=bool(data.get("circle", False)))
+        return build_model(data["branches"], circle=circle)
 
 
 def _fmt(x) -> str:

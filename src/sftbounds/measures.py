@@ -285,7 +285,7 @@ def _check_kernels(A: TransitionMatrix, count: int) -> None:
     """Refuse a stack of `count` kernels on A when its count * s * s values
     exceed WORD_CEILING."""
     n = count * A.size**2
-    _check_ceiling(n, f"{count} kernels on {A.size} symbols: {n} values")
+    _check_ceiling(n, "{} kernels on {} symbols: {} values", count, A.size, n)
 
 
 def dirichlet_kernels(A: TransitionMatrix, seeds) -> np.ndarray:
@@ -386,7 +386,7 @@ def constant_function(A: TransitionMatrix, value: float, depth: int = 1) -> Loca
     """The constant `value` as a depth-`depth` function. Refused, before
     anything is allocated, past WORD_CEILING words."""
     n = word_count(A, depth)
-    _check_ceiling(n, f"{n} admissible words of length {depth}")
+    _check_ceiling(n, "{} admissible words of length {}", n, depth)
     return LocallyConstantFunction(A, depth, np.full(n, float(value)))
 
 
@@ -407,7 +407,7 @@ def _check_stack(A: TransitionMatrix, depth: int, count: int) -> int:
     is allowed: refused where `word_array` refuses, or when the count * n
     values exceed WORD_CEILING."""
     n = len(word_array(A, depth))
-    _check_ceiling(count * n, f"{count} functions of {n} words: {count * n} values")
+    _check_ceiling(count * n, "{} functions of {} words: {} values", count, n, count * n)
     return n
 
 

@@ -221,7 +221,7 @@ def ball_to_cylinders(model: ExpandingModel, x0: float, delta: float) -> BallCov
     ratio = math.log(1.0 / delta) / math.log(model.theta0)
     depth = math.ceil(ratio - 1e-12) + 1
     n = word_count(model.transition, depth)
-    _check_ceiling(n, f"{n} admissible words of length {depth}")
+    _check_ceiling(n, "{} admissible words of length {}", n, depth)
     segments = _ball_segments(model, x0, delta)
     cells, shortest = _cover_cells(model, segments, depth)
     inner = tuple(ci for ci, inside in cells if inside)

@@ -8,6 +8,7 @@ coordinates only.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,11 +207,24 @@ def _word_count_cached(A: TransitionMatrix, k: int) -> int:
     return int(_path_count(np.where(A.array > 0, np.arange(A.size), -1), k - 1).sum())
 
 
-def _check_ceiling(entries: int, what: str, ceiling: int = WORD_CEILING) -> None:
-    """Refuse `what`, a request for `entries` words or values, with
-    CeilingError when they pass `ceiling`; called before anything is allocated."""
+def _count_text(n: int) -> str:
+    """A count for a message: in decimal up to WORD_CEILING**2, past that by its
+    number of digits, since the word count of a deep request can have more
+    digits than str() writes (4300 by default)."""
+    if n <= WORD_CEILING**2:
+        return str(n)
+    digits = int(math.log10(n)) + 1
+    digits += (n >= 10**digits) - (n < 10 ** (digits - 1))  # log10 rounded past a power of 10
+    return f"[{digits} digits]"
+
+
+def _check_ceiling(entries: int, what: str, *counts: int, ceiling: int = WORD_CEILING) -> None:
+    """Refuse a request for `entries` words or values with CeilingError when
+    they pass `ceiling`; called before anything is allocated. The request is
+    named by `what` with its {} fields filled by `counts`, each written by
+    `_count_text`, and only once it is refused."""
     if entries > ceiling:
-        raise CeilingError(f"{what} exceeds the ceiling {ceiling}")
+        raise CeilingError(f"{what.format(*map(_count_text, counts))} exceeds the ceiling {ceiling}")
 
 
 def word_array(A: TransitionMatrix, k: int) -> np.ndarray:
@@ -218,8 +232,8 @@ def word_array(A: TransitionMatrix, k: int) -> np.ndarray:
     lexicographic order; the one word layout the library reads. Refused, before
     anything is allocated, when n or n * k exceeds WORD_CEILING."""
     n = word_count(A, k)
-    _check_ceiling(n, f"{n} admissible words of length {k}")
-    _check_ceiling(n * k, f"{n} admissible words of length {k}: {n * k} entries")
+    _check_ceiling(n, "{} admissible words of length {}", n, k)
+    _check_ceiling(n * k, "{} admissible words of length {}: {} entries", n, k, n * k)
     return _word_array_cached(A, k)
 
 

@@ -81,7 +81,7 @@ def transfer_matrix(eig: PerronData, depth: int):
     Refused, before anything is allocated, past WORD_CEILING entries."""
     A = eig.parry.support
     n = word_count(A, depth)
-    _check_ceiling(n * n, f"a {n} x {n} operator")
+    _check_ceiling(n * n, "a {} x {} operator", n, n)
     cols, weights = _kernel(eig, depth)
     dense = np.zeros((len(cols), n))
     r, i = np.nonzero(cols >= 0)
@@ -113,6 +113,7 @@ class DecayEstimate(NamedTuple):
     """Proven decay of mean-zero g of the stated depth: |L^n g|_inf <= steps[n] |g|_theta
     for each summed step n, and the later steps sum to at most tail |g|_theta."""
 
+    eig: PerronData  # the Perron record the certificate was proven on
     depth: int
     steps: tuple[float, ...]
     tail: float
@@ -138,7 +139,7 @@ def mean_zero_probes(eig: PerronData, depth: int) -> list[LocallyConstantFunctio
     measure. Refused, before anything is allocated, past WORD_CEILING values."""
     A = eig.parry.support
     n = word_count(A, depth)
-    _check_ceiling(n * n, f"{n} probes of {n} values")
+    _check_ceiling(n * n, "{} probes of {} values", n, n)
     mass = cylinder_measure_vector(eig.parry, depth)
     probes = []
     for k, mass_k in enumerate(mass):
@@ -163,10 +164,12 @@ def decay_estimate(eig: PerronData, depth: int) -> DecayEstimate:
     bounded by ||M10^j||_inf. The terms are summed up to the first J with
     q = ||M10^J||_inf < 1; by submultiplicativity the rest sum to at most
     (sum over r < J of ||M10^r||_inf) q / (1 - q). No J within DECAY_TERM_CAP
-    terms raises ConvergenceError.
+    terms raises ConvergenceError. A depth past WORD_CEILING steps is refused
+    before any step is built.
     """
     if depth < 1:
         raise InputError(f"depth must be at least 1, got {depth}")
+    _check_ceiling(depth, "{} decay steps", depth)
     M1 = _kernel(eig, 1)[1]  # the operator on depth-1 functions
     M10 = M1 - eig.parry.stationary[None, :]
     power = np.eye(len(M1))
@@ -177,7 +180,7 @@ def decay_estimate(eig: PerronData, depth: int) -> DecayEstimate:
         q = _norm_inf(power)
         if q < 1.0:
             steps = (1.0,) * (depth - 1) + tuple(norms)
-            return DecayEstimate(depth, steps, _left_sum(norms) * q / (1.0 - q), subdominant_modulus(M1))
+            return DecayEstimate(eig, depth, steps, _left_sum(norms) * q / (1.0 - q), subdominant_modulus(M1))
     raise ConvergenceError(
         f"||M10^j||_inf stayed at or above 1 for {DECAY_TERM_CAP} terms", residual=q
     )

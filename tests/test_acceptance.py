@@ -169,7 +169,7 @@ def test_criterion_6_effective_bound():
     f0 = indicator(FULL2, (0,))
     worst = 0.0
     for p in np.linspace(0.01, 0.99, 197):
-        rep = effective_bound_verify(f0, bernoulli(float(p)), EIG2, decay1)
+        rep = effective_bound_verify(f0, bernoulli(float(p)), decay1)
         assert rep.holds
         if math.isfinite(rep.ratio):
             worst = max(worst, rep.ratio)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -301,17 +302,42 @@ def test_deep_certificate_builds_no_depth_operator(capsys, monkeypatch, request,
     assert math.isfinite(report["c_hat"])
 
 
-@pytest.mark.parametrize("depth", ["30", "100"])
-def test_verify_past_word_ceiling_exits_two(capsys, monkeypatch, full2_path, depth):
-    # 2^30 words would ask for 8 GiB of function values; 2^100 is no array at all
+@pytest.mark.parametrize("command, depth", [
+    pytest.param(command, depth, id=depth if command == "verify" else f"{command}-{depth}")
+    for command in ("verify", "analyze", "hole") for depth in ("30", "100", "100000")
+])
+def test_verify_past_word_ceiling_exits_two(capsys, monkeypatch, full2_path, command, depth):
+    # 2^30 words would ask for 8 GiB of function values; 2^100 is no array at
+    # all, and 2^100000 has 30103 digits, past the 4300 that str() writes
     def refuse(*args):
         raise AssertionError("measures were sampled before the word ceiling check")
 
     monkeypatch.setattr(bounds, "dirichlet_kernels", refuse)
-    code = main(["verify", "--matrix", str(full2_path), "--depth", depth, "--samples", "3"])
+    flags = {"verify": ["--depth", depth, "--samples", "3"], "analyze": ["--depth", depth],
+             "hole": ["--max-hole-depth", depth]}[command]
+    code = main([command, "--matrix", str(full2_path), *flags])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and "exceeds the ceiling" in err
+    if depth == "100000":
+        assert err.startswith("input error: [30103 digits] admissible words of length 100000 exceeds")
+
+
+def test_decay_past_the_step_ceiling_exits_two_at_once(capsys, monkeypatch, golden_path):
+    # 10^9 steps would be an 8 GiB tuple: refused before the operator is read
+    def refuse(*args):
+        raise AssertionError("the decay steps were built before the ceiling check")
+
+    monkeypatch.setattr(transfer, "_kernel", refuse)
+    tracemalloc.start()
+    try:
+        code = main(["transfer-decay", "--matrix", str(golden_path), "--depth", "1000000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 8 * 2**20
+    assert capsys.readouterr().err == "input error: 1000000000 decay steps exceeds the ceiling 10000000\n"
 
 
 def test_verify_past_value_ceiling_exits_two_at_once(capsys, monkeypatch, full2_path, tmp_path):

@@ -9,6 +9,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from sftbounds import io
+from sftbounds.cli import main
+from sftbounds.errors import InputError
 from sftbounds.io import json_text, write_csv
 
 
@@ -138,3 +140,20 @@ def test_io_helpers_are_private():
     public = [name for name, obj in vars(io).items()
               if callable(obj) and not name.startswith("_") and getattr(obj, "__module__", None) == io.__name__]
     assert sorted(public) == ["json_text", "load_matrix", "load_model", "write_csv", "write_json"]
+
+
+@pytest.mark.parametrize("circle", ['"false"', '"true"', "0", "1", "null"])
+def test_load_model_refuses_a_circle_that_is_not_a_boolean(capsys, tmp_path, circle):
+    # "false" read as truthy made the doubling branches a circle map: bound
+    # 0.93091 on 7 outer cells at x0 = 0.01, delta = 0.05, against 0.96191 on 4
+    branches = ('[{"domain": [0.0, 0.5], "slope": 2.0, "intercept": 0.0},'
+                ' {"domain": [0.5, 1.0], "slope": 2.0, "intercept": -1.0}]')
+    path = tmp_path / "model.json"
+    path.write_text(f'{{"branches": {branches}, "circle": {circle}}}')
+    with pytest.raises(InputError, match=f"^{path}: 'circle' must be true or false, got {circle}$"):
+        io.load_model(path)
+    assert main(["model-dim", "--model", str(path), "--x0", "0.01", "--delta", "0.05"]) == 2
+    assert capsys.readouterr().err.startswith("input error: ")
+    for flag in ("false", "true"):
+        path.write_text(f'{{"branches": {branches}, "circle": {flag}}}')
+        assert io.load_model(path).circle is (flag == "true")

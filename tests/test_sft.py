@@ -298,3 +298,11 @@ def test_word_strs_equal_word_str(size, words):
     width = max(map(len, words), default=1)
     padded = np.array([w + [-1] * (width - len(w)) for w in words], dtype=np.intp).reshape(-1, width)
     assert word_strs(padded, size) == [word_str(w, size) for w in words]
+
+
+@pytest.mark.parametrize("n, text", [
+    (0, "0"), (10**14, "100000000000000"), (10**14 + 1, "[15 digits]"),
+    (10**30 - 1, "[30 digits]"), (10**30, "[31 digits]"), (2**15000, "[4516 digits]"),
+], ids=["0", "1e14", "1e14+1", "1e30-1", "1e30", "2^15000"])  # str(2**15000) raises
+def test_ceiling_counts_past_ceiling_squared_are_written_by_their_digits(n, text):
+    assert sft._count_text(n) == text

@@ -81,7 +81,7 @@ def loop_report(values, A, r, Q, eig, m, c_hat, depth):
         ratio = lhs / (sem * float(np.sqrt(gap_pos)))
     else:
         ratio = float("nan")
-    return fc, (lhs, sem, gap, c_hat, ratio, holds)
+    return fc, (lhs, sem, gap, ratio, holds)
 
 
 def loop_family_slope(fc, A, eig, m, q_direction, depth):
@@ -117,11 +117,11 @@ def loop_ratio_scan(A, samples, seed, depth):
         rows.append(row)
         if i < FAMILIES:
             slopes.append(loop_family_slope(fc, A, eig, m, Q, depth))
-    finite = [(row[4], i) for i, row in enumerate(rows) if np.isfinite(row[4])]
+    finite = [(row[3], i) for i, row in enumerate(rows) if np.isfinite(row[3])]
     max_ratio, argmax_id = max(finite) if finite else (float("nan"), -1)
     usable = [s for s in slopes if np.isfinite(s)]
     slope = float(statistics.median(usable)) if usable else float("nan")
-    return rows, (max_ratio, argmax_id, slope, all(row[5] for row in rows))
+    return rows, (max_ratio, argmax_id, slope, all(row[4] for row in rows))
 
 
 def loop_phi(p, q):
@@ -179,9 +179,8 @@ def test_ratio_scan_equals_per_sample_loop(matrix, samples, seed, depth):
     report = scan.report
     columns = [report.lhs, report.seminorm, report.gap, report.ratio, report.holds]
     assert [c.dtype for c in columns] == [np.float64] * 4 + [np.bool_]
-    assert [bits(row) for row in zip(*(c.tolist() for c in columns))] == [
-        bits(row[:3] + row[4:]) for row in rows]
-    assert bits([report.c_hat]) == bits({row[3] for row in rows})
+    assert [bits(row) for row in zip(*(c.tolist() for c in columns))] == [bits(row) for row in rows]
+    assert scan.decay.c_hat == decay_estimate(perron_eigendata(A), depth).c_hat
     summary = [scan.max_ratio, scan.argmax_id, scan.slope, scan.all_hold]
     assert [type(x) for x in summary] == [float, int, float, bool]
     assert bits(summary) == bits([max_ratio, argmax_id, slope, all_hold])
@@ -279,16 +278,17 @@ def test_verification_error_names_the_first_sample_above_log_lambda():
     h = entropy(mu)
     # log lam at the largest of the first three entropies: a later sample exceeds it
     broken = eig._replace(lam=math.exp(float(h[:3].max())))
+    decay = decay._replace(eig=broken)
     f = random_function(GOLDEN, 2, list(range(100, 140)))
     first = next(i for i in range(40) if h[i] > math.log(broken.lam) + 1e-9)
     assert first >= 3 and (h[first + 1:] > math.log(broken.lam) + 1e-9).any()
     with pytest.raises(VerificationError, match=f"^pair {first}: entropy exceeds"):
-        effective_bound_verify(f, mu, broken, decay)
+        effective_bound_verify(f, mu, decay)
     # the loop over single pairs stops at the same sample
     for i in range(first):
-        effective_bound_verify(random_function(GOLDEN, 2, 100 + i), mu[i], broken, decay)
+        effective_bound_verify(random_function(GOLDEN, 2, 100 + i), mu[i], decay)
     with pytest.raises(VerificationError, match="^entropy exceeds"):
-        effective_bound_verify(random_function(GOLDEN, 2, 100 + first), mu[first], broken, decay)
+        effective_bound_verify(random_function(GOLDEN, 2, 100 + first), mu[first], decay)
 
 
 def test_single_measure_is_the_stack_of_one():
@@ -296,13 +296,13 @@ def test_single_measure_is_the_stack_of_one():
     decay = decay_estimate(eig, 3)
     mu = sample_markov_batch(WIDE3, [4, 9, 2])
     f = random_function(WIDE3, 3, [11, 12, 13])
-    stack = effective_bound_verify(f, mu, eig, decay)
+    stack = effective_bound_verify(f, mu, decay)
     for i in range(3):
         one = effective_bound_verify(random_function(WIDE3, 3, 11 + i), sample_markov(WIDE3, [4, 9, 2][i]),
-                                     eig, decay)
+                                     decay)
         assert bits(one._asdict().values()) == bits([stack.lhs[i].item(), stack.seminorm[i].item(),
-                                                     stack.gap[i].item(), stack.c_hat,
-                                                     stack.ratio[i].item(), stack.holds[i].item()])
+                                                     stack.gap[i].item(), stack.ratio[i].item(),
+                                                     stack.holds[i].item()])
 
 
 @pytest.fixture()
