@@ -24,8 +24,6 @@ from .errors import (
 from .holes import (
     HoleFamilyScan,
     PrunedSystem,
-    dim_upper_bound,
-    higher_block_prune,
     hole_family_scan,
     prune_words,
     pruned_word_count,
@@ -36,7 +34,6 @@ from .measures import (
     MarkovMeasure,
     centered,
     conditional_vectors,
-    constant_function,
     cylinder_measure,
     entropy,
     indicator,
@@ -44,7 +41,6 @@ from .measures import (
     integrate,
     markov_measure,
     random_function,
-    sample_markov,
     sample_markov_batch,
     stationary_vector,
 )
@@ -79,10 +75,8 @@ from .transfer import (
     conditional_expectation_check,
     decay_estimate,
     lip_seminorm,
-    mean_zero_probes,
     supnorm,
     transfer_apply,
-    transfer_matrix,
 )
 
 __version__ = "0.1.0"

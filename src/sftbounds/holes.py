@@ -1,6 +1,5 @@
 """Forbidden-cylinder holes: pruning on suffix automata, survivor entropy as a
-spectral radius, and dimension upper bounds for the set of orbits avoiding the
-hole.
+spectral radius, and the entropy gaps of every hole word up to a depth.
 
 A cylinder of a depth-k word is exactly the theta-metric ball of radius
 theta**-k about any of its points, so symbolic holes are cylinders.
@@ -266,11 +265,6 @@ def _hole_radii(A: TransitionMatrix, words: np.ndarray) -> np.ndarray:
     return out
 
 
-def higher_block_prune(A: TransitionMatrix, w) -> PrunedSystem:
-    """Forbid the single word `w`: its prefix automaton."""
-    return prune_words(A, [tuple(w)])
-
-
 def survivor_entropy(ps: PrunedSystem) -> float:
     """log of the pruned spectral radius; -inf when nothing survives."""
     if ps.survivor_lambda <= 0.0:
@@ -287,19 +281,6 @@ def pruned_word_count(ps: PrunedSystem, n: int) -> int:
         raise InputError(f"word length must be at least 1, got {n}")
     ones = int(np.count_nonzero(ps.parents < 0))
     return int(_path_count(ps.successors, n - 1)[:ones].sum())
-
-
-def dim_upper_bound(h: float, log_lambda: float, dim_m: float, log_theta_cap: float) -> float:
-    """dim_m - (log_lambda - h) / log_theta_cap.
-
-    In pure symbolic mode pass dim_m = log_lambda / log(theta) and
-    log_theta_cap = log(theta), which reduces to h / log(theta).
-    """
-    if log_theta_cap <= 0.0:
-        raise InputError(f"log of the expansion cap must be positive, got {log_theta_cap}")
-    if h > log_lambda + 1e-12:
-        raise InputError(f"survivor entropy {h} exceeds log lambda {log_lambda}")
-    return dim_m - (log_lambda - h) / log_theta_cap
 
 
 class HoleFamilyScan(NamedTuple):

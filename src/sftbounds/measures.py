@@ -45,7 +45,8 @@ if TYPE_CHECKING:  # annotations only: spectral imports stationary_vector from h
     from .spectral import PerronData
 
 STATIONARITY_TOL = 1e-12
-# Most steps a stationary_vector chain runs before ConvergenceError.
+# Most power steps a stationary_vector chain runs: past it, a stochastic chain
+# is solved by `_gth` and a tol=0 chain raises ConvergenceError.
 STATIONARY_MAX_ITER = 1_000_000
 # Width of a power iteration's rounding floor, in ulps of the largest entry.
 ROUNDING_ULPS = 16
@@ -145,6 +146,10 @@ def stationary_vector(Q: np.ndarray, tol: float = 1e-14) -> np.ndarray:
     steps a chain runs past its stop are never read. A chain left alone with
     fewer than 8 states runs its blocks on `_lone_block`, one numpy call per
     step instead of three, with the same bits.
+
+    Chains still open after STATIONARY_MAX_ITER steps are solved by `_gth`
+    when tol > 0, which is for stochastic matrices; with tol=0, where the
+    matrices need not be stochastic, they raise ConvergenceError.
     """
     Q = np.ascontiguousarray(Q, dtype=float)
     stack = Q if Q.ndim == 3 else Q[None]
@@ -190,11 +195,35 @@ def stationary_vector(Q: np.ndarray, tol: float = 1e-14) -> np.ndarray:
         active, stack, open_drift = active[keep], stack[keep], drift[-1, keep]
         x, y, inc_prev = Y[-2, keep], Y[-1, keep], inc[-1, keep]
         block = min(2 * block, _BLOCK_CAP)
+    if tol > 0:
+        out[active] = _gth(stack)
+        return out if Q.ndim == 3 else out[0]
     raise ConvergenceError(
         f"power iteration did not converge within {STATIONARY_MAX_ITER} steps "
         f"for {len(active)} of {k} chains",
         residual=float(open_drift.max()),
     )
+
+
+def _gth(stack: np.ndarray) -> np.ndarray:
+    """Stationary vectors of a (k, n, n) stack of irreducible stochastic
+    matrices by Grassmann-Taksar-Heyman elimination (Oper. Res. 33, 1985).
+
+    State m is censored out, last first: its exit mass to the states below is
+    summed, not taken as 1 - Q[m, m], and its row is spread over them by
+    rank-one updates. Nothing is subtracted, so each entry of the result has a
+    small relative error however slowly the chain mixes (O'Cinneide, Numer.
+    Math. 65, 1993)."""
+    P = stack.copy()
+    n = P.shape[1]
+    for m in range(n - 1, 0, -1):
+        P[:, :m, m] /= P[:, m, :m].sum(axis=1, keepdims=True)
+        P[:, :m, :m] += P[:, :m, m, None] * P[:, m, None, :m]
+    x = np.zeros(P.shape[:2])
+    x[:, 0] = 1.0
+    for m in range(1, n):
+        x[:, m] = (x[:, :m] * P[:, :m, m]).sum(axis=1)
+    return x / x.sum(axis=1, keepdims=True)
 
 
 def _lone_block(x: np.ndarray, y: np.ndarray, Q: np.ndarray, b: int):
@@ -325,11 +354,6 @@ def sample_markov_batch(A: TransitionMatrix, seeds) -> MarkovMeasure:
     return markov_measure(stationary_vector(Qs), Qs, A)
 
 
-def sample_markov(A: TransitionMatrix, seed: int) -> MarkovMeasure:
-    """One random Markov measure on A: `sample_markov_batch` with a single seed."""
-    return sample_markov_batch(A, [seed])[0]
-
-
 def cylinder_measure(mu: MarkovMeasure, word) -> float:
     """Measure of the cylinder set of a word: the one-row case of
     `_cylinder_products`.
@@ -380,14 +404,6 @@ class LocallyConstantFunction:
         if idx < 0:
             raise InputError(f"word {tuple(word)} is not an admissible depth-{self.depth} word")
         return float(self.values[idx])
-
-
-def constant_function(A: TransitionMatrix, value: float, depth: int = 1) -> LocallyConstantFunction:
-    """The constant `value` as a depth-`depth` function. Refused, before
-    anything is allocated, past WORD_CEILING words."""
-    n = word_count(A, depth)
-    _check_ceiling(n, "{} admissible words of length {}", n, depth)
-    return LocallyConstantFunction(A, depth, np.full(n, float(value)))
 
 
 def indicator(A: TransitionMatrix, word) -> LocallyConstantFunction:

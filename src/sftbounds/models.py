@@ -211,15 +211,19 @@ def ball_to_cylinders(model: ExpandingModel, x0: float, delta: float) -> BallCov
     """Cover a metric ball by inner and outer depth-k cylinder cells,
     k = ceil(log(1/delta) / log(theta0)) + 1, in lexicographic order.
 
-    Refused when there are more than WORD_CEILING admissible k-words: below
-    ENDPOINT_TOL the descent keeps every prefix within the slack of the ball,
-    so only the word count bounds its work."""
+    Refused when k * k passes WORD_CEILING, before any word is counted: the
+    descent pulls each kept prefix back through all of its symbols, at least
+    k * k / 2 branch inversions. Refused too when there are more than
+    WORD_CEILING admissible k-words: below ENDPOINT_TOL the descent keeps
+    every prefix within the slack of the ball, so only the word count bounds
+    its work."""
     if not 0.0 < delta < 0.5:
         raise InputError(f"delta must lie in (0, 1/2), got {delta}")
     if not 0.0 <= x0 <= 1.0:
         raise InputError(f"x0 must lie in [0, 1], got {x0}")
     ratio = math.log(1.0 / delta) / math.log(model.theta0)
     depth = math.ceil(ratio - 1e-12) + 1
+    _check_ceiling(depth * depth, "a cover of depth {}: depth squared {}", depth, depth * depth)
     n = word_count(model.transition, depth)
     _check_ceiling(n, "{} admissible words of length {}", n, depth)
     segments = _ball_segments(model, x0, delta)

@@ -1,7 +1,7 @@
 """The transfer operator on locally constant functions, the oscillation
 seminorm, and a proven certificate for sup-norm decay of mean-zero iterates.
 
-On depth-d functions the operator is an exact finite matrix with kernel weights
+On depth-d functions the operator is an exact finite sum with kernel weights
 u_i / (lam u_j); it maps depth d to depth max(d-1, 1). The certificate bounds
 each iterate of a mean-zero function by per-step constants read from the s x s
 depth-1 operator and closes the infinite sum with a geometric tail, so no
@@ -16,15 +16,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConvergenceError, InputError
-from .measures import LocallyConstantFunction, _left_sum, cylinder_measure_vector
-from .sft import (
-    _check_ceiling,
-    enumerate_words,
-    predecessors,
-    prefix_rows,
-    word_array,
-    word_count,
-)
+from .measures import LocallyConstantFunction, _left_sum
+from .sft import _check_ceiling, enumerate_words, predecessors, word_array
 from .spectral import PerronData, subdominant_modulus
 
 # decay_estimate sums at most this many depth-1 terms before its tail must close.
@@ -75,22 +68,6 @@ def transfer_apply(f: LocallyConstantFunction, eig: PerronData) -> LocallyConsta
     return LocallyConstantFunction(f.matrix, max(f.depth - 1, 1), out)
 
 
-def transfer_matrix(eig: PerronData, depth: int):
-    """Matrix of the operator on the depth-`depth` word space (with the image
-    depth-(d-1) space embedded back into depth d). Returns (matrix, words).
-    Refused, before anything is allocated, past WORD_CEILING entries."""
-    A = eig.parry.support
-    n = word_count(A, depth)
-    _check_ceiling(n * n, "a {} x {} operator", n, n)
-    cols, weights = _kernel(eig, depth)
-    dense = np.zeros((len(cols), n))
-    r, i = np.nonzero(cols >= 0)
-    dense[r, cols[r, i]] = weights[r, i]
-    # each word's row is its image's: its prefix's, or its own at depth 1
-    rows = prefix_rows(A, depth) if depth > 1 else np.arange(A.size)
-    return dense[rows], enumerate_words(A, depth)
-
-
 def conditional_expectation_check(f: LocallyConstantFunction, eig: PerronData) -> float:
     """Max discrepancy between (Lf) after one shift and the direct conditional
     expectation sum over predecessors, evaluated on depth-(d+1) words."""
@@ -132,21 +109,6 @@ class DecayEstimate(NamedTuple):
         """The constant sqrt(2) (sum(steps) + tail) of the integral-discrepancy bound,
         the steps added by `_left_sum`."""
         return math.sqrt(2.0) * (_left_sum(self.steps) + self.tail)
-
-
-def mean_zero_probes(eig: PerronData, depth: int) -> list[LocallyConstantFunction]:
-    """Mean-zero basis: the indicator of each depth cylinder minus its Parry
-    measure. Refused, before anything is allocated, past WORD_CEILING values."""
-    A = eig.parry.support
-    n = word_count(A, depth)
-    _check_ceiling(n * n, "{} probes of {} values", n, n)
-    mass = cylinder_measure_vector(eig.parry, depth)
-    probes = []
-    for k, mass_k in enumerate(mass):
-        vals = np.full(len(mass), -mass_k)
-        vals[k] += 1.0
-        probes.append(LocallyConstantFunction(A, depth, vals))
-    return probes
 
 
 def _norm_inf(M: np.ndarray) -> float:

@@ -11,7 +11,16 @@ import math
 
 import numpy as np
 
-from sftbounds import InputError, TransitionMatrix, transition_matrix
+from sftbounds import (
+    InputError,
+    LocallyConstantFunction,
+    PerronData,
+    TransitionMatrix,
+    centered,
+    indicator,
+    transition_matrix,
+    word_array,
+)
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -123,3 +132,10 @@ def bernoulli_entropy(p: float) -> float:
         if x > 0:
             terms -= x * math.log(x)
     return terms
+
+
+def centered_indicators(eig: PerronData, depth: int) -> list[LocallyConstantFunction]:
+    """A mean-zero basis of the depth-`depth` functions: the indicator of each
+    admissible word's cylinder, in `word_array` order, minus its Parry measure."""
+    A = eig.parry.support
+    return [centered(indicator(A, w), eig.parry) for w in word_array(A, depth).tolist()]

@@ -10,14 +10,13 @@ import time
 
 import numpy as np
 
-from helpers import PHI, bernoulli_entropy, dp_avoid_count, random_primitive_matrices
+from helpers import PHI, bernoulli_entropy, centered_indicators, dp_avoid_count, random_primitive_matrices
 from sftbounds import (
+    LocallyConstantFunction,
     centered,
     conditional_expectation_check,
-    constant_function,
     cylinder_measure,
     decay_estimate,
-    dim_upper_bound,
     effective_bound_verify,
     entropy,
     enumerate_words,
@@ -25,27 +24,25 @@ from sftbounds import (
     full_shift,
     gap_identity_check,
     golden_mean_shift,
-    higher_block_prune,
     hole_family_scan,
     indicator,
     information_mean,
     integrate,
     lip_seminorm,
     markov_measure,
-    mean_zero_probes,
     model_preset,
     perron_eigendata,
     phi_divergence,
     pinsker_verify,
+    prune_words,
     pruned_word_count,
     random_function,
     ratio_scan,
-    sample_markov,
     sample_markov_batch,
     step_bound_verify,
     survivor_entropy,
     transfer_apply,
-    transfer_matrix,
+    word_count,
 )
 
 # Iterate sup-norms at or below DECAY_FLOOR * |g|_theta are rounding residue of
@@ -136,7 +133,7 @@ def test_criterion_5_transfer():
     cases = ((FULL2, EIG2), (GOLDEN, EIGG), (FULL3, perron_eigendata(FULL3)))
     for A, eig in cases:
         m = eig.parry
-        one = constant_function(A, 1.0, depth=2)
+        one = LocallyConstantFunction(A, 2, np.full(word_count(A, 2), 1.0))
         assert np.allclose(transfer_apply(one, eig).values, 1.0, atol=1e-12)
         for depth in range(1, 5):
             f = random_function(A, depth, seed=depth)
@@ -147,14 +144,13 @@ def test_criterion_5_transfer():
     decay_cases = [(GOLDEN, EIGG, d) for d in (1, 2, 3, 4)] + [(FULL2, EIG2, 1)]
     for A, eig, depth in decay_cases:
         est = decay_estimate(eig, depth)
-        M, _ = transfer_matrix(eig, depth)
-        for g in mean_zero_probes(eig, depth):
+        for g in centered_indicators(eig, depth):
             sem = lip_seminorm(g)
-            vec = g.values.copy()
+            it = g
             for n in range(51):
-                sup = float(np.max(np.abs(vec)))
+                sup = float(np.max(np.abs(it.values)))
                 assert sup <= est.C * est.rho**n * sem + DECAY_FLOOR * sem
-                vec = M @ vec
+                it = transfer_apply(it, eig)
     assert abs(decay_estimate(EIGG, 1).rho - 1 / PHI**2) <= 1e-9
 
 
@@ -191,7 +187,7 @@ def test_criterion_6_effective_bound():
 def test_criterion_7_step_bound():
     for A, eig in ((FULL2, EIG2), (GOLDEN, EIGG)):
         for seed in range(10):
-            mu = sample_markov(A, seed=seed)
+            mu = sample_markov_batch(A, [seed])[0]
             f = random_function(A, 2, seed=900 + seed)
             for n in range(21):
                 assert step_bound_verify(f, mu, eig, n).holds
@@ -206,9 +202,9 @@ def test_criterion_7_step_bound():
 
 @criterion(8, "hole pruning: anchors, monotonicity, growth, family constants")
 def test_criterion_8_holes():
-    ps = higher_block_prune(FULL2, (1, 1))
+    ps = prune_words(FULL2, [(1, 1)])
     assert abs(ps.survivor_lambda - (1 + math.sqrt(5)) / 2) <= 1e-9
-    dim = dim_upper_bound(survivor_entropy(ps), math.log(2), 1.0, math.log(2))
+    dim = survivor_entropy(ps) / math.log(2)
     assert abs(dim - 0.6942419) <= 1e-7
     assert abs(dim - math.log(PHI) / math.log(2)) <= 1e-8
     # extension monotonicity, exhaustively for s <= 3 up to depth 4
@@ -216,14 +212,14 @@ def test_criterion_8_holes():
         radius = {}
         for k in range(1, 5):
             for w in enumerate_words(A, k):
-                radius[w] = higher_block_prune(A, w).survivor_lambda
+                radius[w] = prune_words(A, [w]).survivor_lambda
         for w, lam_w in radius.items():
             if len(w) < 4:
                 for c in A.successor_sets[w[-1]]:
                     assert radius[w + (c,)] >= lam_w - 1e-10
     # word-count growth rate at n = 30
     for A, w in ((FULL2, (1, 1)), (FULL2, (0, 0)), (FULL3, (1, 2))):
-        ps = higher_block_prune(A, w)
+        ps = prune_words(A, [w])
         slope = math.log(pruned_word_count(ps, 31)) - math.log(pruned_word_count(ps, 30))
         assert abs(slope - survivor_entropy(ps)) <= 1e-3
         assert pruned_word_count(ps, 12) == dp_avoid_count(A, w, 12)

@@ -28,7 +28,6 @@ from sftbounds import (
     pinsker_verify,
     random_function,
     ratio_scan,
-    sample_markov,
     sample_markov_batch,
     step_bound_verify,
 )
@@ -137,7 +136,7 @@ def test_gap_identity_bernoulli_anchor(full2, eig_full2):
 def test_gap_identity_sampled(golden, eig_golden, full3, eig_full3):
     for A, eig in ((golden, eig_golden), (full3, eig_full3)):
         for seed in range(40):
-            res = gap_identity_check(sample_markov(A, seed=seed), eig)
+            res = gap_identity_check(sample_markov_batch(A, [seed])[0], eig)
             assert res.discrepancy <= 1e-9
 
 
@@ -181,14 +180,14 @@ def test_step_bound_worked_anchor(full2, eig_full2):
 def test_step_bound_sampled(golden, eig_golden, full2, eig_full2):
     for A, eig in ((golden, eig_golden), (full2, eig_full2)):
         for seed in range(8):
-            mu = sample_markov(A, seed=seed)
+            mu = sample_markov_batch(A, [seed])[0]
             f = random_function(A, 2, seed=1000 + seed)
             for n in range(0, 21, 4):
                 assert step_bound_verify(f, mu, eig, n).holds
 
 
 def test_step_bound_beyond_decay_horizon(golden, eig_golden):
-    mu = sample_markov(golden, seed=2)
+    mu = sample_markov_batch(golden, [2])[0]
     f = random_function(golden, 2, seed=3)
     res = step_bound_verify(f, mu, eig_golden, 60)
     assert res.lhs <= 1e-12
@@ -223,7 +222,7 @@ def test_effective_bound_sampled_pairs(golden, eig_golden, full2, eig_full2):
     for A, eig in ((golden, eig_golden), (full2, eig_full2)):
         decay = decay_estimate(eig, 2)
         for seed in range(60):
-            mu = sample_markov(A, seed=seed)
+            mu = sample_markov_batch(A, [seed])[0]
             f = random_function(A, 2, seed=5000 + seed)
             assert effective_bound_verify(f, mu, decay).holds
 
@@ -232,7 +231,7 @@ def test_effective_bound_refuses_a_function_deeper_than_its_certificate(golden, 
     # c_hat grows with the depth: 3.162 at depth 1 against 7.405 at depth 4, so
     # a depth-1 certificate proves nothing about a depth-4 function
     f = random_function(golden, 4, seed=3)
-    mu = sample_markov(golden, seed=3)
+    mu = sample_markov_batch(golden, [3])[0]
     with pytest.raises(InputError, match="a depth-1 certificate does not cover depth-4 functions"):
         effective_bound_verify(f, mu, decay_estimate(eig_golden, 1))
     assert effective_bound_verify(f, mu, decay_estimate(eig_golden, 4)).holds
@@ -259,7 +258,7 @@ def test_eigendata_of_another_shift_is_refused(name, golden, eig_full2):
     # golden records against full2's Perron record: log 2 for the information
     # mean, or a step bound that holds on the wrong shift, if let through
     f = random_function(golden, 2, seed=7)
-    mu = sample_markov(golden, seed=7)
+    mu = sample_markov_batch(golden, [7])[0]
     with pytest.raises(InputError, match="live on different transition matrices"):
         SHIFT_CHECKS[name](f, mu, eig_full2)
 
@@ -269,7 +268,7 @@ def test_effective_bound_rejects_negative_gap(golden, eig_golden):
     # Parry measure so the error surfaces at the gap check
     broken = eig_golden._replace(lam=1.01)
     decay = decay_estimate(eig_golden, 2)._replace(eig=broken)
-    mu = sample_markov(golden, seed=1)
+    mu = sample_markov_batch(golden, [1])[0]
     f = random_function(golden, 2, seed=1)
     assert entropy(mu) > math.log(1.01)
     with pytest.raises(VerificationError):
@@ -281,7 +280,7 @@ def test_telescoping_consistency(golden, eig_golden):
     m = eig_golden.parry
     decay = decay_estimate(eig_golden, 2)
     for seed in (0, 1, 2):
-        mu = sample_markov(golden, seed=seed)
+        mu = sample_markov_batch(golden, [seed])[0]
         f = centered(random_function(golden, 2, seed=seed), m)
         lhs = abs(integrate(f, mu) - integrate(f, m))
         sem = lip_seminorm(f)

@@ -21,12 +21,10 @@ from sftbounds import (
     CeilingError,
     ConvergenceError,
     InputError,
-    dim_upper_bound,
     enumerate_words,
     exceptional_dimension_bound,
     full_shift,
     golden_mean_shift,
-    higher_block_prune,
     hole_family_scan,
     model_preset,
     perron_eigendata,
@@ -64,21 +62,21 @@ SCAN_COLUMNS = ("words", "depth", "delta", "measure", "survivor_lambda", "gap", 
 
 
 def test_prune_11_gives_golden_survivor(full2):
-    ps = higher_block_prune(full2, (1, 1))
+    ps = prune_words(full2, [(1, 1)])
     assert ps.states == ((0,), (1,))
     assert abs(ps.survivor_lambda - PHI) <= 1e-9
     assert abs(survivor_entropy(ps) - math.log(PHI)) <= 1e-9
 
 
 def test_prune_depth1_single_fixed_point(full2):
-    ps = higher_block_prune(full2, (1,))
+    ps = prune_words(full2, [(1,)])
     assert ps.states == ((0,),)
     assert ps.survivor_lambda == 1.0
 
 
 def test_prune_to_empty_survivor(golden):
     # removing symbol 0 leaves only state 1, which has no self loop
-    ps = higher_block_prune(golden, (0,))
+    ps = prune_words(golden, [(0,)])
     assert ps.survivor_lambda == 0.0
     assert survivor_entropy(ps) == float("-inf")
 
@@ -93,7 +91,7 @@ def test_block_presentation_preserves_lambda(full2, eig_full2, golden, eig_golde
 
 def test_prune_requires_admissible_word(golden):
     with pytest.raises(InputError):
-        higher_block_prune(golden, (1, 1))
+        prune_words(golden, [(1, 1)])
 
 
 def test_prune_refuses_past_the_state_ceiling(full2):
@@ -105,7 +103,7 @@ def test_prune_refuses_past_the_state_ceiling(full2):
 def test_survivor_lambda_below_ambient(full2, eig_full2):
     for k in range(1, 5):
         for w in enumerate_words(full2, k):
-            ps = higher_block_prune(full2, w)
+            ps = prune_words(full2, [w])
             assert ps.survivor_lambda <= eig_full2.lam + 1e-12
 
 
@@ -115,7 +113,7 @@ def test_extension_monotonicity_exhaustive(full2, golden, full3):
         radius = {}
         for k in range(1, 5):
             for w in enumerate_words(A, k):
-                radius[w] = higher_block_prune(A, w).survivor_lambda
+                radius[w] = prune_words(A, [w]).survivor_lambda
         for w, lam_w in radius.items():
             if len(w) >= 4:
                 continue
@@ -129,7 +127,7 @@ def test_gap_positive_for_nonempty_holes(full2, golden, full3):
         eig = perron_eigendata(A)
         for k in (1, 2):
             for w in enumerate_words(A, k):
-                ps = higher_block_prune(A, w)
+                ps = prune_words(A, [w])
                 gap = math.log(eig.lam) - survivor_entropy(ps)
                 assert gap > 0.0
 
@@ -138,7 +136,7 @@ def test_word_counts_match_brute_force(full2, golden, full3):
     for A in (full2, golden, full3):
         for w_len in (1, 2, 3):
             for w in enumerate_words(A, w_len):
-                ps = higher_block_prune(A, w)
+                ps = prune_words(A, [w])
                 for n in range(w_len, 9):
                     expected = brute_avoid_count(A, w, n)
                     assert pruned_word_count(ps, n) == expected, (A.rows, w, n)
@@ -147,7 +145,7 @@ def test_word_counts_match_brute_force(full2, golden, full3):
 def test_growth_slope_at_thirty(full2, full3):
     cases = [(full2, (1, 1)), (full2, (0, 0)), (full3, (1, 2))]
     for A, w in cases:
-        ps = higher_block_prune(A, w)
+        ps = prune_words(A, [w])
         n30 = pruned_word_count(ps, 30)
         n31 = pruned_word_count(ps, 31)
         slope = math.log(n31) - math.log(n30)
@@ -161,19 +159,8 @@ def test_pruned_word_count_is_exact_past_int64(full2):
     fib = [0, 1]
     while len(fib) < 103:
         fib.append(fib[-1] + fib[-2])
-    count = pruned_word_count(higher_block_prune(full2, (1, 1)), 100)
+    count = pruned_word_count(prune_words(full2, [(1, 1)]), 100)
     assert count == fib[102] > 2**63
-
-
-def test_dim_upper_bound_examples():
-    val = dim_upper_bound(math.log(PHI), math.log(2), 1.0, math.log(2))
-    assert abs(val - math.log(PHI) / math.log(2)) <= 1e-12
-    assert dim_upper_bound(math.log(2), math.log(2), 1.0, math.log(2)) == 1.0
-    assert dim_upper_bound(0.0, math.log(2), 1.0, math.log(2)) == 0.0
-    with pytest.raises(InputError):
-        dim_upper_bound(math.log(2) + 1e-6, math.log(2), 1.0, math.log(2))
-    with pytest.raises(InputError):
-        dim_upper_bound(0.0, math.log(2), 1.0, 0.0)
 
 
 def test_family_scan_full_shift(full2):
@@ -332,7 +319,7 @@ def test_family_scan_includes_empty_survivors(golden):
 
 def test_pruned_word_count_below_word_length(full2, golden):
     # Shorter than the word, every admissible n-word avoids it.
-    ps = higher_block_prune(full2, (1, 1, 0, 1))
+    ps = prune_words(full2, [(1, 1, 0, 1)])
     for n in range(1, 4):
         assert pruned_word_count(ps, n) == len(brute_words(full2, n))
     for A, forb in ((full2, [(1, 1, 0, 1)]), (golden, [(0, 1, 0, 0), (1, 0)]),
@@ -363,7 +350,7 @@ def block_radius(mat):
 
 def test_golden_100101_radius(golden):
     # The defect this pins: a Rayleigh-quotient stopping rule reported 1.6.
-    ps = higher_block_prune(golden, (1, 0, 0, 1, 0, 1))
+    ps = prune_words(golden, [(1, 0, 0, 1, 0, 1)])
     truth = float(np.abs(np.linalg.eigvals(ps.matrix.astype(float))).max())
     assert abs(truth - 1.5754491412403955) <= 1e-12
     assert abs(ps.survivor_lambda - 1.5754491412403955) <= 1e-12
@@ -371,7 +358,7 @@ def test_golden_100101_radius(golden):
 
 
 def test_radius_stall_reports_bracket_width(monkeypatch, full2):
-    succ = higher_block_prune(full2, (1, 1)).successors
+    succ = prune_words(full2, [(1, 1)]).successors
     monkeypatch.setattr(holes, "RADIUS_MAX_ITER", 2)
     with pytest.raises(ConvergenceError) as info:
         holes._component_radii(succ)
@@ -485,7 +472,7 @@ def test_radius_stall_after_a_component_closes(monkeypatch):
 
 
 def test_successor_table_is_read_only(full2):
-    ps = higher_block_prune(full2, (0, 1, 1))
+    ps = prune_words(full2, [(0, 1, 1)])
     assert ps.successors.shape == (len(ps.states), 2)
     assert not ps.successors.flags.writeable
     assert ps.matrix.dtype == np.int8 and not ps.matrix.flags.writeable
@@ -534,7 +521,7 @@ def test_pruning_matches_brute_force(case):
     np.testing.assert_array_equal(ps.matrix, auto)
     assert (survivor_entropy(ps) == -math.inf) == (ps.survivor_lambda == 0.0)
     for f in forb:
-        single = higher_block_prune(A, f)
+        single = prune_words(A, [f])
         for n in range(len(f), 6):
             assert pruned_word_count(single, n) == brute_avoid_count(A, f, n)
 

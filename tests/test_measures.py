@@ -16,7 +16,6 @@ from sftbounds import (
     LocallyConstantFunction,
     centered,
     conditional_vectors,
-    constant_function,
     cylinder_measure,
     entropy,
     enumerate_words,
@@ -26,10 +25,10 @@ from sftbounds import (
     markov_measure,
     perron_eigendata,
     random_function,
-    sample_markov,
     sample_markov_batch,
     stationary_vector,
     transition_matrix,
+    word_count,
 )
 from sftbounds import measures
 from sftbounds.measures import (
@@ -93,7 +92,7 @@ def test_golden_depth1_cylinder(golden, eig_golden):
 
 
 def test_cylinder_additivity(golden, eig_golden):
-    mu = sample_markov(golden, seed=42)
+    mu = sample_markov_batch(golden, [42])[0]
     for k in range(1, 5):
         for w in enumerate_words(golden, k):
             extensions = [w + (c,) for c in golden.successor_sets[w[-1]]]
@@ -122,8 +121,8 @@ def test_entropy_matches_bernoulli_formula(full2):
 def test_integrate_indicator_and_constant(full2, golden, eig_golden):
     mu = bernoulli(0.7, full2)
     assert abs(integrate(indicator(full2, (0,)), mu) - 0.7) <= 1e-12
-    for A, m in ((full2, mu), (golden, sample_markov(golden, seed=9))):
-        assert abs(integrate(constant_function(A, 3.25, depth=2), m) - 3.25) <= 1e-12
+    for A, m in ((full2, mu), (golden, sample_markov_batch(golden, [9])[0])):
+        assert abs(integrate(LocallyConstantFunction(A, 2, np.full(word_count(A, 2), 3.25)), m) - 3.25) <= 1e-12
 
 
 @pytest.mark.parametrize("depth, values, message", [
@@ -139,7 +138,7 @@ def test_locally_constant_function_refuses_bad_shapes(golden, depth, values, mes
 def test_integrate_requires_matching_support(full2, golden):
     f = indicator(full2, (0,))
     with pytest.raises(InputError):
-        integrate(f, sample_markov(golden, seed=1))
+        integrate(f, sample_markov_batch(golden, [1])[0])
 
 
 def test_information_mean_full_shift(full2, eig_full2):
@@ -161,7 +160,7 @@ def test_information_mean_golden_cycle(golden, eig_golden):
 def test_information_mean_sampled(golden, eig_golden):
     log_lam = math.log(eig_golden.lam)
     for seed in range(30):
-        mu = sample_markov(golden, seed=seed)
+        mu = sample_markov_batch(golden, [seed])[0]
         assert abs(information_mean(mu, eig_golden) - log_lam) <= 1e-9
 
 
@@ -186,7 +185,7 @@ def test_conditional_vectors_golden(golden, eig_golden):
 
 def test_conditional_vectors_sum_to_one(golden, eig_golden):
     for seed in range(10):
-        mu = sample_markov(golden, seed=seed)
+        mu = sample_markov_batch(golden, [seed])[0]
         for j in range(golden.size):
             p, q = conditional_vectors(mu, eig_golden, j)
             assert abs(p.sum() - 1.0) <= 1e-12
@@ -200,21 +199,21 @@ def test_conditional_rejects_null_fiber(golden, eig_golden):
 
 
 def test_sampler_deterministic(golden):
-    a = sample_markov(golden, seed=123)
-    b = sample_markov(golden, seed=123)
+    a = sample_markov_batch(golden, [123])[0]
+    b = sample_markov_batch(golden, [123])[0]
     assert np.array_equal(a.stationary, b.stationary)
     assert np.array_equal(a.transition, b.transition)
 
 
 def test_sampler_single_allowed_entry_is_point_mass(golden):
-    mu = sample_markov(golden, seed=7)
+    mu = sample_markov_batch(golden, [7])[0]
     assert mu.transition[1, 0] == 1.0  # row 1 allows only symbol 0
 
 
 def test_sampler_outputs_validate(golden, full3):
     for A in (golden, full3):
         for seed in range(20):
-            mu = sample_markov(A, seed=seed)
+            mu = sample_markov_batch(A, [seed])[0]
             assert abs(mu.stationary.sum() - 1.0) <= 1e-12
             assert float(np.max(np.abs(mu.stationary @ mu.transition - mu.stationary))) <= 1e-12
 
@@ -224,7 +223,7 @@ def test_entropy_maximality(golden, eig_golden, full2, eig_full2):
         log_lam = math.log(eig.lam)
         m = eig.parry
         for seed in range(100):
-            mu = sample_markov(A, seed=seed)
+            mu = sample_markov_batch(A, [seed])[0]
             gap = log_lam - entropy(mu)
             assert gap >= -1e-9
             if gap <= 1e-9:
@@ -245,7 +244,7 @@ _GOLDEN_LOG_LAM = math.log(perron_eigendata(_GOLDEN).lam)
 
 @given(st.integers(0, 10_000))
 def test_sampled_measure_entropy_below_log_lambda(seed):
-    mu = sample_markov(_GOLDEN, seed=seed)
+    mu = sample_markov_batch(_GOLDEN, [seed])[0]
     assert entropy(mu) <= _GOLDEN_LOG_LAM + 1e-9
 
 
@@ -256,7 +255,7 @@ def test_centered_has_zero_integral(golden, eig_golden):
 
 
 def test_measure_json_roundtrip(golden):
-    mu = sample_markov(golden, seed=3)
+    mu = sample_markov_batch(golden, [3])[0]
     data = json.loads(json.dumps({
         "stationary": list(mu.stationary),
         "transition": [list(row) for row in mu.transition],
@@ -304,6 +303,32 @@ def scalar_stationary(Q, tol=1e-14, max_iter=1_000_000):
         inc_prev = inc
         x = y
     raise ConvergenceError("no convergence", residual=drift)
+
+
+def scalar_gth(Q):
+    """One chain's Grassmann-Taksar-Heyman elimination on Python floats,
+    entry by entry, each sum taken left to right."""
+    P = [[float(v) for v in row] for row in Q]
+    n = len(P)
+    for m in range(n - 1, 0, -1):
+        exit_mass = 0.0
+        for j in range(m):
+            exit_mass += P[m][j]
+        for i in range(m):
+            P[i][m] /= exit_mass
+        for i in range(m):
+            for j in range(m):
+                P[i][j] += P[i][m] * P[m][j]
+    x = [1.0]
+    for m in range(1, n):
+        acc = 0.0
+        for i in range(m):
+            acc += x[i] * P[i][m]
+        x.append(acc)
+    total = 0.0
+    for v in x:
+        total += v
+    return np.array([v / total for v in x])
 
 
 def slow_chain(s, p):
@@ -431,37 +456,73 @@ def test_batch_mixes_both_stop_rules():
 
 
 def test_chain_stopping_on_the_last_allowed_step_returns(monkeypatch):
-    stack = np.array([slow_chain(2, 3e-3), fast_chain(2, 5), slow_chain(2, 0.05), slow_chain(2, 0.3)])
-    oracle = [scalar_stationary(Q) for Q in stack]
-    for Q, (y, _, steps) in zip(stack, oracle):
-        monkeypatch.setattr(measures, "STATIONARY_MAX_ITER", steps)
-        assert np.array_equal(stationary_vector(Q), y)
-        monkeypatch.setattr(measures, "STATIONARY_MAX_ITER", steps - 1)
-        with pytest.raises(ConvergenceError):
-            stationary_vector(Q)
-    last = max(steps for _, _, steps in oracle)
-    monkeypatch.setattr(measures, "STATIONARY_MAX_ITER", last)
-    rows = stationary_vector(stack)
-    for (y, _, _), row in zip(oracle, rows):
-        assert np.array_equal(row, y)
+    # A chain open one step short of its stop raises at tol=0, on the Perron
+    # pair and weighted Wielandt matrices, which are not stochastic; at
+    # tol > 0 it is solved by elimination, and the chains that closed keep
+    # their bits
+    cases = ((0.0, np.concatenate([random_nonnegative("pair", 3, 7), random_nonnegative("wielandt", 3, 7)])),
+             (1e-14, np.array([slow_chain(2, 3e-3), fast_chain(2, 5), slow_chain(2, 0.05), slow_chain(2, 0.3)])))
+    for tol, stack in cases:
+        oracle = [scalar_stationary(Q, tol) for Q in stack]
+        for Q, (y, _, steps) in zip(stack, oracle):
+            monkeypatch.setattr(measures, "STATIONARY_MAX_ITER", steps)
+            assert np.array_equal(stationary_vector(Q, tol), y)
+            monkeypatch.setattr(measures, "STATIONARY_MAX_ITER", steps - 1)
+            if tol:
+                assert np.array_equal(stationary_vector(Q, tol), scalar_gth(Q))
+            else:
+                with pytest.raises(ConvergenceError):
+                    stationary_vector(Q, tol)
+        last = max(steps for _, _, steps in oracle)
+        monkeypatch.setattr(measures, "STATIONARY_MAX_ITER", last)
+        rows = stationary_vector(stack, tol)
+        for (y, _, _), row in zip(oracle, rows):
+            assert np.array_equal(row, y)
+        if tol:
+            monkeypatch.setattr(measures, "STATIONARY_MAX_ITER", last - 1)
+            rows = stationary_vector(stack, tol)
+            for Q, (y, _, steps), row in zip(stack, oracle, rows):
+                assert np.array_equal(row, y if steps < last else scalar_gth(Q))
 
 
 def test_batch_failure_reports_widest_open_drift(monkeypatch):
     # the step cap cuts the first block (1, 3), ends on a block end (60) or
-    # cuts a later block (61, 127, 129); a cap of 0 runs no step at all
+    # cuts a later block (61, 127, 129); a cap of 0 runs no step at all.
+    # At tol=0 the open chains raise; at tol > 0 they are solved by
+    # elimination, and the chains that closed keep their bits
     stack = np.array([slow_chain(2, 1e-3), fast_chain(2, 1), slow_chain(2, 2e-3)])
     for max_iter in (0, 1, 3, 60, 61, 127, 129):
         open_drifts = []
         for Q in stack:
             try:
-                scalar_stationary(Q, max_iter=max_iter)
+                scalar_stationary(Q, tol=0.0, max_iter=max_iter)
             except ConvergenceError as err:
                 open_drifts.append(err.residual)
         assert len(open_drifts) >= 2
         monkeypatch.setattr(measures, "STATIONARY_MAX_ITER", max_iter)
         with pytest.raises(ConvergenceError, match=f"for {len(open_drifts)} of 3 chains") as info:
-            stationary_vector(stack)
+            stationary_vector(stack, tol=0.0)
         assert info.value.residual == max(open_drifts)
+        expected = []
+        for Q in stack:
+            try:
+                expected.append(scalar_stationary(Q, max_iter=max_iter)[0])
+            except ConvergenceError:
+                expected.append(scalar_gth(Q))
+        assert np.array_equal(stationary_vector(stack), expected)
+
+
+def test_slowly_mixing_chain_past_the_step_cap_gets_its_closed_form(monkeypatch):
+    # [[eps, 1 - eps], [1, 0]] has second eigenvalue eps - 1: at eps = 1e-5 the
+    # power iteration does not close within 10^6 steps. Past a cap of 1000
+    # steps it is solved by elimination, to its closed form
+    eps = 1e-5
+    exact = np.array([1.0, 1.0 - eps]) / (2.0 - eps)
+    monkeypatch.setattr(measures, "STATIONARY_MAX_ITER", 1000)
+    got = stationary_vector(slow_chain(2, eps))
+    assert np.all(np.abs(got - exact) <= 1e-15 * exact)
+    with pytest.raises(ConvergenceError):
+        stationary_vector(slow_chain(2, eps), tol=0.0)
 
 
 def near_cycle(s, p):
@@ -562,7 +623,7 @@ def test_sampler_batch_equals_one_seed_draws(golden, full3):
     for A in (golden, full3):
         seeds = [3, 2**62 + 11, 0, 77]
         for mu, seed in zip(sample_markov_batch(A, seeds), seeds):
-            one = sample_markov(A, seed)
+            one = sample_markov_batch(A, [seed])[0]
             assert np.array_equal(mu.stationary, one.stationary)
             assert np.array_equal(mu.transition, one.transition)
 
@@ -574,7 +635,7 @@ WIDE3 = transition_matrix([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
 def test_cylinder_vector_equals_per_word_products(name, request):
     A = WIDE3 if name == "wide3" else request.getfixturevalue(name)
     for seed in range(3):
-        mu = sample_markov(A, seed)
+        mu = sample_markov_batch(A, [seed])[0]
         for depth in range(1, 7):
             vec = cylinder_measure_vector(mu, depth)
             words = enumerate_words(A, depth)
@@ -587,7 +648,7 @@ def test_cylinder_measure_is_the_product_row(seed, length, data):
     # a random walk's word: its measure is the row of the one product, with
     # the bits of multiplying Python floats left to right
     A = random_primitive_matrices(1, (2, 3, 4, 5), seed)[0]
-    mu = sample_markov(A, seed)
+    mu = sample_markov_batch(A, [seed])[0]
     word = [data.draw(st.integers(0, A.size - 1))]
     while len(word) < length:
         word.append(data.draw(st.sampled_from(A.successor_sets[word[-1]])))
@@ -599,9 +660,9 @@ def test_cylinder_measure_is_the_product_row(seed, length, data):
 
 
 def test_functions_past_the_ceiling_are_refused_at_once(full2):
-    # 2^25 words: the indicator's word index and the constant's values are
-    # refused by their count before anything is allocated
-    for build in (lambda: indicator(full2, (0,) * 25), lambda: constant_function(full2, 1.0, 25)):
+    # 2^25 words: the indicator's word index and the random function's values
+    # are refused by their count before anything is allocated
+    for build in (lambda: indicator(full2, (0,) * 25), lambda: random_function(full2, 25, 0)):
         started = time.perf_counter()
         with pytest.raises(CeilingError, match="33554432 admissible words of length 25"):
             build()

@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from helpers import PHI, dp_avoid_count
 from sftbounds import (
     Branch,
+    CeilingError,
     InputError,
     ball_to_cylinders,
     build_model,
@@ -19,6 +21,7 @@ from sftbounds import (
     cylinder_measure,
     enumerate_words,
     exceptional_dimension_bound,
+    golden_mean_shift,
     model_preset,
     perron_eigendata,
     prune_words,
@@ -326,6 +329,28 @@ def test_model_dim_ceiling_trips_before_cover_work(monkeypatch, tmp_path, delta)
         summary = json.loads((tmp_path / "dim.json").read_text())
         assert summary["depth"] == 21 and math.isfinite(summary["bound"])
         assert 0.0 < summary["bound"] < 1.0
+
+
+NEAR_ONE_BRANCHES = [
+    {"domain": [0.0, 0.5], "slope": 2.0, "intercept": 0.0},
+    {"domain": [0.5, 1.0], "slope": 1.0000000000001, "intercept": -0.50000000000005},
+]
+
+
+def test_cover_with_a_slope_near_one_is_refused_at_once(capsys, tmp_path):
+    # a primitive golden coding with theta0 = 1 + 1e-13: a ball of radius 0.01
+    # asks for a cover of depth 4.6e13, which the word count alone spun on;
+    # the descent's depth**2 / 2 branch inversions are refused before it
+    model = build_model(NEAR_ONE_BRANCHES)
+    assert model.transition == golden_mean_shift() and model.theta0 == 1.0000000000001
+    started = time.perf_counter()
+    with pytest.raises(CeilingError, match="a cover of depth 46088539407990"):
+        ball_to_cylinders(model, 0.25, 0.01)
+    assert time.perf_counter() - started < 1.0
+    path = tmp_path / "near_one.json"
+    path.write_text(json.dumps({"branches": NEAR_ONE_BRANCHES}))
+    assert main(["model-dim", "--model", str(path), "--x0", "0.25", "--delta", "0.01"]) == 2
+    assert capsys.readouterr().err.startswith("input error: a cover of depth 46088539407990")
 
 
 def test_ball_cover_rejects_bad_inputs():

@@ -31,7 +31,6 @@ from sftbounds import (
     pinsker_verify,
     random_function,
     ratio_scan,
-    sample_markov,
     sample_markov_batch,
     stationary_vector,
     transition_matrix,
@@ -297,9 +296,9 @@ def test_single_measure_is_the_stack_of_one():
     mu = sample_markov_batch(WIDE3, [4, 9, 2])
     f = random_function(WIDE3, 3, [11, 12, 13])
     stack = effective_bound_verify(f, mu, decay)
-    for i in range(3):
-        one = effective_bound_verify(random_function(WIDE3, 3, 11 + i), sample_markov(WIDE3, [4, 9, 2][i]),
-                                     decay)
+    for i, seed in enumerate([4, 9, 2]):
+        one_mu = sample_markov_batch(WIDE3, [seed])[0]
+        one = effective_bound_verify(random_function(WIDE3, 3, 11 + i), one_mu, decay)
         assert bits(one._asdict().values()) == bits([stack.lhs[i].item(), stack.seminorm[i].item(),
                                                      stack.gap[i].item(), stack.ratio[i].item(),
                                                      stack.holds[i].item()])

@@ -1,5 +1,4 @@
 import math
-import time
 
 import numpy as np
 import pytest
@@ -7,21 +6,18 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 
-from helpers import PHI, brute_words, random_primitive_matrices
+from helpers import PHI, brute_words, centered_indicators, random_primitive_matrices
 from sftbounds import (
-    CeilingError,
     DecayEstimate,
     LocallyConstantFunction,
     centered,
     conditional_expectation_check,
-    constant_function,
     decay_estimate,
     enumerate_words,
     full_shift,
     indicator,
     integrate,
     lip_seminorm,
-    mean_zero_probes,
     perron_eigendata,
     predecessors,
     random_function,
@@ -29,7 +25,6 @@ from sftbounds import (
     supnorm,
     transfer,
     transfer_apply,
-    transfer_matrix,
     transition_matrix,
     word_count,
 )
@@ -45,7 +40,7 @@ SOUNDNESS_HORIZON = 200
 
 
 def test_seminorm_constant_is_zero(full2):
-    assert lip_seminorm(constant_function(full2, 4.2, depth=3)) == 0.0
+    assert lip_seminorm(LocallyConstantFunction(full2, 3, np.full(word_count(full2, 3), 4.2))) == 0.0
 
 
 def test_seminorm_depth1_indicator(full2):
@@ -101,14 +96,14 @@ def test_seminorm_equals_prefix_dict_loop(seed, depth, theta, ties):
 
 def test_operator_fixes_constants(full2, eig_full2, golden, eig_golden):
     for A, eig in ((full2, eig_full2), (golden, eig_golden)):
-        one = constant_function(A, 1.0, depth=2)
+        one = LocallyConstantFunction(A, 2, np.full(word_count(A, 2), 1.0))
         out = transfer_apply(one, eig)
         assert np.allclose(out.values, 1.0, atol=1e-12)
 
 
 def test_operator_fixes_constants_on_65536_words(full2, eig_full2):
     # a dense operator matrix here would hold 32768 x 65536 entries
-    out = transfer_apply(constant_function(full2, 1.0, depth=16), eig_full2)
+    out = transfer_apply(LocallyConstantFunction(full2, 16, np.full(word_count(full2, 16), 1.0)), eig_full2)
     assert out.depth == 15
     assert np.allclose(out.values, 1.0, atol=1e-12)
 
@@ -120,14 +115,11 @@ def test_operator_on_words_longer_than_64_bit_codes(depth):
     A = transition_matrix([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 1, 0, 0]])
     eig = perron_eigendata(A)
     m = eig.parry
-    assert np.allclose(transfer_apply(constant_function(A, 1.0, depth), eig).values, 1.0, atol=1e-12)
+    one = LocallyConstantFunction(A, depth, np.full(word_count(A, depth), 1.0))
+    assert np.allclose(transfer_apply(one, eig).values, 1.0, atol=1e-12)
     f = random_function(A, depth, seed=depth)
     assert abs(integrate(transfer_apply(f, eig), m) - integrate(f, m)) <= 1e-12
     assert conditional_expectation_check(f, eig) <= 1e-12
-    if depth == 32:  # the dense 9540 x 9540 operator at depth 40 passes the ceiling
-        matrix, words = transfer_matrix(eig, depth)
-        assert matrix.shape == (1933, 1933) and len(words) == 1933
-        assert np.allclose(matrix @ np.ones(1933), 1.0, atol=1e-12)
 
 
 def test_operator_kills_mean_zero_depth1_full_shift(full2, eig_full2):
@@ -165,7 +157,8 @@ def test_depth_bookkeeping(golden, eig_golden):
 
 
 def test_conditional_expectation_constant(full2, eig_full2):
-    assert conditional_expectation_check(constant_function(full2, 2.0), eig_full2) == 0.0
+    two = LocallyConstantFunction(full2, 1, np.full(word_count(full2, 1), 2.0))
+    assert conditional_expectation_check(two, eig_full2) == 0.0
 
 
 def test_conditional_expectation_indicator(full2, eig_full2):
@@ -203,14 +196,12 @@ def test_decay_certificate_self_consistency(golden, eig_golden, full2, eig_full2
     cases = [(golden, eig_golden, d) for d in (1, 2, 3)] + [(full2, eig_full2, 1)]
     for A, eig, depth in cases:
         est = decay_estimate(eig, depth)
-        M, _ = transfer_matrix(eig, depth)
-        for g in mean_zero_probes(eig, depth):
+        for g in centered_indicators(eig, depth):
             sem = lip_seminorm(g)
-            vec = g.values.copy()
+            it = g
             for n in range(DECAY_HORIZON + 1):
-                sup = float(np.max(np.abs(vec)))
-                assert sup <= est.C * est.rho**n * sem + DECAY_FLOOR * sem
-                vec = M @ vec
+                assert supnorm(it) <= est.C * est.rho**n * sem + DECAY_FLOOR * sem
+                it = transfer_apply(it, eig)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.data())
@@ -218,19 +209,19 @@ def test_certificate_bounds_random_mean_zero_iterates(seed, depth, data):
     A = random_primitive_matrices(1, (2, 3, 4), seed)[0]
     eig = perron_eigendata(A)
     est = decay_estimate(eig, depth)
-    M, words = transfer_matrix(eig, depth)
-    vals = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=len(words), max_size=len(words)))
+    n_words = word_count(A, depth)
+    vals = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n_words, max_size=n_words))
     g = centered(LocallyConstantFunction(A, depth, np.array(vals)), eig.parry)
     sem = lip_seminorm(g)
     assume(sem > 1e-9)
-    vec = g.values
+    it = g
     total = 0.0
     for n in range(SOUNDNESS_HORIZON + 1):
-        sup = float(np.max(np.abs(vec)))
+        sup = supnorm(it)
         if n < len(est.steps):
             assert sup <= est.steps[n] * sem + DECAY_FLOOR * sem
         total += sup
-        vec = M @ vec
+        it = transfer_apply(it, eig)
     assert total <= est.c_hat * sem / math.sqrt(2.0) + SOUNDNESS_HORIZON * DECAY_FLOOR * sem
 
 
@@ -262,11 +253,11 @@ def test_term_cap_raises_convergence_error(monkeypatch):
 
 
 def test_certificate_reads_only_the_depth_one_operator(monkeypatch):
-    # M1 is the depth-1 kernel's weights, with the bits of the depth-1
-    # transfer matrix: the rate read from it is the same to the bit, and no
+    # M1 is the depth-1 kernel's weights, with the bits of the dict-built
+    # depth-1 operator: the rate read from it is the same to the bit, and no
     # deeper word space is built
     cases = [(A, perron_eigendata(A)) for A in random_primitive_matrices(20, (2, 3, 4, 5), seed=25)]
-    rates = [subdominant_modulus(transfer_matrix(eig, 1)[0]) for A, eig in cases]
+    rates = [subdominant_modulus(dict_kernel(A, eig, 1)[1]) for A, eig in cases]
 
     def depth_one(build):
         def call(*args):
@@ -283,7 +274,7 @@ def test_certificate_reads_only_the_depth_one_operator(monkeypatch):
 
 def test_supnorm_bounded_by_seminorm_for_mean_zero(golden, eig_golden):
     for depth in (1, 2, 3):
-        for g in mean_zero_probes(eig_golden, depth):
+        for g in centered_indicators(eig_golden, depth):
             assert supnorm(g) <= lip_seminorm(g) + 1e-12
 
 
@@ -292,7 +283,7 @@ def test_centered_probe_spans(golden, eig_golden):
     m = eig_golden.parry
     f = random_function(golden, 2, seed=77)
     fc = centered(f, m)
-    probes = mean_zero_probes(eig_golden, 2)
+    probes = centered_indicators(eig_golden, 2)
     combo = sum(c * g.values for c, g in zip(f.values, probes))
     assert np.allclose(combo, fc.values, atol=1e-12)
 
@@ -345,20 +336,4 @@ def test_apply_equals_csr_product_bitwise(size):
                 f = LocallyConstantFunction(A, depth, scale * rng.standard_normal(K.shape[1]))
                 got = transfer_apply(f, eig).values
                 assert got.tobytes() == (K @ f.values).tobytes(), (A.rows, depth, scale)
-            # transfer_matrix gives each word its prefix's row of the kernel
-            matrix, words = transfer_matrix(eig, depth)
-            image = enumerate_words(A, max(depth - 1, 1))
-            rows = [image.index(w[:max(depth - 1, 1)]) for w in words]
-            assert matrix.tobytes() == K.toarray()[rows].tobytes(), (A.rows, depth)
 
-
-def test_dense_operators_past_the_ceiling_are_refused_at_once(eig_full2):
-    # full2 at depth 16 passes the word ceiling, but its operator would be
-    # 65536 x 65536 (32 GiB); 4096 probes of 4096 values are 1.7e7 values
-    cases = ((transfer_matrix, 16, "a 65536 x 65536 operator"),
-             (mean_zero_probes, 12, "4096 probes of 4096 values"))
-    for build, depth, message in cases:
-        started = time.perf_counter()
-        with pytest.raises(CeilingError, match=message):
-            build(eig_full2, depth)
-        assert time.perf_counter() - started < 1.0
